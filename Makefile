@@ -1,6 +1,7 @@
 # voltnoise build and verification targets.
 #
-#   make             tier-1 gate: build, vet, full test suite
+#   make             tier-1 gate: build, vet, full test suite, and the
+#                    benchmark module's vet and short tests
 #   make race        race detector over all internal packages
 #   make bench       serial-vs-parallel engine benchmarks
 #   make bench-json  benchmark snapshot -> BENCH_PR$(BENCH_PR).json
@@ -46,7 +47,7 @@ BENCH_COUNT ?= 4
 BENCH_MAX_REGRESS ?= 40%
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test tier1 race batch-determinism fuzz-smoke fault recover-smoke stream-smoke bench bench-json bench-check profile run-service ci clean
+.PHONY: all build vet test tier1 bench-api race batch-determinism fuzz-smoke fault recover-smoke stream-smoke bench bench-json bench-check profile run-service ci clean
 
 all: tier1
 
@@ -60,8 +61,15 @@ test:
 	$(GO) test ./...
 
 # tier1 is the repo's compatibility gate: every change must keep it
-# green.
-tier1: build vet test
+# green. The benchmark under bench/ is a module of its own, so the
+# root build and test never compile it; bench-api vets it and runs its
+# short tests (offline, a few seconds) so an API change that breaks
+# the benchmark fails here.
+tier1: build vet test bench-api
+
+bench-api:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # race runs the internal packages under the race detector. The
 # deterministic worker-pool engine (internal/exec) and every study

@@ -10,64 +10,79 @@ import (
 	"voltnoise/internal/skitter"
 )
 
-// BatchSession is the lockstep counterpart of Session: it owns one
-// built ZEC12 circuit and one set of factored matrices but advances B
-// independent measurement lanes through them per step, via
-// pdn.BatchTransient. Each lane carries its own workload slots, supply
-// bias, skitter macros and accumulators, so a width-B session replaces
-// B sessions while paying the plan walk and the (latency-bound) LU
-// substitution once per step instead of B times.
+// BatchSession is the reusable measurement engine for one platform
+// configuration: it owns the built ZEC12 circuit, the factored nodal
+// and DC matrices and every scratch buffer, so a campaign of
+// near-identical runs pays the setup cost once. It advances B
+// independent measurement lanes through one pdn.BatchTransient per
+// step; each lane carries its own workload slots, supply bias, skitter
+// macros and accumulators, so a width-B session pays the plan walk and
+// the (latency-bound) LU substitution once per step for all B lanes.
+// Width 1 is the one-measurement-at-a-time shape.
 //
-// Every lane's Measurement is bit-identical to running the same
-// RunSpec alone on a single Session at the lane's bias: per lane the
-// engine performs the same floating-point operations in the same
-// order, batching only interleaves independent lanes.
+// Between runs only the cheap state moves: load closures re-read the
+// lanes' workload slots, the engine re-derives each lane's DC operating
+// point with the cached factorization, and the macros clear their
+// sticky registers. A lane's Measurement depends only on its RunSpec,
+// bias and gains — never on the width, the other lanes or the runs
+// before it: per lane the engine performs the same floating-point
+// operations in the same order, batching only interleaves lanes.
 //
 // A BatchSession is NOT safe for concurrent use; parallel studies draw
 // one per in-flight batch from a SessionPool.
 type BatchSession struct {
 	cfg   Config
-	lanes int
-
-	bias    []float64 // per lane, quantized as Platform.SetVoltageBias
-	vnom    []float64 // per lane effective supply (PDN.Vnom * bias)
-	uncoreI []float64 // per lane uncore current (UncorePower / vnom)
+	lanes []lane
 
 	circuit *pdn.Circuit
 	nodes   pdn.ZEC12Nodes
 	bt      *pdn.BatchTransient
-	macros  [][NumCores]*skitter.Macro
-	// gains holds each lane's effective per-core skitter gain
-	// multipliers (default cfg.CoreGain). They live entirely in the
-	// sensor macros, which is what lets chips that share an electrical
-	// configuration but differ in sensitivity (aging drift, core-class
-	// bases) ride separate lanes of one factored circuit.
-	gains [][NumCores]float64
-
-	idle Workload
-	// wl holds each lane's current workloads; the shared load closures
-	// read the active lane's slots through s.lane.
-	wl [][NumCores]Workload
-	// pw is the per-lane power scratch the load closures fill each
-	// step, reused by the chip-power accumulators.
-	pw [][NumCores]float64
-	// iq is the per-lane current scratch: the quotient p/vnom each
-	// core's closure computed (or copied from its alias source), so
-	// the (bit-identical) division runs once per distinct workload at
-	// each distinct supply instead of once per core.
-	iq [][NumCores]float64
-	// src[l][i] is the lowest slot in lane-major order (lane*NumCores
-	// + core) whose workload value is identical to core i's, or core
-	// i's own slot. Unlike Session.src the aliasing spans lanes:
-	// lockstep lanes evaluate their loads at the same instants in
-	// ascending lane order, so an identical pure workload produces a
-	// bit-identical power sample wherever it runs first — an aliased
-	// core copies that sample and pays at most the p/vnom division
-	// (and only when its lane's supply differs from the source's).
-	src [][NumCores]int
-	// lane is the lane whose loads the circuit is evaluating right now,
+	idle    Workload
+	// cur is the lane whose loads the circuit is evaluating right now,
 	// kept current by the engine's onLane hook.
-	lane int
+	cur *lane
+	// coreV[i] is the live view of core i's potential in every lane.
+	coreV [NumCores][]float64
+}
+
+// lane is one measurement lane of a BatchSession.
+type lane struct {
+	bias    float64 // quantized, as Platform.SetVoltageBias
+	vnom    float64 // effective supply (PDN.Vnom * bias)
+	uncoreI float64 // constant uncore current (UncorePower / vnom)
+	// gains are the effective per-core skitter gain multipliers
+	// (default cfg.CoreGain). They live entirely in the sensor macros,
+	// which is what lets chips that share an electrical configuration
+	// but differ in sensitivity (aging drift, core-class bases) ride
+	// separate lanes of one factored circuit.
+	gains  [NumCores]float64
+	macros [NumCores]*skitter.Macro
+
+	// wl holds the current run's workloads; the shared load closures
+	// read them through BatchSession.cur.
+	wl [NumCores]Workload
+	// pw is the power scratch the load closures fill each step, reused
+	// by the chip-power accumulator.
+	pw [NumCores]float64
+	// iq is the current scratch: the quotient p/vnom each core's
+	// closure computed (or copied from its alias source), so the
+	// division runs once per distinct workload at each distinct supply.
+	iq [NumCores]float64
+	// src[i], when non-nil, is the lane whose core srcCore[i] holds the
+	// identical (pure) workload value as this lane's core i, in the
+	// first such slot in lane-major order. Lockstep lanes evaluate their
+	// loads at the same instants in ascending lane order, core order
+	// within a lane, so the source slot's closure has always run first
+	// this step: core i copies its bit-identical power sample and pays
+	// at most the p/vnom division (only when the supplies differ).
+	src     [NumCores]*lane
+	srcCore [NumCores]int
+
+	// Per-run observation state.
+	meas   *Measurement
+	steps  int // measured steps in this lane's window
+	record bool
+	energy float64
 }
 
 // NewBatchSession builds a batch session with the given lane count,
@@ -79,75 +94,64 @@ func NewBatchSession(cfg Config, lanes int) (*BatchSession, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("core: batch lane count %d, want >= 1", lanes)
 	}
-	s := &BatchSession{
-		cfg: cfg, lanes: lanes, idle: Idle(cfg.Core),
-		bias:    make([]float64, lanes),
-		vnom:    make([]float64, lanes),
-		uncoreI: make([]float64, lanes),
-		macros:  make([][NumCores]*skitter.Macro, lanes),
-		gains:   make([][NumCores]float64, lanes),
-		wl:      make([][NumCores]Workload, lanes),
-		pw:      make([][NumCores]float64, lanes),
-		iq:      make([][NumCores]float64, lanes),
-		src:     make([][NumCores]int, lanes),
-	}
-	for l := 0; l < lanes; l++ {
-		s.bias[l] = 1.0
-		s.vnom[l] = cfg.PDN.Vnom
-		s.uncoreI[l] = cfg.UncorePower / s.vnom[l]
-		s.gains[l] = cfg.CoreGain
-		for i := range s.wl[l] {
-			s.wl[l][i] = s.idle
-			s.src[l][i] = l*NumCores + i
+	s := &BatchSession{cfg: cfg, lanes: make([]lane, lanes), idle: Idle(cfg.Core)}
+	for l := range s.lanes {
+		c := &s.lanes[l]
+		c.bias = 1.0
+		c.vnom = cfg.PDN.Vnom
+		c.uncoreI = cfg.UncorePower / c.vnom
+		c.gains = cfg.CoreGain
+		for i := range c.wl {
+			c.wl[i] = s.idle
 		}
-		if err := s.rebuildMacros(l); err != nil {
+		if err := s.rebuildMacros(c); err != nil {
 			return nil, err
 		}
 	}
+	s.cur = &s.lanes[0]
 
-	pdnCfg := cfg.PDN
-	s.circuit, s.nodes = pdn.ZEC12(pdnCfg)
+	s.circuit, s.nodes = pdn.ZEC12(cfg.PDN)
 	for i := 0; i < NumCores; i++ {
-		// Same linearization as Session: I(t) = P(t)/Vnom at the active
-		// lane's effective supply, with the power sample parked in the
-		// lane's scratch slot.
+		// Loads model devices as nominal-voltage current sinks:
+		// I(t) = P(t)/Vnom at the active lane's effective supply (the
+		// standard linearization for PDN noise analysis), with the power
+		// sample parked in the lane's scratch slot.
 		i := i
 		s.circuit.AddLoad(fmt.Sprintf("core%d", i), s.nodes.Core[i],
 			func(t float64) float64 {
-				l := s.lane
-				if g := s.src[l][i]; g != l*NumCores+i {
-					// The source slot — an earlier core of this lane or any
-					// core of an earlier lane — ran first this step at the
-					// same instant, so its power sample is bit-identical to
-					// what this core's workload would produce. The division
-					// re-runs only when the two lanes' supplies differ.
-					r, j := g/NumCores, g%NumCores
-					p := s.pw[r][j]
-					q := s.iq[r][j]
-					if s.vnom[l] != s.vnom[r] {
-						q = p / s.vnom[l]
+				c := s.cur
+				if r := c.src[i]; r != nil {
+					// The source slot ran first this step at the same
+					// instant, so its power sample is bit-identical to what
+					// this core's workload would produce.
+					j := c.srcCore[i]
+					p, q := r.pw[j], r.iq[j]
+					if c.vnom != r.vnom {
+						q = p / c.vnom
 					}
-					s.pw[l][i] = p
-					s.iq[l][i] = q
+					c.pw[i], c.iq[i] = p, q
 					return q
 				}
-				p := s.wl[l][i].Power(t)
-				s.pw[l][i] = p
-				q := p / s.vnom[l]
-				s.iq[l][i] = q
+				p := c.wl[i].Power(t)
+				c.pw[i] = p
+				q := p / c.vnom
+				c.iq[i] = q
 				return q
 			})
 	}
-	s.circuit.AddLoad("uncore", s.nodes.L3, func(float64) float64 { return s.uncoreI[s.lane] })
+	s.circuit.AddLoad("uncore", s.nodes.L3, func(float64) float64 { return s.cur.uncoreI })
 	// Every lane starts idle on every core, so the construction-time DC
 	// solve already dedupes down to one Power evaluation per step.
 	s.refreshAliases()
 
-	bt, err := pdn.NewBatchTransientAt(s.circuit, cfg.Dt, 0, lanes, func(l int) { s.lane = l })
+	bt, err := pdn.NewBatchTransientAt(s.circuit, cfg.Dt, 0, lanes, func(l int) { s.cur = &s.lanes[l] })
 	if err != nil {
 		return nil, err
 	}
 	s.bt = bt
+	for i := range s.coreV {
+		s.coreV[i] = bt.LaneVoltages(s.nodes.Core[i])
+	}
 	return s, nil
 }
 
@@ -155,40 +159,49 @@ func NewBatchSession(cfg Config, lanes int) (*BatchSession, error) {
 func (s *BatchSession) Config() Config { return s.cfg }
 
 // Lanes returns the batch width.
-func (s *BatchSession) Lanes() int { return s.lanes }
+func (s *BatchSession) Lanes() int { return len(s.lanes) }
 
 // LaneBias returns the lane's current (quantized) bias.
-func (s *BatchSession) LaneBias(lane int) float64 { return s.bias[lane] }
+func (s *BatchSession) LaneBias(lane int) float64 { return s.lanes[lane].bias }
+
+// checkLane validates a lane index.
+func (s *BatchSession) checkLane(lane int) error {
+	if lane < 0 || lane >= len(s.lanes) {
+		return fmt.Errorf("core: lane %d out of range [0,%d)", lane, len(s.lanes))
+	}
+	return nil
+}
 
 // SetLaneBias retunes one lane's supply setpoint, quantized to the
-// service element's 0.5% steps like Session.SetVoltageBias. Only the
+// service element's 0.5% steps like Platform.SetVoltageBias. Only the
 // lane's fixed VRM potential and macro calibrations move — the
 // factored matrices serve every lane at every bias, because fixed-node
 // potentials enter the solve through the RHS only. This is what lets a
 // Vmin walk probe several biases in one lockstep batch.
 func (s *BatchSession) SetLaneBias(lane int, bias float64) error {
-	if lane < 0 || lane >= s.lanes {
-		return fmt.Errorf("core: lane %d out of range [0,%d)", lane, s.lanes)
+	if err := s.checkLane(lane); err != nil {
+		return err
 	}
 	q := math.Round(bias/BiasStep) * BiasStep
 	if q < 0.70 || q > 1.10 {
 		return fmt.Errorf("core: voltage bias %g outside [0.70, 1.10]", q)
 	}
-	if q == s.bias[lane] {
+	c := &s.lanes[lane]
+	if q == c.bias {
 		return nil
 	}
-	s.bias[lane] = q
-	s.vnom[lane] = s.cfg.PDN.Vnom * q
-	s.uncoreI[lane] = s.cfg.UncorePower / s.vnom[lane]
-	if err := s.bt.SetLaneFixed(lane, s.nodes.VRM, s.vnom[lane]); err != nil {
+	c.bias = q
+	c.vnom = s.cfg.PDN.Vnom * q
+	c.uncoreI = s.cfg.UncorePower / c.vnom
+	if err := s.bt.SetLaneFixed(lane, s.nodes.VRM, c.vnom); err != nil {
 		return err
 	}
-	return s.rebuildMacros(lane)
+	return s.rebuildMacros(c)
 }
 
 // SetVoltageBias retunes every lane to the same bias.
 func (s *BatchSession) SetVoltageBias(bias float64) error {
-	for l := 0; l < s.lanes; l++ {
+	for l := range s.lanes {
 		if err := s.SetLaneBias(l, bias); err != nil {
 			return err
 		}
@@ -203,21 +216,23 @@ func (s *BatchSession) SetVoltageBias(bias float64) error {
 // always run by the time the aliased core's is evaluated, within the
 // same step at the same instant. The first match is never itself an
 // alias (its own scan found nothing earlier), so alias chains are
-// depth one and every copy reads a freshly computed sample.
+// depth one and every copy reads a freshly computed sample. A core
+// whose node is fixed is never a source: the engine skips its load, so
+// no sample would be parked to reuse.
 func (s *BatchSession) refreshAliases() {
-	for l := 0; l < s.lanes; l++ {
-		for i := range s.wl[l] {
-			me := l*NumCores + i
-			s.src[l][i] = me
-			for g := 0; g < me; g++ {
-				r, j := g/NumCores, g%NumCores
-				if !sameWorkload(s.wl[r][j], s.wl[l][i]) {
+	for l := range s.lanes {
+		c := &s.lanes[l]
+		for i := range c.wl {
+			c.src[i] = nil
+			for g := 0; g < l*NumCores+i; g++ {
+				r, j := &s.lanes[g/NumCores], g%NumCores
+				if !sameWorkload(r.wl[j], c.wl[i]) {
 					continue
 				}
 				if _, fixed := s.circuit.FixedVoltage(s.nodes.Core[j]); fixed {
 					continue
 				}
-				s.src[l][i] = g
+				c.src[i], c.srcCore[i] = r, j
 				break
 			}
 		}
@@ -226,21 +241,21 @@ func (s *BatchSession) refreshAliases() {
 
 // LaneGains returns one lane's effective per-core skitter gain
 // multipliers.
-func (s *BatchSession) LaneGains(lane int) [NumCores]float64 { return s.gains[lane] }
+func (s *BatchSession) LaneGains(lane int) [NumCores]float64 { return s.lanes[lane].gains }
 
-// SetLaneGains overrides one lane's per-core skitter gain multipliers,
-// mirroring Session.SetCoreGains: the override lives entirely in the
-// lane's sensor macros and never touches the shared circuit, so lanes
+// SetLaneGains overrides one lane's per-core skitter gain multipliers —
+// the chip-individual process-variation-and-aging state a population
+// study retunes per chip. The override lives entirely in the lane's
+// sensor macros and never touches the shared circuit, so lanes
 // carrying different chips (aging drift, heterogeneous core classes)
-// still ride one factored matrix set. Per lane the macro construction
-// performs the same floating-point operations as a single Session with
-// the same gains, so lane results stay bit-identical to lane-per-run
-// measurements. Setting the identical gains is free.
+// still ride one factored matrix set. Setting the identical gains is
+// free.
 func (s *BatchSession) SetLaneGains(lane int, gains [NumCores]float64) error {
-	if lane < 0 || lane >= s.lanes {
-		return fmt.Errorf("core: lane %d out of range [0,%d)", lane, s.lanes)
+	if err := s.checkLane(lane); err != nil {
+		return err
 	}
-	if gains == s.gains[lane] {
+	c := &s.lanes[lane]
+	if gains == c.gains {
 		return nil
 	}
 	for i, g := range gains {
@@ -248,22 +263,22 @@ func (s *BatchSession) SetLaneGains(lane int, gains [NumCores]float64) error {
 			return fmt.Errorf("core: non-positive gain %g for core %d", g, i)
 		}
 	}
-	s.gains[lane] = gains
-	return s.rebuildMacros(lane)
+	c.gains = gains
+	return s.rebuildMacros(c)
 }
 
 // rebuildMacros constructs one lane's per-core skitter macros with
 // process-variation gains, calibrated at the lane's effective supply.
-func (s *BatchSession) rebuildMacros(lane int) error {
-	for i := range s.macros[lane] {
+func (s *BatchSession) rebuildMacros(c *lane) error {
+	for i := range c.macros {
 		sc := s.cfg.Skitter
-		sc.Vnom = s.vnom[lane]
-		sc.Gain *= s.gains[lane][i]
+		sc.Vnom = c.vnom
+		sc.Gain *= c.gains[i]
 		m, err := skitter.NewMacro(sc)
 		if err != nil {
 			return err
 		}
-		s.macros[lane][i] = m
+		c.macros[i] = m
 	}
 	return nil
 }
@@ -280,85 +295,95 @@ func (s *BatchSession) RunBatch(specs []RunSpec) ([]*Measurement, error) {
 	return s.RunBatchContext(context.Background(), specs)
 }
 
+// ctxCheckSteps is how many integration steps pass between
+// cancellation checks (~8 us of simulated time at the default Dt).
+const ctxCheckSteps = 4096
+
 // RunBatchContext runs one spec per lane in lockstep and returns one
 // Measurement per lane, in lane order. All lanes must share the same
 // Start and Warmup — lockstep lanes advance through the same instants —
 // while Durations, workloads, Record, and the lane biases may differ:
 // the engine steps to the longest lane's end, and a lane whose window
 // is over simply stops observing and accumulating (its trajectory up
-// to its own end is unaffected by the extra steps, so every lane stays
-// bit-identical to a lane-per-run measurement). A canceled context
+// to its own end is unaffected by the extra steps). A canceled context
 // interrupts the integration mid-window and returns ctx.Err(); the
-// session remains reusable afterwards.
+// session remains reusable afterwards — the next run re-derives all
+// state.
 func (s *BatchSession) RunBatchContext(ctx context.Context, specs []RunSpec) ([]*Measurement, error) {
+	out := make([]*Measurement, len(s.lanes))
+	if err := s.run(ctx, specs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// run is RunBatchContext writing lane l's measurement to out[l].
+func (s *BatchSession) run(ctx context.Context, specs []RunSpec, out []*Measurement) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(specs) != s.lanes {
-		return nil, fmt.Errorf("core: %d specs for a %d-lane batch", len(specs), s.lanes)
+	if len(specs) != len(s.lanes) {
+		return fmt.Errorf("core: %d specs for a %d-lane batch", len(specs), len(s.lanes))
 	}
 	warmup := specs[0].Warmup
 	if warmup == 0 {
 		warmup = DefaultWarmup
 	}
 	if warmup < 0 {
-		return nil, fmt.Errorf("core: negative warmup %g", specs[0].Warmup)
+		return fmt.Errorf("core: negative warmup %g", specs[0].Warmup)
 	}
-	laneSteps := make([]int, s.lanes)
 	maxSteps := 0
-	for l := 0; l < s.lanes; l++ {
-		if specs[l].Duration <= 0 {
-			return nil, fmt.Errorf("core: lane %d non-positive measurement duration %g", l, specs[l].Duration)
+	for l, sp := range specs {
+		if sp.Duration <= 0 {
+			return fmt.Errorf("core: lane %d non-positive measurement duration %g", l, sp.Duration)
 		}
-		if specs[l].Start != specs[0].Start || specs[l].Warmup != specs[0].Warmup {
-			return nil, fmt.Errorf("core: lane %d window start/warmup (%g,%g) differs from lane 0 (%g,%g); lockstep lanes must share Start and Warmup",
-				l, specs[l].Start, specs[l].Warmup, specs[0].Start, specs[0].Warmup)
+		if sp.Start != specs[0].Start || sp.Warmup != specs[0].Warmup {
+			return fmt.Errorf("core: lane %d window start/warmup (%g,%g) differs from lane 0 (%g,%g); lockstep lanes must share Start and Warmup",
+				l, sp.Start, sp.Warmup, specs[0].Start, specs[0].Warmup)
 		}
-		laneSteps[l] = int(math.Round(specs[l].Duration / s.cfg.Dt))
-		if laneSteps[l] > maxSteps {
-			maxSteps = laneSteps[l]
-		}
+		maxSteps = max(maxSteps, int(math.Round(sp.Duration/s.cfg.Dt)))
 	}
 	start := specs[0].Start
-	for l := 0; l < s.lanes; l++ {
-		for i := range s.wl[l] {
-			if specs[l].Workloads[i] == nil {
-				s.wl[l][i] = s.idle
-			} else {
-				s.wl[l][i] = specs[l].Workloads[i]
+	for l := range s.lanes {
+		c := &s.lanes[l]
+		for i, w := range specs[l].Workloads {
+			if w == nil {
+				w = s.idle
 			}
+			c.wl[i] = w
 		}
 	}
 	s.refreshAliases()
 	if err := s.bt.Reset(start - warmup); err != nil {
-		return nil, err
+		return err
 	}
-	// Warmup settles the PDN, mirroring Session.RunContext.
+	// Warmup settles the PDN; mirrors BatchTransient.RunUntil.
 	ctr := 0
 	for s.bt.Time() < start-s.cfg.Dt/2 {
 		if ctr++; ctr >= ctxCheckSteps {
 			ctr = 0
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if err := s.bt.Step(); err != nil {
-			return nil, err
-		}
-	}
-	for l := 0; l < s.lanes; l++ {
-		for _, m := range s.macros[l] {
-			m.Reset()
+			return err
 		}
 	}
 
-	meas := make([]*Measurement, s.lanes)
-	energy := make([]float64, s.lanes)
-	for l := range meas {
-		m := &Measurement{Start: start, Duration: specs[l].Duration}
-		if specs[l].Record {
+	for l := range s.lanes {
+		c := &s.lanes[l]
+		sp := &specs[l]
+		for _, m := range c.macros {
+			m.Reset()
+		}
+		c.steps = int(math.Round(sp.Duration / s.cfg.Dt))
+		c.record = sp.Record
+		c.energy = 0
+		m := &Measurement{Start: start, Duration: sp.Duration}
+		if sp.Record {
 			for i := range m.Traces {
-				t := signal.NewTrace(s.cfg.Dt, laneSteps[l]+1)
+				t := signal.NewTrace(s.cfg.Dt, c.steps+1)
 				t.Start = start
 				m.Traces[i] = t
 			}
@@ -367,72 +392,71 @@ func (s *BatchSession) RunBatchContext(ctx context.Context, specs []RunSpec) ([]
 			m.VMin[i] = math.Inf(1)
 			m.VMax[i] = math.Inf(-1)
 		}
-		meas[l] = m
+		c.meas = m
 	}
-	observe := func(step int) {
-		// Core-major: each core node's lane potentials are adjacent in
-		// the engine, so one LaneVoltages view serves all lanes. Lane
-		// and core observations are independent (per-macro sample order
-		// is all that matters), so the loop nesting is free to follow
-		// the memory layout.
-		for i := 0; i < NumCores; i++ {
-			row := s.bt.LaneVoltages(s.nodes.Core[i])
-			for l := 0; l < s.lanes; l++ {
-				if step > laneSteps[l] {
-					continue // this lane's window is over
-				}
-				m := meas[l]
-				v := row[l]
-				s.macros[l][i].Sample(v)
-				if v < m.VMin[i] {
-					m.VMin[i] = v
-				}
-				if v > m.VMax[i] {
-					m.VMax[i] = v
-				}
-				if specs[l].Record {
-					m.Traces[i].Samples[step] = v
-				}
-			}
-		}
-	}
-	observe(0)
+	s.observe(0)
 	for st := 1; st <= maxSteps; st++ {
 		if ctr++; ctr >= ctxCheckSteps {
 			ctr = 0
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if err := s.bt.Step(); err != nil {
-			return nil, err
+			return err
 		}
-		observe(st)
-		// Chip power per lane, from the samples the load closures just
-		// took for each lane.
-		for l := 0; l < s.lanes; l++ {
-			if st > laneSteps[l] {
-				continue
-			}
-			pw := s.cfg.UncorePower
-			for i := 0; i < NumCores; i++ {
-				pw += s.pw[l][i]
-			}
-			energy[l] += pw * s.cfg.Dt
-		}
+		s.observe(st)
 	}
-	for l := 0; l < s.lanes; l++ {
-		m := meas[l]
-		for i, mac := range s.macros[l] {
+	for l := range s.lanes {
+		c := &s.lanes[l]
+		m := c.meas
+		for i, mac := range c.macros {
 			m.P2P[i] = mac.PeakToPeakPercent()
 			m.PosMin[i], m.PosMax[i] = mac.PositionRange()
 		}
-		m.NominalPos = s.macros[l][0].Config().NominalPosition()
-		m.ChipPowerMilliwatts = int64(math.Round(energy[l] / specs[l].Duration * 1000))
+		m.NominalPos = c.macros[0].Config().NominalPosition()
+		m.ChipPowerMilliwatts = int64(math.Round(c.energy / m.Duration * 1000))
+		out[l], c.meas = m, nil
 		// Drop workload references so pooled sessions don't pin them.
-		for i := range s.wl[l] {
-			s.wl[l][i] = s.idle
+		for i := range c.wl {
+			c.wl[i] = s.idle
 		}
 	}
-	return meas, nil
+	return nil
+}
+
+// observe feeds every lane still inside its window the core potentials
+// after the given step: skitter samples, voltage extremes, traces, and
+// (past the initial point) the chip power the load closures just
+// sampled. Lanes and cores are independent, so only each macro's
+// sample order matters.
+func (s *BatchSession) observe(step int) {
+	for l := range s.lanes {
+		c := &s.lanes[l]
+		if step > c.steps {
+			continue // this lane's window is over
+		}
+		m := c.meas
+		for i := 0; i < NumCores; i++ {
+			v := s.coreV[i][l]
+			c.macros[i].Sample(v)
+			if v < m.VMin[i] {
+				m.VMin[i] = v
+			}
+			if v > m.VMax[i] {
+				m.VMax[i] = v
+			}
+			if c.record {
+				m.Traces[i].Samples[step] = v
+			}
+		}
+		if step > 0 {
+			// Chip power: devices' draw (cores + uncore) at this instant.
+			pw := s.cfg.UncorePower
+			for i := 0; i < NumCores; i++ {
+				pw += c.pw[i]
+			}
+			c.energy += pw * s.cfg.Dt
+		}
+	}
 }

@@ -2,325 +2,79 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync"
 	"time"
 
 	"voltnoise/internal/pdn"
-	"voltnoise/internal/signal"
-	"voltnoise/internal/skitter"
 )
 
-// Session is a reusable measurement engine for one platform
-// configuration: it owns the built ZEC12 circuit, the factored nodal
-// and DC matrices, the six skitter macros and every scratch buffer,
-// so a campaign of near-identical runs pays the setup cost once.
-// Between runs only the cheap state moves: load closures re-read the
-// session's workload slots, Transient.Reset re-derives the DC
-// operating point with the cached factorization, and the macros clear
-// their sticky registers. Results are bit-identical to a fresh
-// Platform.Run for every run in the sequence.
+// Session is the width-1 view of BatchSession: one measurement at a
+// time, for callers that run a single spec per call. It holds no engine
+// state of its own.
 //
-// A Session is NOT safe for concurrent use; parallel studies draw one
-// session per in-flight measurement from a SessionPool.
+// A Session is NOT safe for concurrent use.
 type Session struct {
-	cfg     Config
-	bias    float64           // quantized, as Platform.SetVoltageBias
-	vnom    float64           // effective supply setpoint (PDN.Vnom * bias)
-	uncoreI float64           // constant uncore current (UncorePower / vnom)
-	gains   [NumCores]float64 // effective per-core skitter gains (default cfg.CoreGain)
-
-	circuit *pdn.Circuit
-	nodes   pdn.ZEC12Nodes
-	tr      *pdn.Transient
-	macros  [NumCores]*skitter.Macro
-
-	idle Workload
-	// wl holds the current run's workloads; the load closures
-	// installed at construction read through it.
-	wl [NumCores]Workload
-	// pw is the per-step power scratch: the load closures record each
-	// workload's power sample here so the chip-power accumulator
-	// reuses it instead of re-evaluating Workload.Power.
-	pw [NumCores]float64
-	// src[i] is the lowest core index whose workload slot holds the
-	// identical (pure) workload value as core i's, or i itself. The
-	// engine evaluates loads in core order within a step, all at the
-	// same instant, so core i's closure can copy pw[src[i]] instead of
-	// re-evaluating the shared waveform — bit-identical by definition.
-	// Refreshed from wl at the start of every run.
-	src [NumCores]int
-	// iq is the current scratch: the quotient p/vnom each source
-	// core's closure just computed, reused verbatim by aliased cores
-	// so the (bit-identical) division runs once per distinct workload
-	// instead of once per core.
-	iq [NumCores]float64
+	bs   *BatchSession
+	spec [1]RunSpec
+	out  [1]*Measurement
 }
 
 // NewSession builds a session at nominal voltage (bias 1.0).
 func NewSession(cfg Config) (*Session, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s := &Session{cfg: cfg, bias: 1.0, idle: Idle(cfg.Core), gains: cfg.CoreGain}
-	s.vnom = cfg.PDN.Vnom
-	s.uncoreI = cfg.UncorePower / s.vnom
-
-	pdnCfg := cfg.PDN
-	pdnCfg.Vnom = s.vnom
-	s.circuit, s.nodes = pdn.ZEC12(pdnCfg)
-	for i := range s.wl {
-		s.wl[i] = s.idle
-		s.src[i] = i
-		// Loads model devices as nominal-voltage current sinks:
-		// I(t) = P(t)/Vnom (the standard linearization for PDN noise
-		// analysis). Each closure also parks the power sample in the
-		// scratch slice for the chip-power accumulator. Cores sharing a
-		// workload value reuse the sample an earlier core took at this
-		// same instant (see src).
-		i := i
-		s.circuit.AddLoad(fmt.Sprintf("core%d", i), s.nodes.Core[i],
-			func(t float64) float64 {
-				if j := s.src[i]; j != i {
-					// The source core (j < i) ran first this step: reuse
-					// its power sample and its already-divided current.
-					s.pw[i] = s.pw[j]
-					return s.iq[j]
-				}
-				p := s.wl[i].Power(t)
-				s.pw[i] = p
-				q := p / s.vnom
-				s.iq[i] = q
-				return q
-			})
-	}
-	s.circuit.AddLoad("uncore", s.nodes.L3, func(float64) float64 { return s.uncoreI })
-
-	tr, err := pdn.NewTransientAt(s.circuit, cfg.Dt, 0)
+	bs, err := NewBatchSession(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	s.tr = tr
-	if err := s.rebuildMacros(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &Session{bs: bs}, nil
 }
 
 // Config returns the session's platform configuration.
-func (s *Session) Config() Config { return s.cfg }
+func (s *Session) Config() Config { return s.bs.cfg }
 
 // VoltageBias returns the current (quantized) bias.
-func (s *Session) VoltageBias() float64 { return s.bias }
+func (s *Session) VoltageBias() float64 { return s.bs.LaneBias(0) }
 
-// SetVoltageBias retunes the supply setpoint, quantized to the service
-// element's 0.5% steps like Platform.SetVoltageBias. Only the fixed
-// VRM potential and the macro calibrations move — the factored
-// matrices are reused across the whole bias range, because fixed-node
-// potentials enter the solve through the RHS only.
-func (s *Session) SetVoltageBias(bias float64) error {
-	q := math.Round(bias/BiasStep) * BiasStep
-	if q < 0.70 || q > 1.10 {
-		return fmt.Errorf("core: voltage bias %g outside [0.70, 1.10]", q)
-	}
-	if q == s.bias {
-		return nil
-	}
-	s.bias = q
-	s.vnom = s.cfg.PDN.Vnom * q
-	s.uncoreI = s.cfg.UncorePower / s.vnom
-	s.circuit.FixNode(s.nodes.VRM, s.vnom)
-	return s.rebuildMacros()
-}
+// SetVoltageBias retunes the supply setpoint (see
+// BatchSession.SetLaneBias).
+func (s *Session) SetVoltageBias(bias float64) error { return s.bs.SetVoltageBias(bias) }
 
 // CoreGains returns the effective per-core skitter gain multipliers.
-func (s *Session) CoreGains() [NumCores]float64 { return s.gains }
+func (s *Session) CoreGains() [NumCores]float64 { return s.bs.LaneGains(0) }
 
-// SetCoreGains overrides the per-core skitter gain multipliers —
-// the chip-individual process-variation-and-aging state a population
-// study retunes per chip — and recalibrates the macros. The circuit
-// and its factored matrices are untouched: gains live entirely in the
-// sensors, which is what lets chips sharing an electrical configuration
-// reuse one pooled session (or one lockstep batch lane) while each
-// keeps its own sensitivity. A session built from cfg starts at
-// cfg.CoreGain; setting the identical gains is free.
-func (s *Session) SetCoreGains(gains [NumCores]float64) error {
-	if gains == s.gains {
-		return nil
-	}
-	for i, g := range gains {
-		if g <= 0 {
-			return fmt.Errorf("core: non-positive gain %g for core %d", g, i)
-		}
-	}
-	s.gains = gains
-	return s.rebuildMacros()
-}
-
-// refreshAliases recomputes src from the current workload slots. A
-// core aliases the lowest earlier core holding the identical workload
-// value, unless that core's node is fixed (the engine then skips its
-// load, so no sample would be parked to reuse).
-func (s *Session) refreshAliases() {
-	for i := range s.wl {
-		s.src[i] = i
-		for j := 0; j < i; j++ {
-			if !sameWorkload(s.wl[j], s.wl[i]) {
-				continue
-			}
-			if _, fixed := s.circuit.FixedVoltage(s.nodes.Core[j]); fixed {
-				continue
-			}
-			s.src[i] = j
-			break
-		}
-	}
-}
-
-// rebuildMacros constructs the per-core skitter macros with
-// process-variation gains, calibrated at the effective supply.
-func (s *Session) rebuildMacros() error {
-	for i := range s.macros {
-		sc := s.cfg.Skitter
-		sc.Vnom = s.vnom
-		sc.Gain *= s.gains[i]
-		m, err := skitter.NewMacro(sc)
-		if err != nil {
-			return err
-		}
-		s.macros[i] = m
-	}
-	return nil
-}
+// SetCoreGains overrides the per-core skitter gain multipliers (see
+// BatchSession.SetLaneGains).
+func (s *Session) SetCoreGains(gains [NumCores]float64) error { return s.bs.SetLaneGains(0, gains) }
 
 // Run executes one measurement window on the session.
 func (s *Session) Run(spec RunSpec) (*Measurement, error) {
 	return s.RunContext(context.Background(), spec)
 }
 
-// ctxCheckSteps is how many integration steps pass between
-// cancellation checks (~8 us of simulated time at the default Dt).
-const ctxCheckSteps = 4096
-
 // RunContext is Run with cancellation: a canceled context interrupts
 // the integration mid-window and returns ctx.Err(). The session
-// remains reusable afterwards — the next run re-derives all state.
+// remains reusable afterwards.
 func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*Measurement, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if spec.Duration <= 0 {
-		return nil, fmt.Errorf("core: non-positive measurement duration %g", spec.Duration)
-	}
-	warmup := spec.Warmup
-	if warmup == 0 {
-		warmup = DefaultWarmup
-	}
-	if warmup < 0 {
-		return nil, fmt.Errorf("core: negative warmup %g", warmup)
-	}
-	for i := range s.wl {
-		if spec.Workloads[i] == nil {
-			s.wl[i] = s.idle
-		} else {
-			s.wl[i] = spec.Workloads[i]
-		}
-	}
-	s.refreshAliases()
-	if err := s.tr.Reset(spec.Start - warmup); err != nil {
+	s.spec[0] = spec
+	err := s.bs.run(ctx, s.spec[:], s.out[:])
+	m := s.out[0]
+	s.spec[0], s.out[0] = RunSpec{}, nil
+	if err != nil {
 		return nil, err
 	}
-	// Warmup settles the PDN; mirrors Transient.RunUntil.
-	ctr := 0
-	for s.tr.Time() < spec.Start-s.cfg.Dt/2 {
-		if ctr++; ctr >= ctxCheckSteps {
-			ctr = 0
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.tr.Step(); err != nil {
-			return nil, err
-		}
-	}
-	for _, m := range s.macros {
-		m.Reset()
-	}
-
-	meas := &Measurement{Start: spec.Start, Duration: spec.Duration}
-	steps := int(math.Round(spec.Duration / s.cfg.Dt))
-	if spec.Record {
-		for i := range meas.Traces {
-			t := signal.NewTrace(s.cfg.Dt, steps+1)
-			t.Start = spec.Start
-			meas.Traces[i] = t
-		}
-	}
-	for i := range meas.VMin {
-		meas.VMin[i] = math.Inf(1)
-		meas.VMax[i] = math.Inf(-1)
-	}
-	energy := 0.0
-	observe := func(step int) {
-		for i := 0; i < NumCores; i++ {
-			v := s.tr.Voltage(s.nodes.Core[i])
-			s.macros[i].Sample(v)
-			if v < meas.VMin[i] {
-				meas.VMin[i] = v
-			}
-			if v > meas.VMax[i] {
-				meas.VMax[i] = v
-			}
-			if spec.Record {
-				meas.Traces[i].Samples[step] = v
-			}
-		}
-	}
-	observe(0)
-	for st := 1; st <= steps; st++ {
-		if ctr++; ctr >= ctxCheckSteps {
-			ctr = 0
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.tr.Step(); err != nil {
-			return nil, err
-		}
-		observe(st)
-		// Chip power: devices' draw (cores + uncore) at this instant,
-		// from the samples the load closures just took.
-		pw := s.cfg.UncorePower
-		for i := 0; i < NumCores; i++ {
-			pw += s.pw[i]
-		}
-		energy += pw * s.cfg.Dt
-	}
-	for i, m := range s.macros {
-		meas.P2P[i] = m.PeakToPeakPercent()
-		meas.PosMin[i], meas.PosMax[i] = m.PositionRange()
-	}
-	meas.NominalPos = s.macros[0].Config().NominalPosition()
-	meas.ChipPowerMilliwatts = int64(math.Round(energy / spec.Duration * 1000))
-	// Drop workload references so pooled sessions don't pin them.
-	for i := range s.wl {
-		s.wl[i] = s.idle
-	}
-	return meas, nil
+	return m, nil
 }
 
-// SessionPool recycles sessions for one platform configuration. It is
-// safe for concurrent use; parallel studies Get a session per
-// measurement and Put it back when done. Batch sessions are pooled
-// alongside, keyed by lane width, so a sweep that packs its points
-// into width-B batches pays each width's setup cost once.
+// SessionPool recycles batch sessions for one platform configuration,
+// keyed by lane width, so a study that packs its runs into width-B
+// batches pays each width's setup cost once. It is safe for concurrent
+// use; parallel studies get a session per in-flight batch and put it
+// back when done.
 type SessionPool struct {
-	cfg  Config
-	pool sync.Pool
+	cfg Config
 
-	bmu   sync.Mutex
-	batch map[int][]*BatchSession // free batch sessions by lane width
+	mu   sync.Mutex
+	free map[int][]*BatchSession // free sessions by lane width
 
 	autoOnce  sync.Once
 	autoWidth int
@@ -331,33 +85,21 @@ func NewSessionPool(cfg Config) *SessionPool {
 	return &SessionPool{cfg: cfg}
 }
 
-// Get returns a session at the given bias, reusing a pooled one when
-// available.
+// Get returns a width-1 session at the given bias, reusing a pooled
+// one when available.
 func (sp *SessionPool) Get(bias float64) (*Session, error) {
-	s, _ := sp.pool.Get().(*Session)
-	if s == nil {
-		var err error
-		if s, err = NewSession(sp.cfg); err != nil {
-			return nil, err
-		}
-	}
-	// A previous borrower may have overridden the sensor gains; restore
-	// the configuration's gains so pooled reuse starts from a known
-	// state (free when unchanged).
-	if err := s.SetCoreGains(sp.cfg.CoreGain); err != nil {
+	bs, err := sp.GetBatch(bias, 1)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.SetVoltageBias(bias); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &Session{bs: bs}, nil
 }
 
 // Put returns a session to the pool. The session must not be used
 // after Put.
 func (sp *SessionPool) Put(s *Session) {
 	if s != nil {
-		sp.pool.Put(s)
+		sp.PutBatch(s.bs)
 	}
 }
 
@@ -366,21 +108,22 @@ func (sp *SessionPool) Put(s *Session) {
 // of the same width when available. Callers that need per-lane biases
 // follow up with SetLaneBias.
 func (sp *SessionPool) GetBatch(bias float64, lanes int) (*BatchSession, error) {
-	sp.bmu.Lock()
+	sp.mu.Lock()
 	var s *BatchSession
-	if free := sp.batch[lanes]; len(free) > 0 {
+	if free := sp.free[lanes]; len(free) > 0 {
 		s = free[len(free)-1]
-		sp.batch[lanes] = free[:len(free)-1]
+		sp.free[lanes] = free[:len(free)-1]
 	}
-	sp.bmu.Unlock()
+	sp.mu.Unlock()
 	if s == nil {
 		var err error
 		if s, err = NewBatchSession(sp.cfg, lanes); err != nil {
 			return nil, err
 		}
 	}
-	// Restore configuration gains on every lane a previous borrower may
-	// have overridden (free for untouched lanes).
+	// A previous borrower may have overridden lane gains; restore the
+	// configuration's gains so reuse starts from a known state (free for
+	// untouched lanes).
 	for l := 0; l < lanes; l++ {
 		if err := s.SetLaneGains(l, sp.cfg.CoreGain); err != nil {
 			return nil, err
@@ -463,10 +206,10 @@ func (sp *SessionPool) PutBatch(s *BatchSession) {
 	if s == nil {
 		return
 	}
-	sp.bmu.Lock()
-	if sp.batch == nil {
-		sp.batch = make(map[int][]*BatchSession)
+	sp.mu.Lock()
+	if sp.free == nil {
+		sp.free = make(map[int][]*BatchSession)
 	}
-	sp.batch[s.lanes] = append(sp.batch[s.lanes], s)
-	sp.bmu.Unlock()
+	sp.free[len(s.lanes)] = append(sp.free[len(s.lanes)], s)
+	sp.mu.Unlock()
 }

@@ -48,12 +48,11 @@ type Lab struct {
 	// auto width: the session pool's calibrated lane width (see
 	// core.SessionPool.AutoBatchWidth), which probes the register-
 	// blocked kernels once per pool and picks the fastest per-lane
-	// width that stays cache-resident. One forces lane-per-run, the
-	// single-lane engine. Lanes are never split to feed idle workers —
-	// workers
-	// contend for whole batches by work stealing (exec.MapStolen).
-	// Results are bit-identical for every width — each lane performs
-	// exactly the single-lane arithmetic.
+	// width that stays cache-resident. One runs one measurement per
+	// width-1 session. Lanes are never split to feed idle workers —
+	// workers contend for whole batches by work stealing
+	// (exec.MapStolen). Results are bit-identical for every width — a
+	// lane's arithmetic does not depend on the width.
 	Batch int
 	// Progress, when set, receives one ChunkResult per reduced
 	// measurement chunk of the batched studies. Events fire from the
@@ -116,17 +115,6 @@ func New(plat *core.Platform, opts ...Option) (*Lab, error) {
 	return l, nil
 }
 
-// NewLab builds a lab from a platform configuration.
-//
-// Deprecated: construct the platform and use New with options.
-func NewLab(pcfg core.Config, scfg stressmark.SearchConfig) (*Lab, error) {
-	plat, err := core.New(pcfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewLabOn(plat, scfg)
-}
-
 // NewLabOn builds a lab around an existing platform.
 func NewLabOn(plat *core.Platform, scfg stressmark.SearchConfig) (*Lab, error) {
 	res, err := stressmark.FindMaxPowerSequence(scfg)
@@ -147,14 +135,6 @@ func NewLabOn(plat *core.Platform, scfg stressmark.SearchConfig) (*Lab, error) {
 		MinSeq:       min,
 		SearchFunnel: res,
 	}, nil
-}
-
-// DefaultLab builds a lab with the calibrated platform and the
-// paper-sized search.
-//
-// Deprecated: use New on a core.New(core.DefaultConfig()) platform.
-func DefaultLab() (*Lab, error) {
-	return NewLab(core.DefaultConfig(), stressmark.DefaultSearchConfig())
 }
 
 // table returns the ISA table in use.
@@ -349,18 +329,13 @@ type ChunkResult struct {
 // runMeasurements executes the jobs and returns one measurement per
 // job, in job order. Jobs sharing a measurement window are packed into
 // the lanes of lockstep batch sessions (width exec.BatchWidth of
-// l.Batch), and the batches fan out across l.Workers. Every lane
-// performs exactly the arithmetic of a single-lane run, so the results
-// are bit-identical to the lane-per-run path at every (workers, batch)
-// combination. When l.Progress is set, each reduced chunk additionally
+// l.Batch), and the batches fan out across l.Workers. A lane's
+// arithmetic does not depend on the width, so the results are
+// bit-identical at every (workers, batch) combination. When l.Progress is set, each reduced chunk additionally
 // emits a ChunkResult from the ordered-reduction side.
 func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Measurement, error) {
-	pool := l.Platform.Sessions()
-	width := 1
-	if pool != nil {
-		width = exec.BatchWidthAuto(l.Batch, len(jobs), pool.AutoBatchWidth)
-	}
-	if pool == nil || width <= 1 {
+	width := exec.BatchWidthAuto(l.Batch, len(jobs), l.Platform.Sessions().AutoBatchWidth)
+	if width <= 1 {
 		out := make([]*core.Measurement, len(jobs))
 		done := 0
 		err := exec.MapOrdered(ctx, len(jobs), l.Workers,
@@ -405,31 +380,17 @@ func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Meas
 		}
 	}
 	batches = l.prioritizeBatches(jobs, batches)
-	bias := l.Platform.VoltageBias()
 	out := make([]*core.Measurement, len(jobs))
 	done := 0
 	// Each batch is one whole lockstep chunk: workers own contiguous
 	// runs of batches and steal whole batches when idle, never lanes.
 	err := exec.MapStolen(ctx, len(batches), 1, l.Workers,
 		func(ctx context.Context, bi, _ int) ([]*core.Measurement, error) {
-			idxs := batches[bi]
-			if len(idxs) == 1 {
-				m, err := l.runMeasurement(ctx, jobs[idxs[0]].spec())
-				if err != nil {
-					return nil, err
-				}
-				return []*core.Measurement{m}, nil
-			}
-			bs, err := pool.GetBatch(bias, len(idxs))
-			if err != nil {
-				return nil, err
-			}
-			defer pool.PutBatch(bs)
-			specs := make([]core.RunSpec, len(idxs))
-			for k, ji := range idxs {
+			specs := make([]core.RunSpec, len(batches[bi]))
+			for k, ji := range batches[bi] {
 				specs[k] = jobs[ji].spec()
 			}
-			return bs.RunBatchContext(ctx, specs)
+			return l.runBatch(ctx, specs)
 		},
 		func(ci, bi, _ int, ms []*core.Measurement) error {
 			for k, ji := range batches[bi] {
@@ -448,21 +409,29 @@ func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Meas
 	return out, nil
 }
 
-// runMeasurement executes one run through the platform's session pool
-// (amortizing circuit construction and matrix factorization across
-// the whole study) and honors cancellation. It is safe for concurrent
-// workers: each in-flight measurement holds its own session.
+// runMeasurement executes one run on a width-1 batch session from the
+// platform's pool (amortizing circuit construction and matrix
+// factorization across the whole study) and honors cancellation. It is
+// safe for concurrent workers: each in-flight measurement holds its
+// own session.
 func (l *Lab) runMeasurement(ctx context.Context, spec core.RunSpec) (*core.Measurement, error) {
-	pool := l.Platform.Sessions()
-	if pool == nil {
-		return l.Platform.RunContext(ctx, spec)
-	}
-	s, err := pool.Get(l.Platform.VoltageBias())
+	ms, err := l.runBatch(ctx, []core.RunSpec{spec})
 	if err != nil {
 		return nil, err
 	}
-	defer pool.Put(s)
-	return s.RunContext(ctx, spec)
+	return ms[0], nil
+}
+
+// runBatch measures the specs as the lanes of one pooled batch session
+// at the platform's bias.
+func (l *Lab) runBatch(ctx context.Context, specs []core.RunSpec) ([]*core.Measurement, error) {
+	pool := l.Platform.Sessions()
+	bs, err := pool.GetBatch(l.Platform.VoltageBias(), len(specs))
+	if err != nil {
+		return nil, err
+	}
+	defer pool.PutBatch(bs)
+	return bs.RunBatchContext(ctx, specs)
 }
 
 // ImpedanceProfile computes the PDN impedance profile at a core node

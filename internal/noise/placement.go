@@ -38,37 +38,18 @@ func (l *Lab) PlacementEvaluator(ctx context.Context, freq float64, events int) 
 
 // PlacementBatchEvaluator is the lockstep counterpart of
 // PlacementEvaluator: it measures a whole group of placements as the
-// lanes of one pooled batch session (single runs fall back to a
-// single-lane session). Each lane's result is bit-identical to
-// evaluating the placement alone, so mapping.BestWorstBatchN picks the
-// same winners at every batch width.
+// lanes of one pooled batch session. Each lane's result is
+// bit-identical to evaluating the placement alone, so
+// mapping.BestWorstBatchN picks the same winners at every batch width.
 func (l *Lab) PlacementBatchEvaluator(ctx context.Context, freq float64, events int) mapping.BatchEvaluator {
 	cfg := l.Platform.Config()
 	spec := syncSpec(l.MaxSpec(freq), events)
 	wlProto, protoErr := spec.Workload(cfg.Core, l.table())
 	start, dur := measureWindow(spec)
-	single := l.PlacementEvaluator(ctx, freq, events)
 	return func(placements [][]int) ([]mapping.Eval, error) {
 		if protoErr != nil {
 			return nil, protoErr
 		}
-		pool := l.Platform.Sessions()
-		if pool == nil || len(placements) == 1 {
-			out := make([]mapping.Eval, len(placements))
-			for i, cores := range placements {
-				w, wc, err := single(cores)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = mapping.Eval{WorstP2P: w, WorstCore: wc}
-			}
-			return out, nil
-		}
-		bs, err := pool.GetBatch(l.Platform.VoltageBias(), len(placements))
-		if err != nil {
-			return nil, err
-		}
-		defer pool.PutBatch(bs)
 		specs := make([]core.RunSpec, len(placements))
 		for i, cores := range placements {
 			var wl [core.NumCores]core.Workload
@@ -77,7 +58,7 @@ func (l *Lab) PlacementBatchEvaluator(ctx context.Context, freq float64, events 
 			}
 			specs[i] = core.RunSpec{Workloads: wl, Start: start, Duration: dur}
 		}
-		ms, err := bs.RunBatchContext(ctx, specs)
+		ms, err := l.runBatch(ctx, specs)
 		if err != nil {
 			return nil, err
 		}
@@ -105,8 +86,5 @@ func (l *Lab) resolveBatch() int {
 	if l.Batch > 0 {
 		return l.Batch
 	}
-	if pool := l.Platform.Sessions(); pool != nil {
-		return pool.AutoBatchWidth()
-	}
-	return l.Batch
+	return l.Platform.Sessions().AutoBatchWidth()
 }

@@ -4,24 +4,29 @@ import (
 	"fmt"
 )
 
-// BatchTransient advances B independent load lanes in lockstep through
-// one shared circuit. Every lane sees the same topology and element
-// values — the companion and DC matrices are stamped and LU-factored
-// exactly once — but each lane evaluates the circuit's loads against
-// its own state (selected through the onLane hook) and may pin fixed
-// supplies to lane-specific potentials. The per-step solve becomes a
-// multi-RHS forward/back substitution over a contiguous n×B block, and
-// the step-plan walk and companion updates are amortized across all
-// lanes, so a width-8 batch costs far less than 8 single-lane engines.
+// BatchTransient integrates a circuit forward in time with the
+// trapezoidal rule, advancing B independent load lanes in lockstep.
+// Reactive elements are replaced by their companion models: a constant
+// conductance (folded once into the nodal matrix, which is then
+// LU-factored once) plus a history current source recomputed each
+// step. This is the standard SPICE formulation and is A-stable, so
+// resonant PDNs integrate robustly at any step size that resolves the
+// waveforms of interest.
+//
+// Every lane sees the same topology and element values — the companion
+// and DC matrices are stamped and factored exactly once — but each lane
+// evaluates the circuit's loads against its own state (selected through
+// the onLane hook) and may pin fixed supplies to lane-specific
+// potentials. The per-step solve becomes a multi-RHS substitution over
+// a contiguous n×B block, and the step-plan walk is amortized across
+// all lanes, so a width-8 batch costs far less than eight width-1 runs.
 //
 // Lane state is laid out lane-innermost (row i, lane l at i*B+l): the
 // hot loops stream contiguous lane-width runs and carry B independent
-// floating-point dependency chains where Transient carries one.
-//
-// Every lane is bit-identical to a single-lane Transient driven by the
-// same loads: per lane, each step performs the same floating-point
-// operations in the same order — batching interleaves work across
-// lanes, never reorders it within one.
+// floating-point dependency chains. Width 1 is one lane shape among
+// the others: per lane, each step performs the same floating-point
+// operations in the same order at every width — batching interleaves
+// work across lanes, never reorders it within one.
 type BatchTransient struct {
 	c     *Circuit
 	dt    float64
@@ -31,11 +36,12 @@ type BatchTransient struct {
 	idx   []int   // NodeID -> unknown index or -1
 	n     int     // number of unknowns
 
-	// idxP maps NodeID -> permuted RHS slot (invPerm of idx) or -1, and
-	// unkNode[i] is the node whose solution the in-place solve leaves at
-	// slot i — together they let the step walk assemble the right-hand
-	// sides directly in permuted row order and scatter the solutions
-	// without touching fixed nodes (see Transient).
+	// idxP maps NodeID to the unknown's slot in lu's permuted row order
+	// (invPerm[idx[node]], or -1): Step assembles the right-hand sides
+	// directly in that order so the solve runs in place, skipping a
+	// per-step gather copy. unkNode is the inverse scatter map —
+	// unkNode[i] is the node whose solved potential sits at slot i after
+	// the in-place substitutions.
 	idxP    []int
 	unkNode []int32
 
@@ -45,8 +51,8 @@ type BatchTransient struct {
 
 	// Per-element companion state; the lane dimension is innermost.
 	// vab/ibr hold the DC operating point only: past the first step,
-	// branch state lives in hist and BranchCurrent derives currents on
-	// demand from the node potentials (see Transient).
+	// branch state lives in hist (the trapezoidal history source) and
+	// BranchCurrent derives currents on demand from the node potentials.
 	geq  []float64 // companion conductance per element (shared by lanes)
 	vab  []float64 // branch voltage per element x lane (DC point)
 	ibr  []float64 // branch current per element x lane (a -> b, DC point)
@@ -75,6 +81,25 @@ type BatchTransient struct {
 	step int
 }
 
+// stepElem is one element's per-step RHS work, precomputed so Step
+// walks a compact list instead of re-deriving index lookups every
+// timestep. Resistors touching no fixed node contribute nothing to the
+// RHS and are dropped from the plan; the remaining contributions keep
+// element insertion order, so the floating-point accumulation follows
+// the naive element loop exactly.
+type stepElem struct {
+	kind         elementKind
+	ei           int     // element index (companion state slot)
+	geq          float64 // companion conductance
+	na, nb       int     // node indices (for potential lookups)
+	iaP, ibP     int     // unknown RHS slots in permuted row order (-1: grounded or fixed)
+	hasFA, hasFB bool    // a fixed-node contribution lands at iaP (FA) or ibP (FB)
+	// hp and hm are the RHS slots the history source is added to and
+	// subtracted from (-1: none). A capacitor's history current flows
+	// a -> b in the RHS, an inductor's b -> a.
+	hp, hm int
+}
+
 // NewBatchTransient prepares a lockstep batch simulation of c with
 // fixed timestep dt, starting at time zero. See NewBatchTransientAt.
 func NewBatchTransient(c *Circuit, dt float64, lanes int, onLane func(lane int)) (*BatchTransient, error) {
@@ -86,9 +111,10 @@ func NewBatchTransient(c *Circuit, dt float64, lanes int, onLane func(lane int))
 // time start. onLane (may be nil) is invoked with the lane index
 // immediately before that lane's loads are evaluated — during
 // construction, Reset, and every Step — so load closures shared by all
-// lanes can read lane-local workload state. Each lane is initialized
-// to its own DC operating point, exactly as NewTransientAt does for a
-// single lane.
+// lanes can read lane-local workload state. Each lane starts at its own
+// DC operating point (inductors shorted, capacitors open, loads
+// evaluated at the start time), so a well-formed circuit starts in
+// steady state and shows no artificial start-up transient.
 func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, onLane func(lane int)) (*BatchTransient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("pdn: non-positive timestep %g", dt)
@@ -112,15 +138,7 @@ func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, onLane func(l
 		laneRHS:  make([]float64, n),
 		laneSol:  make([]float64, n),
 	}
-	for node, i := range idx {
-		if i >= 0 {
-			continue
-		}
-		v := c.potentialOfFixed(NodeID(node))
-		for l := 0; l < lanes; l++ {
-			t.fixedPot[node*lanes+l] = v
-		}
-	}
+	t.seedFixed()
 	geq, lu, err := stampCompanion(c, dt, idx, n)
 	if err != nil {
 		return nil, err
@@ -133,10 +151,22 @@ func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, onLane func(l
 	}
 	t.dcLU = dcLU
 	t.buildPlan()
-	if err := t.initState(); err != nil {
-		return nil, err
-	}
+	t.initState()
 	return t, nil
+}
+
+// seedFixed copies the circuit's fixed-node potentials into every
+// lane.
+func (t *BatchTransient) seedFixed() {
+	for node, i := range t.idx {
+		if i >= 0 {
+			continue
+		}
+		v := t.c.potentialOfFixed(NodeID(node))
+		for l := 0; l < t.lanes; l++ {
+			t.fixedPot[node*t.lanes+l] = v
+		}
+	}
 }
 
 // Lanes returns the batch width.
@@ -152,8 +182,7 @@ func (t *BatchTransient) Dt() float64 { return t.dt }
 // node must already be fixed in the circuit — fixed-node potentials
 // enter only the right-hand side, so lanes can run at different supply
 // settings against the same factored matrices. The new potential takes
-// effect at the next Reset (matching Circuit.FixNode, which Transient
-// also observes only through Reset).
+// effect at the next Reset.
 func (t *BatchTransient) SetLaneFixed(lane int, n NodeID, volts float64) error {
 	t.c.checkNode(n)
 	if lane < 0 || lane >= t.lanes {
@@ -174,10 +203,9 @@ func (t *BatchTransient) Voltage(lane int, n NodeID) float64 {
 }
 
 // LaneVoltages returns the potentials of node n for every lane, lane l
-// at index l. The returned slice is a read-only view into engine state,
-// valid until the next Step or Reset; it exists so per-step observers
-// read a node's lanes with one bounds-checked call instead of one
-// Voltage call per lane.
+// at index l. The returned slice is a read-only live view into engine
+// state — it tracks every later Step and Reset — so per-step observers
+// can fetch a node's row once and read it after each step.
 func (t *BatchTransient) LaneVoltages(n NodeID) []float64 {
 	t.c.checkNode(n)
 	return t.pots[int(n)*t.lanes : (int(n)+1)*t.lanes]
@@ -189,11 +217,10 @@ func (t *BatchTransient) LaneVoltages(n NodeID) []float64 {
 // Past the first step, currents are derived on demand from the node
 // potentials and the cached history source — the exact expressions a
 // per-step branch-state update would have stored, so readings are
-// bit-identical to an engine that materialized them (and to
-// Transient.BranchCurrent lane for lane). At the DC operating point
-// (before the first Step, or right after Reset) the stored DC values
-// are returned instead: initState computes resistor current as
-// (va-vb)/R, which can differ from v*geq in the last ULP.
+// bit-identical to an engine that materialized them. At the DC
+// operating point (before the first Step, or right after Reset) the
+// stored DC values are returned instead: initState computes resistor
+// current as (va-vb)/R, which can differ from v*geq in the last ULP.
 func (t *BatchTransient) BranchCurrent(lane, i int) float64 {
 	if t.step == 0 {
 		return t.ibr[i*t.lanes+lane]
@@ -213,29 +240,38 @@ func (t *BatchTransient) BranchCurrent(lane, i int) float64 {
 // Reset rewinds all lanes to the given start time and re-derives each
 // lane's DC operating point from the circuit's current loads and the
 // lane's fixed potentials. Neither nodal matrix is re-stamped or
-// re-factored, so a batch session can retune lane supplies, swap what
-// the load closures compute, and restart from here at the cost of one
+// re-factored, so a session can retune lane supplies, swap what the
+// load closures compute, and restart from here at the cost of one
 // linear solve per lane.
 func (t *BatchTransient) Reset(start float64) error {
 	t.time = start
 	t.step = 0
 	t.buildPlan()
-	return t.initState()
+	t.initState()
+	return nil
 }
 
 // buildPlan captures the per-step RHS contributions, snapshotting each
 // lane's fixed-node potentials in effect now. The entry list (and so
-// the accumulation order per lane) is identical to the single-lane
-// plan: hasFA/hasFB depend only on topology, never on lane state.
+// the accumulation order per lane) depends only on topology, never on
+// lane state.
 func (t *BatchTransient) buildPlan() {
 	t.plan = t.plan[:0]
 	for ei, e := range t.c.elements {
-		pe := stepElem{kind: e.kind, ei: ei, geq: t.geq[ei], na: int(e.a), nb: int(e.b), ia: t.idx[e.a], ib: t.idx[e.b]}
+		ia, ib := t.idx[e.a], t.idx[e.b]
+		pe := stepElem{kind: e.kind, ei: ei, geq: t.geq[ei], na: int(e.a), nb: int(e.b), hp: -1, hm: -1}
 		pe.iaP, pe.ibP = t.idxP[e.a], t.idxP[e.b]
-		pe.hasFA = pe.ia >= 0 && pe.ib < 0
-		pe.hasFB = pe.ib >= 0 && pe.ia < 0
-		if e.kind == kindResistor && !pe.hasFA && !pe.hasFB {
-			continue // no history source, no fixed contribution
+		pe.hasFA = ia >= 0 && ib < 0
+		pe.hasFB = ib >= 0 && ia < 0
+		switch e.kind {
+		case kindResistor:
+			if !pe.hasFA && !pe.hasFB {
+				continue // no history source, no fixed contribution
+			}
+		case kindCapacitor:
+			pe.hp, pe.hm = pe.iaP, pe.ibP
+		case kindInductor:
+			pe.hp, pe.hm = pe.ibP, pe.iaP
 		}
 		t.plan = append(t.plan, pe)
 	}
@@ -249,13 +285,12 @@ func (t *BatchTransient) buildPlan() {
 	}
 	for pi := range t.plan {
 		pe := &t.plan[pi]
-		e := t.c.elements[pe.ei]
 		for l := 0; l < B; l++ {
 			if pe.hasFA {
-				t.planFA[pi*B+l] = pe.geq * t.fixedPot[int(e.b)*B+l]
+				t.planFA[pi*B+l] = pe.geq * t.fixedPot[pe.nb*B+l]
 			}
 			if pe.hasFB {
-				t.planFB[pi*B+l] = pe.geq * t.fixedPot[int(e.a)*B+l]
+				t.planFB[pi*B+l] = pe.geq * t.fixedPot[pe.na*B+l]
 			}
 		}
 	}
@@ -263,16 +298,14 @@ func (t *BatchTransient) buildPlan() {
 
 // initState derives each lane's initial condition from its DC
 // operating point: loads evaluated at the current simulation time (for
-// that lane, via onLane) against the cached DC factorization. The
-// per-lane arithmetic mirrors Transient.initState exactly.
-func (t *BatchTransient) initState() error {
+// that lane, via onLane) against the cached DC factorization.
+func (t *BatchTransient) initState() {
 	c := t.c
 	B := t.lanes
 	for l := 0; l < B; l++ {
 		rhs, sol := t.laneRHS, t.laneSol
-		for i := range rhs {
-			rhs[i] = 0
-		}
+		clear(rhs)
+		// Fixed-node contributions move to the RHS.
 		for _, e := range c.elements {
 			ge, ok := dcConductance(e)
 			if !ok {
@@ -327,180 +360,127 @@ func (t *BatchTransient) initState() error {
 			}
 		}
 	}
-	return nil
 }
 
 // Step advances every lane by one timestep. It allocates nothing.
+//
+// Width 1 walks the plan with scalar state; every other width walks it
+// over lane blocks (stepBlocks), instantiated for the two widths the
+// register-blocked substitution kernels serve and once for the rest.
+// Both bodies perform the same per-lane arithmetic in the same order.
+// On divergence the engine state is abandoned with the error.
 func (t *BatchTransient) Step() error {
-	switch t.lanes {
-	case DefaultBatchLanes:
-		return t.step8()
-	case WideBatchLanes:
-		return t.step16()
-	}
-	c := t.c
-	B := t.lanes
 	next := t.time + t.dt
-	rhs := t.rhs
-	for i := range rhs {
-		rhs[i] = 0
+	var bad int
+	switch t.lanes {
+	case 1:
+		bad = t.stepScalar(next)
+	case DefaultBatchLanes:
+		bad = stepBlocks[*[DefaultBatchLanes]float64](t, next)
+	case WideBatchLanes:
+		bad = stepBlocks[*[WideBatchLanes]float64](t, next)
+	default:
+		bad = stepBlocks[[]float64](t, next)
 	}
-	// History sources and fixed-node conductance contributions, from
-	// the precomputed plan. Per lane this is the same element order and
-	// the same arithmetic as the single-lane Step: past the first step
-	// the walk rolls each reactive element's companion state forward
-	// from the last solve's potentials in the same pass that feeds the
-	// RHS (see Transient.Step for the derivation). RHS rows are
-	// assembled at the permuted slots (iaP/ibP) so the solve can run in
-	// place — the accumulation order per unknown is untouched.
+	if bad >= 0 {
+		return fmt.Errorf("pdn: integration diverged at t=%g (lane %d)", next, bad)
+	}
+	t.time = next
+	t.step++
+	return nil
+}
+
+// stepScalar is the width-1 step. It returns -1, or 0 if the lane
+// diverged.
+//
+// The walk adds the history sources and fixed-node conductance
+// contributions from the precomputed plan. On every step after the
+// first it also rolls each reactive element's companion state forward
+// from the potentials the last solve produced — the arithmetic of a
+// separate end-of-step update pass, fused so each element's state
+// streams through the cache once per step. RHS writes land at permuted
+// slots so the solve runs in place: per unknown the accumulation order
+// is untouched (one unknown, one slot), only the slot's address moves.
+func (t *BatchTransient) stepScalar(next float64) (bad int) {
+	rhs, hist, pots := t.rhs, t.hist, t.pots
+	plan, planFA, planFB := t.plan, t.planFA, t.planFB
+	clear(rhs)
 	first := t.step == 0
-	for pi := range t.plan {
-		pe := &t.plan[pi]
+	for pi := range plan {
+		pe := &plan[pi]
 		if pe.hasFA {
-			fa := t.planFA[pi*B : pi*B+B : pi*B+B]
-			ra := rhs[pe.iaP*B : pe.iaP*B+B]
-			for l := range ra {
-				ra[l] += fa[l]
-			}
+			rhs[pe.iaP] += planFA[pi]
 		}
 		if pe.hasFB {
-			fb := t.planFB[pi*B : pi*B+B : pi*B+B]
-			rb := rhs[pe.ibP*B : pe.ibP*B+B]
-			for l := range rb {
-				rb[l] += fb[l]
-			}
+			rhs[pe.ibP] += planFB[pi]
 		}
 		if pe.kind == kindResistor {
 			continue
 		}
-		geq := pe.geq
-		hist := t.hist[pe.ei*B : pe.ei*B+B : pe.ei*B+B]
+		h := hist[pe.ei]
 		if !first {
-			pa := t.pots[pe.na*B : pe.na*B+B : pe.na*B+B]
-			pb := t.pots[pe.nb*B : pe.nb*B+B : pe.nb*B+B]
+			gv := pe.geq * (pots[pe.na] - pots[pe.nb])
 			if pe.kind == kindCapacitor {
-				for l := range hist {
-					gv := geq * (pa[l] - pb[l])
-					hist[l] = gv + (gv - hist[l])
-				}
+				// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
+				h = gv + (gv - h)
 			} else {
-				for l := range hist {
-					gv := geq * (pa[l] - pb[l])
-					hist[l] = (gv + hist[l]) + gv
-				}
+				// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
+				h = (gv + h) + gv
 			}
+			hist[pe.ei] = h
 		}
-		switch pe.kind {
-		case kindCapacitor:
-			// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
-			// Branch current a->b contributes +hist into node a's RHS.
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := rhs[pe.iaP*B : pe.iaP*B+B]
-				rb := rhs[pe.ibP*B : pe.ibP*B+B]
-				for l := range ra {
-					ra[l] += hist[l]
-					rb[l] -= hist[l]
-				}
-			case pe.iaP >= 0:
-				ra := rhs[pe.iaP*B : pe.iaP*B+B]
-				for l := range ra {
-					ra[l] += hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := rhs[pe.ibP*B : pe.ibP*B+B]
-				for l := range rb {
-					rb[l] -= hist[l]
-				}
-			}
-		case kindInductor:
-			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := rhs[pe.iaP*B : pe.iaP*B+B]
-				rb := rhs[pe.ibP*B : pe.ibP*B+B]
-				for l := range ra {
-					ra[l] -= hist[l]
-					rb[l] += hist[l]
-				}
-			case pe.iaP >= 0:
-				ra := rhs[pe.iaP*B : pe.iaP*B+B]
-				for l := range ra {
-					ra[l] -= hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := rhs[pe.ibP*B : pe.ibP*B+B]
-				for l := range rb {
-					rb[l] += hist[l]
-				}
-			}
+		if pe.hp >= 0 {
+			rhs[pe.hp] += h
+		}
+		if pe.hm >= 0 {
+			rhs[pe.hm] -= h
 		}
 	}
-	// Loads evaluated at the new time, lane by lane (backward-looking
-	// sources keep the trapezoidal solve linear).
-	for l := 0; l < B; l++ {
-		if t.onLane != nil {
-			t.onLane(l)
-		}
-		for _, ld := range c.loads {
-			if i := t.idxP[ld.Node]; i >= 0 {
-				rhs[i*B+l] -= ld.Current(next)
-			}
-		}
-	}
-	t.lu.solveBatchInPlace(rhs, B)
+	t.applyLoads(next)
+	t.lu.solveInPlace(rhs)
 	// Scatter the solved unknowns, checking for divergence in the same
 	// pass (v-v is 0 for every finite v and NaN for NaN and ±Inf).
 	// Fixed-node potentials are not rewritten here: they change only
-	// through Reset, which re-scatters them via initState. On
-	// divergence the engine state is abandoned with the error.
-	bad := -1
+	// through Reset, which re-scatters them via initState.
+	bad = -1
 	for i, node := range t.unkNode {
-		po := t.pots[int(node)*B : int(node)*B+B]
-		so := rhs[i*B : i*B+B : i*B+B]
-		for l := range po {
-			v := so[l]
-			if v-v != 0 {
-				bad = l
-			}
-			po[l] = v
+		v := rhs[i]
+		if v-v != 0 {
+			bad = 0
 		}
+		pots[node] = v
 	}
-	if bad >= 0 {
-		return fmt.Errorf("pdn: integration diverged at t=%g (lane %d)", next, bad)
-	}
-	t.time = next
-	t.step++
-	return nil
+	return bad
 }
 
-// step8 is Step specialized to the default 8-lane batch: every inner
-// loop runs over fixed-size array pointers, so the compiler drops the
-// slice-header bookkeeping and bounds checks of the generic path and
-// unrolls the 8-wide lane updates. Per lane the arithmetic — order and
-// operations — is exactly the generic Step's, so lanes stay
-// bit-identical to single-lane engines at any width.
-func (t *BatchTransient) step8() error {
-	const B = DefaultBatchLanes
-	c := t.c
-	next := t.time + t.dt
-	rhs := t.rhs
-	for i := range rhs {
-		rhs[i] = 0
+// stepBlocks is the step at widths other than 1: stepScalar's walk with
+// every scalar replaced by a block of lane values. P is the block
+// shape: a fixed-size array pointer at the register-blocked widths, so
+// the width is a compile-time constant and the lane loops run without
+// bounds checks, or a slice for every other width. It returns -1, or
+// the last lane that diverged.
+func stepBlocks[P interface {
+	*[DefaultBatchLanes]float64 | *[WideBatchLanes]float64 | []float64
+}](t *BatchTransient, next float64) (bad int) {
+	var zero P
+	B := len(zero)
+	if B == 0 {
+		B = t.lanes
 	}
+	rhs, hist, pots := t.rhs, t.hist, t.pots
+	plan, planFA, planFB := t.plan, t.planFA, t.planFB
+	clear(rhs)
 	first := t.step == 0
-	for pi := range t.plan {
-		pe := &t.plan[pi]
+	for pi := range plan {
+		pe := &plan[pi]
 		if pe.hasFA {
-			fa := (*[B]float64)(t.planFA[pi*B : pi*B+B])
-			ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
+			fa, ra := blk[P](planFA, pi, B), blk[P](rhs, pe.iaP, B)
 			for l := 0; l < B; l++ {
 				ra[l] += fa[l]
 			}
 		}
 		if pe.hasFB {
-			fb := (*[B]float64)(t.planFB[pi*B : pi*B+B])
-			rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
+			fb, rb := blk[P](planFB, pi, B), blk[P](rhs, pe.ibP, B)
 			for l := 0; l < B; l++ {
 				rb[l] += fb[l]
 			}
@@ -509,91 +489,47 @@ func (t *BatchTransient) step8() error {
 			continue
 		}
 		geq := pe.geq
-		hist := (*[B]float64)(t.hist[pe.ei*B : pe.ei*B+B])
+		h := blk[P](hist, pe.ei, B)
 		if !first {
-			pa := (*[B]float64)(t.pots[pe.na*B : pe.na*B+B])
-			pb := (*[B]float64)(t.pots[pe.nb*B : pe.nb*B+B])
+			pa, pb := blk[P](pots, pe.na, B), blk[P](pots, pe.nb, B)
 			if pe.kind == kindCapacitor {
 				for l := 0; l < B; l++ {
 					gv := geq * (pa[l] - pb[l])
-					hist[l] = gv + (gv - hist[l])
+					h[l] = gv + (gv - h[l])
 				}
 			} else {
 				for l := 0; l < B; l++ {
 					gv := geq * (pa[l] - pb[l])
-					hist[l] = (gv + hist[l]) + gv
+					h[l] = (gv + h[l]) + gv
 				}
 			}
 		}
-		switch pe.kind {
-		case kindCapacitor:
-			// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] += hist[l]
-					rb[l] -= hist[l]
-				}
-			case pe.iaP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] += hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					rb[l] -= hist[l]
-				}
+		switch hp, hm := pe.hp, pe.hm; {
+		case hp >= 0 && hm >= 0:
+			rp, rm := blk[P](rhs, hp, B), blk[P](rhs, hm, B)
+			for l := 0; l < B; l++ {
+				rp[l] += h[l]
+				rm[l] -= h[l]
 			}
-		case kindInductor:
-			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] -= hist[l]
-					rb[l] += hist[l]
-				}
-			case pe.iaP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] -= hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					rb[l] += hist[l]
-				}
+		case hp >= 0:
+			rp := blk[P](rhs, hp, B)
+			for l := 0; l < B; l++ {
+				rp[l] += h[l]
+			}
+		case hm >= 0:
+			rm := blk[P](rhs, hm, B)
+			for l := 0; l < B; l++ {
+				rm[l] -= h[l]
 			}
 		}
 	}
-	// Loads evaluated at the new time, lane by lane (backward-looking
-	// sources keep the trapezoidal solve linear).
-	for l := 0; l < B; l++ {
-		if t.onLane != nil {
-			t.onLane(l)
-		}
-		for _, ld := range c.loads {
-			if i := t.idxP[ld.Node]; i >= 0 {
-				rhs[i*B+l] -= ld.Current(next)
-			}
-		}
-	}
-	t.lu.solveBatch8InPlace(rhs)
-	// Scatter the solved unknowns (element-wise: a 64-byte array
-	// assignment lowers to a runtime.memmove call), checking for
-	// divergence in the same pass — v-v is 0 for every finite v and NaN
-	// for NaN and ±Inf. Fixed-node potentials are not rewritten here:
-	// they change only through Reset, which re-scatters them via
-	// initState. On divergence the engine state is abandoned with the
-	// error.
-	bad := -1
+	t.applyLoads(next)
+	t.lu.solveBatchInPlace(rhs, B)
+	// Scatter and divergence check, as in stepScalar (element-wise: a
+	// whole-block array assignment lowers to a runtime.memmove call).
+	bad = -1
 	for i, node := range t.unkNode {
-		po := (*[B]float64)(t.pots[int(node)*B : int(node)*B+B])
-		so := (*[B]float64)(rhs[i*B : i*B+B])
+		po, so := blk[P](pots, int(node), B), blk[P](rhs, i, B)
 		for l := 0; l < B; l++ {
 			v := so[l]
 			if v-v != 0 {
@@ -602,141 +538,33 @@ func (t *BatchTransient) step8() error {
 			po[l] = v
 		}
 	}
-	if bad >= 0 {
-		return fmt.Errorf("pdn: integration diverged at t=%g (lane %d)", next, bad)
-	}
-	t.time = next
-	t.step++
-	return nil
+	return bad
 }
 
-// step16 is step8 at the wide lane width: identical walk, sixteen-lane
-// blocks. Per lane the arithmetic — order and operations — is exactly
-// the generic Step's, so lanes stay bit-identical to single-lane
-// engines at this width too.
-func (t *BatchTransient) step16() error {
-	const B = WideBatchLanes
-	c := t.c
-	next := t.time + t.dt
-	rhs := t.rhs
-	for i := range rhs {
-		rhs[i] = 0
-	}
-	first := t.step == 0
-	for pi := range t.plan {
-		pe := &t.plan[pi]
-		if pe.hasFA {
-			fa := (*[B]float64)(t.planFA[pi*B : pi*B+B])
-			ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-			for l := 0; l < B; l++ {
-				ra[l] += fa[l]
-			}
-		}
-		if pe.hasFB {
-			fb := (*[B]float64)(t.planFB[pi*B : pi*B+B])
-			rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-			for l := 0; l < B; l++ {
-				rb[l] += fb[l]
-			}
-		}
-		if pe.kind == kindResistor {
-			continue
-		}
-		geq := pe.geq
-		hist := (*[B]float64)(t.hist[pe.ei*B : pe.ei*B+B])
-		if !first {
-			pa := (*[B]float64)(t.pots[pe.na*B : pe.na*B+B])
-			pb := (*[B]float64)(t.pots[pe.nb*B : pe.nb*B+B])
-			if pe.kind == kindCapacitor {
-				for l := 0; l < B; l++ {
-					gv := geq * (pa[l] - pb[l])
-					hist[l] = gv + (gv - hist[l])
-				}
-			} else {
-				for l := 0; l < B; l++ {
-					gv := geq * (pa[l] - pb[l])
-					hist[l] = (gv + hist[l]) + gv
-				}
-			}
-		}
-		switch pe.kind {
-		case kindCapacitor:
-			// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] += hist[l]
-					rb[l] -= hist[l]
-				}
-			case pe.iaP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] += hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					rb[l] -= hist[l]
-				}
-			}
-		case kindInductor:
-			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
-			switch {
-			case pe.iaP >= 0 && pe.ibP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] -= hist[l]
-					rb[l] += hist[l]
-				}
-			case pe.iaP >= 0:
-				ra := (*[B]float64)(rhs[pe.iaP*B : pe.iaP*B+B])
-				for l := 0; l < B; l++ {
-					ra[l] -= hist[l]
-				}
-			case pe.ibP >= 0:
-				rb := (*[B]float64)(rhs[pe.ibP*B : pe.ibP*B+B])
-				for l := 0; l < B; l++ {
-					rb[l] += hist[l]
-				}
-			}
-		}
-	}
-	// Loads evaluated at the new time, lane by lane (backward-looking
-	// sources keep the trapezoidal solve linear).
+// blk returns row i of the lane-innermost block s (lanes i*B..i*B+B)
+// in block shape P. Slicing to exactly B lanes lets the compiler prove
+// every lane index below B in bounds for the slice shape too.
+func blk[P interface {
+	*[DefaultBatchLanes]float64 | *[WideBatchLanes]float64 | []float64
+}](s []float64, i, B int) P {
+	return P(s[i*B:][:B])
+}
+
+// applyLoads subtracts every lane's load currents at the new time from
+// the right-hand sides, lane by lane (backward-looking sources keep the
+// trapezoidal solve linear).
+func (t *BatchTransient) applyLoads(next float64) {
+	rhs, idxP, loads, B := t.rhs, t.idxP, t.c.loads, t.lanes
 	for l := 0; l < B; l++ {
 		if t.onLane != nil {
 			t.onLane(l)
 		}
-		for _, ld := range c.loads {
-			if i := t.idxP[ld.Node]; i >= 0 {
+		for _, ld := range loads {
+			if i := idxP[ld.Node]; i >= 0 {
 				rhs[i*B+l] -= ld.Current(next)
 			}
 		}
 	}
-	t.lu.solveBatch16InPlace(rhs)
-	// Scatter the solved unknowns, divergence-checked in the same pass;
-	// fixed nodes change only through Reset (see step8).
-	bad := -1
-	for i, node := range t.unkNode {
-		po := (*[B]float64)(t.pots[int(node)*B : int(node)*B+B])
-		so := (*[B]float64)(rhs[i*B : i*B+B])
-		for l := 0; l < B; l++ {
-			v := so[l]
-			if v-v != 0 {
-				bad = l
-			}
-			po[l] = v
-		}
-	}
-	if bad >= 0 {
-		return fmt.Errorf("pdn: integration diverged at t=%g (lane %d)", next, bad)
-	}
-	t.time = next
-	t.step++
-	return nil
 }
 
 // LaneFootprintBytes reports the engine state one lane streams through

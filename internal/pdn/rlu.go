@@ -15,8 +15,8 @@ import (
 // recorded once, and the substitutions walk only the stored nonzeros.
 // Skipping an exactly-zero coefficient never changes a solution value
 // (x - 0*xj == x), so the sparse walk is bit-identical to the dense
-// one — and both solve paths share the same pattern, so the batch and
-// single-lane engines perform identical per-lane arithmetic.
+// one — and every solve path shares the same pattern, so each lane
+// performs identical arithmetic at every lane width.
 type realLU struct {
 	n    int
 	lu   []float64
@@ -163,191 +163,11 @@ func indexRuns(cols []int32, ptr []int32, n int) (runCol, runLen, runPtr []int32
 	return runCol, runLen, runPtr
 }
 
-// solveBatchInto solves A*X = B for `lanes` independent right-hand
-// sides in lockstep, writing the solution block into x. Both x and b
-// hold n*lanes values with the lanes of each row adjacent (row i, lane
-// l lives at i*lanes+l), so every inner loop streams a contiguous
-// lane-width run — cache-friendly and trivially vectorizable, with
-// `lanes` independent dependency chains where solveInto has one.
-//
-// Lane l of the solution is bit-identical to solveInto run on lane l
-// of b alone: per column the elimination performs exactly the same
-// multiplies, subtractions, and the same final reciprocal scaling in the same
-// order — only the loop nesting interleaves work across independent
-// columns, never within one.
-//
-// Both substitutions walk the blocked run plan (see indexRuns): the
-// per-row nonzeros are consumed as contiguous column bands, which
-// drops the per-element column indirection of the element-wise walk
-// while keeping the arithmetic order — and therefore every bit of the
-// result — unchanged (solveBatchIntoElementwise pins the equivalence
-// in the tests).
-func (f *realLU) solveBatchInto(x, b []float64, lanes int) {
-	n := f.n
-	if lanes < 1 || len(b) != n*lanes || len(x) != n*lanes {
-		panic(fmt.Sprintf("pdn: solveBatchInto with len(x)=%d len(b)=%d n=%d lanes=%d", len(x), len(b), n, lanes))
-	}
-	if lanes == DefaultBatchLanes {
-		f.solveBatch8(x, b)
-		return
-	}
-	for i := 0; i < n; i++ {
-		copy(x[i*lanes:i*lanes+lanes], b[f.perm[i]*lanes:f.perm[i]*lanes+lanes])
-	}
-	for i := 1; i < n; i++ {
-		xi := x[i*lanes : i*lanes+lanes : i*lanes+lanes]
-		kv := int(f.lPtr[i])
-		for r := f.lRunPtr[i]; r < f.lRunPtr[i+1]; r++ {
-			ln := int(f.lRunLen[r])
-			base := int(f.lRunCol[r]) * lanes
-			// One contiguous band: values kv..kv+ln stream against the
-			// x block at base..base+ln*lanes with no column lookups.
-			for k := 0; k < ln; k++ {
-				v := f.lVal[kv+k]
-				xj := x[base+k*lanes : base+(k+1)*lanes : base+(k+1)*lanes]
-				for l := range xi {
-					xi[l] -= v * xj[l]
-				}
-			}
-			kv += ln
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		xi := x[i*lanes : i*lanes+lanes : i*lanes+lanes]
-		kv := int(f.uPtr[i])
-		for r := f.uRunPtr[i]; r < f.uRunPtr[i+1]; r++ {
-			ln := int(f.uRunLen[r])
-			base := int(f.uRunCol[r]) * lanes
-			for k := 0; k < ln; k++ {
-				v := f.uVal[kv+k]
-				xj := x[base+k*lanes : base+(k+1)*lanes : base+(k+1)*lanes]
-				for l := range xi {
-					xi[l] -= v * xj[l]
-				}
-			}
-			kv += ln
-		}
-		d := f.invDiag[i]
-		for l := range xi {
-			xi[l] *= d
-		}
-	}
-}
-
-// DefaultBatchLanes is the lane width the 8-wide substitution kernel
-// is specialized for — exec.DefaultBatchWidth, restated here to keep
-// pdn free of an exec import.
-const DefaultBatchLanes = 8
-
-// solveBatch8 is solveBatchInto's substitution specialized to 8 lanes:
-// fixed-size array pointers let the compiler drop every inner bounds
-// check, and each row's eight lane accumulators are hoisted into
-// locals, so they live in registers across the row's entire nonzero
-// walk (x rows never self-alias — L touches only columns < i, U only
-// columns > i — which the hoisting encodes and the compiler cannot
-// know). Unlike the generic path this kernel walks the element-wise
-// pattern directly: under the fill-reducing unknown ordering the
-// factors are nearly tree-sparse and almost every run has length one,
-// so the run bookkeeping costs more than the per-element column loads
-// it was built to avoid (the run plan still wins for generic lane
-// widths, where it eliminates per-element slice-header setup). The
-// arithmetic per lane is unchanged — same multiplies, subtractions and
-// reciprocal scalings in the same order as any other lane width or
-// walk order, as the equivalence tests pin.
-func (f *realLU) solveBatch8(x, b []float64) {
-	const B = DefaultBatchLanes
-	n := f.n
-	for i := 0; i < n; i++ {
-		xi := (*[B]float64)(x[i*B : i*B+B])
-		bp := (*[B]float64)(b[f.perm[i]*B : f.perm[i]*B+B])
-		// Element-wise, not *xi = *bp: a 64-byte array assignment
-		// lowers to a runtime.memmove call, which costs more than the
-		// eight moves it performs.
-		for l := 0; l < B; l++ {
-			xi[l] = bp[l]
-		}
-	}
-	for i := 1; i < n; i++ {
-		xi := (*[B]float64)(x[i*B : i*B+B])
-		x0, x1, x2, x3, x4, x5, x6, x7 := xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7]
-		for k := int(f.lPtr[i]); k < int(f.lPtr[i+1]); k++ {
-			v := f.lVal[k]
-			base := int(f.lCol[k]) * B
-			xj := (*[B]float64)(x[base : base+B])
-			x0 -= v * xj[0]
-			x1 -= v * xj[1]
-			x2 -= v * xj[2]
-			x3 -= v * xj[3]
-			x4 -= v * xj[4]
-			x5 -= v * xj[5]
-			x6 -= v * xj[6]
-			x7 -= v * xj[7]
-		}
-		xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7] = x0, x1, x2, x3, x4, x5, x6, x7
-	}
-	for i := n - 1; i >= 0; i-- {
-		xi := (*[B]float64)(x[i*B : i*B+B])
-		x0, x1, x2, x3, x4, x5, x6, x7 := xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7]
-		for k := int(f.uPtr[i]); k < int(f.uPtr[i+1]); k++ {
-			v := f.uVal[k]
-			base := int(f.uCol[k]) * B
-			xj := (*[B]float64)(x[base : base+B])
-			x0 -= v * xj[0]
-			x1 -= v * xj[1]
-			x2 -= v * xj[2]
-			x3 -= v * xj[3]
-			x4 -= v * xj[4]
-			x5 -= v * xj[5]
-			x6 -= v * xj[6]
-			x7 -= v * xj[7]
-		}
-		d := f.invDiag[i]
-		xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7] = x0*d, x1*d, x2*d, x3*d, x4*d, x5*d, x6*d, x7*d
-	}
-}
-
-// solveBatchIntoElementwise is the element-wise reference walk the
-// blocked plan replaced, kept for the bit-identity tests.
-func (f *realLU) solveBatchIntoElementwise(x, b []float64, lanes int) {
-	n := f.n
-	if lanes < 1 || len(b) != n*lanes || len(x) != n*lanes {
-		panic(fmt.Sprintf("pdn: solveBatchInto with len(x)=%d len(b)=%d n=%d lanes=%d", len(x), len(b), n, lanes))
-	}
-	for i := 0; i < n; i++ {
-		copy(x[i*lanes:i*lanes+lanes], b[f.perm[i]*lanes:f.perm[i]*lanes+lanes])
-	}
-	for i := 1; i < n; i++ {
-		xi := x[i*lanes : i*lanes+lanes]
-		for k := f.lPtr[i]; k < f.lPtr[i+1]; k++ {
-			v := f.lVal[k]
-			j := int(f.lCol[k])
-			xj := x[j*lanes : j*lanes+lanes : j*lanes+lanes]
-			for l := range xi {
-				xi[l] -= v * xj[l]
-			}
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		xi := x[i*lanes : i*lanes+lanes]
-		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
-			v := f.uVal[k]
-			j := int(f.uCol[k])
-			xj := x[j*lanes : j*lanes+lanes : j*lanes+lanes]
-			for l := range xi {
-				xi[l] -= v * xj[l]
-			}
-		}
-		d := f.invDiag[i]
-		for l := range xi {
-			xi[l] *= d
-		}
-	}
-}
-
 // solveInto solves A*x = b, writing the solution into x. b is not
-// modified; x and b must both have length n and may not alias. Like
-// solveBatchInto it walks the blocked run plan; the result is
-// bit-identical to the element-wise walk.
+// modified; x and b must both have length n and may not alias. It
+// walks the blocked run plan (see indexRuns) and is the DC
+// operating-point solve; the result is bit-identical to the
+// element-wise walk.
 func (f *realLU) solveInto(x, b []float64) {
 	n := f.n
 	if len(b) != n || len(x) != n {
@@ -411,7 +231,7 @@ func (f *realLU) solveInto(x, b []float64) {
 // The walk is element-wise, not blocked: with one right-hand side the
 // run bookkeeping costs more than the per-element column loads it
 // avoids (the fill-reducing orderings leave almost every run at length
-// one), which is the same trade solveBatch8 makes.
+// one), which is the same trade the width-8 and width-16 kernels make.
 func (f *realLU) solveInPlace(x []float64) {
 	n := f.n
 	if len(x) != n {
@@ -438,8 +258,8 @@ func (f *realLU) solveInPlace(x []float64) {
 // row order. Widths 8 and 16 dispatch to the register-blocked kernels
 // (hardware-vectorized where the host supports it); other widths walk
 // the blocked run plan in place. Per lane every path performs the
-// multiplies, subtractions and reciprocal scalings of the single-lane
-// walk in the same order, so lanes stay bit-identical at any width.
+// multiplies, subtractions and reciprocal scalings of solveInPlace in
+// the same order, so a lane's solution does not depend on the width.
 func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 	n := f.n
 	if lanes < 1 || len(x) != n*lanes {
@@ -491,15 +311,25 @@ func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 	}
 }
 
+// DefaultBatchLanes is the lane width the 8-wide substitution kernel
+// is specialized for — exec.DefaultBatchWidth, restated here to keep
+// pdn free of an exec import.
+const DefaultBatchLanes = 8
+
 // WideBatchLanes is the second specialized lane width: twice the
 // default, for hosts whose calibration finds the per-lane cost still
 // dropping past 8 (the substitution kernels gain instruction-level
 // parallelism with width until the lane state outgrows cache).
 const WideBatchLanes = 16
 
-// solveBatch8InPlace is solveBatch8 minus the gather pass: the caller
-// assembled the right-hand sides in permuted row order, so the
-// substitutions run directly in x. On hosts with AVX2 the inner loops
+// solveBatch8InPlace is the width-8 register-blocked substitution,
+// run in place on right-hand sides the caller assembled in permuted
+// row order. Fixed-size array pointers drop every inner bounds check,
+// and each row's eight lane accumulators are hoisted into locals, so
+// they live in registers across the row's nonzero walk (x rows never
+// self-alias — L touches only columns < i, U only columns > i). Like
+// solveInPlace it walks the element-wise pattern: under the
+// fill-reducing ordering almost every run has length one. On hosts with AVX2 the inner loops
 // run in a hand-written vector kernel performing the identical IEEE
 // multiplies and subtractions in the identical order (each 8-lane row
 // is two 4-lane vectors; lanes are independent, so vectorizing across
@@ -597,31 +427,5 @@ func (f *realLU) solveBatch16InPlace(x []float64) {
 		for l := 0; l < B; l++ {
 			xi[l] = acc[l] * d
 		}
-	}
-}
-
-// solveIntoElementwise is the element-wise reference walk, kept for
-// the bit-identity tests.
-func (f *realLU) solveIntoElementwise(x, b []float64) {
-	n := f.n
-	if len(b) != n || len(x) != n {
-		panic(fmt.Sprintf("pdn: solveInto with len(x)=%d len(b)=%d n=%d", len(x), len(b), n))
-	}
-	for i := 0; i < n; i++ {
-		x[i] = b[f.perm[i]]
-	}
-	for i := 1; i < n; i++ {
-		sum := x[i]
-		for k := f.lPtr[i]; k < f.lPtr[i+1]; k++ {
-			sum -= f.lVal[k] * x[f.lCol[k]]
-		}
-		x[i] = sum
-	}
-	for i := n - 1; i >= 0; i-- {
-		sum := x[i]
-		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
-			sum -= f.uVal[k] * x[f.uCol[k]]
-		}
-		x[i] = sum * f.invDiag[i]
 	}
 }

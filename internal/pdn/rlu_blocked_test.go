@@ -1,6 +1,7 @@
 package pdn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,7 +16,7 @@ func zec12LU(t testing.TB) *realLU {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr.lu
+	return tr.bt.lu
 }
 
 // checkRunPlan verifies the blocked run plan re-expands to exactly the
@@ -78,8 +79,8 @@ func byteIdentical(t *testing.T, label string, got, want []float64) {
 }
 
 // TestBlockedSolveMatchesElementwiseZEC12: on the production zEC12
-// factor, the blocked substitutions are byte-identical to the
-// element-wise walk for both the single-RHS and the multi-RHS paths.
+// factor, the blocked DC solve and the in-place multi-RHS solves are
+// byte-identical to the element-wise walks.
 func TestBlockedSolveMatchesElementwiseZEC12(t *testing.T) {
 	lu := zec12LU(t)
 	rng := rand.New(rand.NewSource(42))
@@ -100,11 +101,11 @@ func TestBlockedSolveMatchesElementwiseZEC12(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		got := make([]float64, n*lanes)
 		want := make([]float64, n*lanes)
-		lu.solveBatchInto(got, b, lanes)
 		lu.solveBatchIntoElementwise(want, b, lanes)
-		byteIdentical(t, "solveBatchInto", got, want)
+		got := permuteRHS(lu, b, lanes)
+		lu.solveBatchInPlace(got, lanes)
+		byteIdentical(t, "solveBatchInPlace", got, want)
 	}
 }
 
@@ -146,11 +147,11 @@ func TestBlockedSolveMatchesElementwiseRandom(t *testing.T) {
 		for i := range bb {
 			bb[i] = rng.NormFloat64()
 		}
-		gotB := make([]float64, n*lanes)
 		wantB := make([]float64, n*lanes)
-		lu.solveBatchInto(gotB, bb, lanes)
 		lu.solveBatchIntoElementwise(wantB, bb, lanes)
-		byteIdentical(t, "solveBatchInto", gotB, wantB)
+		gotB := permuteRHS(lu, bb, lanes)
+		lu.solveBatchInPlace(gotB, lanes)
+		byteIdentical(t, "solveBatchInPlace", gotB, wantB)
 	}
 }
 
@@ -172,9 +173,9 @@ func TestBlockedStepAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBlockedStep measures the per-step cost of the single-lane
-// transient engine on the calibrated zEC12 network with the blocked
-// substitution (compare BenchmarkBatchStep for the multi-RHS engine).
+// BenchmarkBlockedStep measures the per-step cost of the width-1
+// engine on the calibrated zEC12 network (compare BenchmarkBatchStep
+// for the wider lane shapes).
 func BenchmarkBlockedStep(b *testing.B) {
 	ckt, nodes := ZEC12(DefaultZEC12Config())
 	ckt.AddLoad("core", nodes.Core[0], func(tm float64) float64 { return 20 + 10*math.Sin(tm*1e7) })
@@ -191,15 +192,12 @@ func BenchmarkBlockedStep(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockedSolve pits the blocked substitution against the
-// element-wise walk it replaced, on the production factor.
+// BenchmarkBlockedSolve pits the blocked DC solve and the in-place
+// multi-RHS solves (the run plan at width 3, the register-blocked
+// kernel at width 8) against the element-wise walks, on the production
+// factor.
 func BenchmarkBlockedSolve(b *testing.B) {
-	ckt, _ := ZEC12(DefaultZEC12Config())
-	tr, err := NewTransient(ckt, 2e-9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lu := tr.lu
+	lu := zec12LU(b)
 	n := lu.n
 	rng := rand.New(rand.NewSource(1))
 	rhs := make([]float64, n*8)
@@ -217,14 +215,16 @@ func BenchmarkBlockedSolve(b *testing.B) {
 			lu.solveIntoElementwise(x[:n], rhs[:n])
 		}
 	})
-	b.Run("Blocked8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lu.solveBatchInto(x, rhs, 8)
-		}
-	})
-	b.Run("Elementwise8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lu.solveBatchIntoElementwise(x, rhs, 8)
-		}
-	})
+	for _, lanes := range []int{3, 8} {
+		b.Run(fmt.Sprintf("InPlace%d", lanes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lu.solveBatchInPlace(x[:n*lanes], lanes)
+			}
+		})
+		b.Run(fmt.Sprintf("Elementwise%d", lanes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lu.solveBatchIntoElementwise(x[:n*lanes], rhs[:n*lanes], lanes)
+			}
+		})
+	}
 }

@@ -160,22 +160,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		func(ctx context.Context, bi, _ int) ([]*core.Measurement, error) {
 			bat := batches[bi]
 			pool := platforms[bat.bin].Sessions()
-			if len(bat.ids) == 1 {
-				id := bat.ids[0]
-				s, err := pool.Get(1.0)
-				if err != nil {
-					return nil, err
-				}
-				defer pool.Put(s)
-				if err := s.SetCoreGains(chips[id].gains); err != nil {
-					return nil, err
-				}
-				m, err := s.RunContext(ctx, spec(id))
-				if err != nil {
-					return nil, err
-				}
-				return []*core.Measurement{m}, nil
-			}
 			bs, err := pool.GetBatch(1.0, len(bat.ids))
 			if err != nil {
 				return nil, err

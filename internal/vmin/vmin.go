@@ -41,9 +41,9 @@ type Config struct {
 	// Windows are the measurement windows checked at each step.
 	Windows []Window
 	// Workers caps the concurrent bias-step workers. Zero selects one
-	// worker per CPU; one forces the serial walk. Each step runs on
-	// its own pooled session, and the failure scan reduces in
-	// descending-bias order, so the result is bit-identical for every
+	// worker per CPU; one forces the serial walk. Each chunk of steps
+	// runs on its own pooled batch session, and the failure scan
+	// reduces in descending-bias order, so the result is bit-identical for every
 	// setting (parallel runs may probe a few steps past the failure
 	// and discard them).
 	Workers int
@@ -51,13 +51,12 @@ type Config struct {
 	// into the lanes of one batch session — per-lane fixed supplies
 	// let one factored circuit probe several biases per step walk.
 	// Zero selects the auto width — the session pool's calibrated
-	// lane width (core.SessionPool.AutoBatchWidth); one forces
-	// step-per-run.
-	// Lanes are never split to feed idle workers — workers contend
-	// for whole chunks by work stealing (exec.MapStolen). Like
-	// Workers, every setting is bit-identical: lanes perform exactly
-	// the single-session arithmetic and the reduction stays in
-	// descending-bias order.
+	// lane width (core.SessionPool.AutoBatchWidth); one runs one step
+	// per width-1 session. Lanes are never split to feed idle workers —
+	// workers contend for whole chunks by work stealing
+	// (exec.MapStolen). Like Workers, every setting is bit-identical: a
+	// lane's arithmetic does not depend on the width, and the reduction
+	// stays in descending-bias order.
 	Batch int
 	// Progress, when set, receives one StepEvent per reduced bias lane,
 	// in descending-bias order — including the failing step, which is
@@ -132,10 +131,10 @@ type Result struct {
 // crosses the failure threshold.
 //
 // The steps of the grid are independent measurements, so they fan out
-// across cfg.Workers, each on a session drawn from the platform's
-// pool — the circuit and its factored matrices are built once and
-// reused across the whole descending walk (the nodal matrices do not
-// depend on the bias). The reduction walks the steps in
+// across cfg.Workers, each chunk on a batch session drawn from the
+// platform's pool — the circuit and its factored matrices are built
+// once and reused across the whole descending walk (the nodal matrices
+// do not depend on the bias). The reduction walks the steps in
 // descending-bias order and stops at the first failure — exactly the
 // serial schedule — so Steps, FailBias and MarginPercent never depend
 // on the worker count. Canceling ctx interrupts the walk mid-window.
@@ -145,9 +144,6 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 	}
 	defer p.SetVoltageBias(1.0) // leave the platform at nominal
 	sessions := p.Sessions()
-	if sessions == nil {
-		sessions = core.NewSessionPool(p.Config())
-	}
 
 	var biases []float64
 	for bias := cfg.StartBias; bias >= cfg.MinBias-1e-9; bias -= core.BiasStep {
@@ -175,80 +171,56 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 		res.MinVoltageSeen = s.minV
 		return nil
 	}
-	var err error
-	if width := exec.BatchWidthAuto(cfg.Batch, len(biases), sessions.AutoBatchWidth); width > 1 {
-		// Pack consecutive bias steps into lockstep lanes: per-lane
-		// fixed supplies probe several biases through one factored
-		// circuit, one window walk per chunk. Workers contend for
-		// whole chunks by work stealing; the reduction stays in
-		// descending-bias order.
-		err = exec.MapStolen(ctx, len(biases), width, cfg.Workers,
-			func(ctx context.Context, start, end int) ([]step, error) {
-				lanes := end - start
-				bs, err := sessions.GetBatch(biases[start], lanes)
+	// Pack consecutive bias steps into lockstep lanes: per-lane fixed
+	// supplies probe several biases through one factored circuit, one
+	// window walk per chunk. Workers contend for whole chunks by work
+	// stealing; the reduction stays in descending-bias order.
+	width := exec.BatchWidthAuto(cfg.Batch, len(biases), sessions.AutoBatchWidth)
+	err := exec.MapStolen(ctx, len(biases), width, cfg.Workers,
+		func(ctx context.Context, start, end int) ([]step, error) {
+			lanes := end - start
+			bs, err := sessions.GetBatch(biases[start], lanes)
+			if err != nil {
+				return nil, err
+			}
+			defer sessions.PutBatch(bs)
+			for l := 0; l < lanes; l++ {
+				if err := bs.SetLaneBias(l, biases[start+l]); err != nil {
+					return nil, err
+				}
+			}
+			out := make([]step, lanes)
+			for l := range out {
+				out[l].minV = 2.0
+			}
+			specs := make([]core.RunSpec, lanes)
+			for _, w := range cfg.Windows {
+				for l := range specs {
+					specs[l] = core.RunSpec{Workloads: workloads, Start: w.Start, Duration: w.Duration}
+				}
+				ms, err := bs.RunBatchContext(ctx, specs)
 				if err != nil {
 					return nil, err
 				}
-				defer sessions.PutBatch(bs)
-				for l := 0; l < lanes; l++ {
-					if err := bs.SetLaneBias(l, biases[start+l]); err != nil {
-						return nil, err
+				for l, m := range ms {
+					if v := m.MinVoltage(); v < out[l].minV {
+						out[l].minV = v
 					}
 				}
-				out := make([]step, lanes)
-				for l := range out {
-					out[l].minV = 2.0
+			}
+			for l := range out {
+				out[l].bias = bs.LaneBias(l)
+			}
+			return out, nil
+		},
+		func(_, _, _ int, steps []step) error {
+			for _, s := range steps {
+				if err := reduce(s); err != nil {
+					return err
 				}
-				specs := make([]core.RunSpec, lanes)
-				for _, w := range cfg.Windows {
-					for l := range specs {
-						specs[l] = core.RunSpec{Workloads: workloads, Start: w.Start, Duration: w.Duration}
-					}
-					ms, err := bs.RunBatchContext(ctx, specs)
-					if err != nil {
-						return nil, err
-					}
-					for l, m := range ms {
-						if v := m.MinVoltage(); v < out[l].minV {
-							out[l].minV = v
-						}
-					}
-				}
-				for l := range out {
-					out[l].bias = bs.LaneBias(l)
-				}
-				return out, nil
-			},
-			func(_, _, _ int, steps []step) error {
-				for _, s := range steps {
-					if err := reduce(s); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-	} else {
-		err = exec.MapOrdered(ctx, len(biases), cfg.Workers,
-			func(ctx context.Context, i int) (step, error) {
-				s, err := sessions.Get(biases[i])
-				if err != nil {
-					return step{}, err
-				}
-				defer sessions.Put(s)
-				minV := 2.0
-				for _, w := range cfg.Windows {
-					m, err := s.RunContext(ctx, core.RunSpec{Workloads: workloads, Start: w.Start, Duration: w.Duration})
-					if err != nil {
-						return step{}, err
-					}
-					if v := m.MinVoltage(); v < minV {
-						minV = v
-					}
-				}
-				return step{bias: s.VoltageBias(), minV: minV}, nil
-			},
-			func(_ int, s step) error { return reduce(s) })
-	}
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -100,10 +100,8 @@ func TestEPIProfileAPI(t *testing.T) {
 
 func TestVminAPI(t *testing.T) {
 	lab := apiSetup(t)
-	cfg := voltnoise.DefaultVminConfig()
-	cfg.MinBias = 0.95
 	var wl [voltnoise.NumCores]voltnoise.Workload
-	res, err := voltnoise.RunVmin(lab.Platform, wl, cfg)
+	res, err := voltnoise.Vmin(context.Background(), lab.Platform, wl, voltnoise.VminMinBias(0.95))
 	if err != nil {
 		t.Fatal(err)
 	}
