@@ -15,9 +15,7 @@ import (
 //
 // A Session is NOT safe for concurrent use.
 type Session struct {
-	bs   *BatchSession
-	spec [1]RunSpec
-	out  [1]*Measurement
+	bs *BatchSession
 }
 
 // NewSession builds a session at nominal voltage (bias 1.0).
@@ -55,14 +53,11 @@ func (s *Session) Run(spec RunSpec) (*Measurement, error) {
 // the integration mid-window and returns ctx.Err(). The session
 // remains reusable afterwards.
 func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*Measurement, error) {
-	s.spec[0] = spec
-	err := s.bs.run(ctx, s.spec[:], s.out[:])
-	m := s.out[0]
-	s.spec[0], s.out[0] = RunSpec{}, nil
-	if err != nil {
+	var out [1]*Measurement
+	if err := s.bs.run(ctx, []RunSpec{spec}, out[:]); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return out[0], nil
 }
 
 // SessionPool recycles batch sessions for one platform configuration,

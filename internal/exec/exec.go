@@ -57,7 +57,7 @@ const DefaultBatchWidth = 8
 
 // BatchWidth resolves a batch knob against an item count, following
 // the workers convention: batch <= 0 selects DefaultBatchWidth,
-// batch == 1 forces lane-per-run (the single-lane engine), and the
+// batch == 1 forces lane-per-run (a width-1 batch per item), and the
 // result never exceeds n. The width is deliberately independent of the
 // worker count: lanes are never split to feed idle workers, because a
 // full-width lockstep batch amortizes the per-step solve far better

@@ -89,8 +89,8 @@ func BestWorstN(ctx context.Context, k, workers int, eval Evaluator) (best, wors
 // BestWorstBatchN is BestWorstN over a batch evaluator: the placement
 // enumeration is cut into groups of width exec.BatchWidth(batch,
 // ...) — the lanes of one lockstep batch measurement — and the groups
-// spread across `workers`. batch == 1 evaluates placement-per-call
-// (the single-lane path); the reduction walks results in enumeration
+// spread across `workers`. batch == 1 evaluates one placement per
+// call; the reduction walks results in enumeration
 // order either way, so the winners and tie-breaks are identical at
 // every (workers, batch) combination.
 func BestWorstBatchN(ctx context.Context, k, workers, batch int, eval BatchEvaluator) (best, worst Placement, err error) {

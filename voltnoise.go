@@ -138,7 +138,7 @@ func WithSearch(scfg SearchConfig) LabOption { return noise.WithSearch(scfg) }
 func WithWorkers(n int) LabOption { return noise.WithWorkers(n) }
 
 // WithBatch sets the lockstep lane width of the batched studies (zero:
-// the default width, one: a single-lane engine per run).
+// the calibrated width, one: a width-1 session per run).
 func WithBatch(n int) LabOption { return noise.WithBatch(n) }
 
 // NewLab runs the maximum-power sequence search on the given platform
