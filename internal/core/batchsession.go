@@ -39,7 +39,7 @@ type BatchSession struct {
 	bt      *pdn.BatchTransient
 	idle    Workload
 	// cur is the lane whose loads the circuit is evaluating right now,
-	// kept current by the engine's onLane hook.
+	// kept current by the engine's onLane hook (always lane 0 at width 1).
 	cur *lane
 	// coreV[i] is the live view of core i's potential in every lane.
 	coreV [NumCores][]float64
@@ -144,7 +144,12 @@ func NewBatchSession(cfg Config, lanes int) (*BatchSession, error) {
 	// solve already dedupes down to one Power evaluation per step.
 	s.refreshAliases()
 
-	bt, err := pdn.NewBatchTransientAt(s.circuit, cfg.Dt, 0, lanes, func(l int) { s.cur = &s.lanes[l] })
+	// cur starts at lane 0, so a width-1 engine needs no lane hook.
+	var onLane func(int)
+	if lanes > 1 {
+		onLane = func(l int) { s.cur = &s.lanes[l] }
+	}
+	bt, err := pdn.NewBatchTransientAt(s.circuit, cfg.Dt, 0, lanes, onLane)
 	if err != nil {
 		return nil, err
 	}

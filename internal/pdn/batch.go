@@ -414,29 +414,45 @@ func (t *BatchTransient) stepScalar(next float64) (bad int) {
 		if pe.hasFB {
 			rhs[pe.ibP] += planFB[pi]
 		}
-		if pe.kind == kindResistor {
-			continue
-		}
-		h := hist[pe.ei]
-		if !first {
-			gv := pe.geq * (pots[pe.na] - pots[pe.nb])
-			if pe.kind == kindCapacitor {
-				// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
+		switch pe.kind {
+		case kindCapacitor:
+			// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
+			h := hist[pe.ei]
+			if !first {
+				gv := pe.geq * (pots[pe.na] - pots[pe.nb])
 				h = gv + (gv - h)
-			} else {
-				// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
-				h = (gv + h) + gv
+				hist[pe.ei] = h
 			}
-			hist[pe.ei] = h
-		}
-		if pe.hp >= 0 {
-			rhs[pe.hp] += h
-		}
-		if pe.hm >= 0 {
-			rhs[pe.hm] -= h
+			if pe.hp >= 0 {
+				rhs[pe.hp] += h
+			}
+			if pe.hm >= 0 {
+				rhs[pe.hm] -= h
+			}
+		case kindInductor:
+			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
+			h := hist[pe.ei]
+			if !first {
+				gv := pe.geq * (pots[pe.na] - pots[pe.nb])
+				h = (gv + h) + gv
+				hist[pe.ei] = h
+			}
+			if pe.hp >= 0 {
+				rhs[pe.hp] += h
+			}
+			if pe.hm >= 0 {
+				rhs[pe.hm] -= h
+			}
 		}
 	}
-	t.applyLoads(next)
+	if t.onLane != nil {
+		t.onLane(0)
+	}
+	for _, ld := range t.c.loads {
+		if i := t.idxP[ld.Node]; i >= 0 {
+			rhs[i] -= ld.Current(next)
+		}
+	}
 	t.lu.solveInPlace(rhs)
 	// Scatter the solved unknowns, checking for divergence in the same
 	// pass (v-v is 0 for every finite v and NaN for NaN and ±Inf).
