@@ -331,8 +331,9 @@ type ChunkResult struct {
 // the lanes of lockstep batch sessions (width exec.BatchWidth of
 // l.Batch), and the batches fan out across l.Workers. A lane's
 // arithmetic does not depend on the width, so the results are
-// bit-identical at every (workers, batch) combination. When l.Progress is set, each reduced chunk additionally
-// emits a ChunkResult from the ordered-reduction side.
+// bit-identical at every (workers, batch) combination. When l.Progress
+// is set, each reduced chunk additionally emits a ChunkResult from the
+// ordered-reduction side.
 func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Measurement, error) {
 	width := exec.BatchWidthAuto(l.Batch, len(jobs), l.Platform.Sessions().AutoBatchWidth)
 	if width <= 1 {

@@ -414,35 +414,32 @@ func (t *BatchTransient) stepScalar(next float64) (bad int) {
 		if pe.hasFB {
 			rhs[pe.ibP] += planFB[pi]
 		}
+		var h float64
 		switch pe.kind {
 		case kindCapacitor:
 			// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
-			h := hist[pe.ei]
+			h = hist[pe.ei]
 			if !first {
 				gv := pe.geq * (pots[pe.na] - pots[pe.nb])
 				h = gv + (gv - h)
 				hist[pe.ei] = h
 			}
-			if pe.hp >= 0 {
-				rhs[pe.hp] += h
-			}
-			if pe.hm >= 0 {
-				rhs[pe.hm] -= h
-			}
 		case kindInductor:
 			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
-			h := hist[pe.ei]
+			h = hist[pe.ei]
 			if !first {
 				gv := pe.geq * (pots[pe.na] - pots[pe.nb])
 				h = (gv + h) + gv
 				hist[pe.ei] = h
 			}
-			if pe.hp >= 0 {
-				rhs[pe.hp] += h
-			}
-			if pe.hm >= 0 {
-				rhs[pe.hm] -= h
-			}
+		default:
+			continue // a resistor carries no history source
+		}
+		if pe.hp >= 0 {
+			rhs[pe.hp] += h
+		}
+		if pe.hm >= 0 {
+			rhs[pe.hm] -= h
 		}
 	}
 	if t.onLane != nil {

@@ -43,9 +43,9 @@ type Config struct {
 	// Workers caps the concurrent bias-step workers. Zero selects one
 	// worker per CPU; one forces the serial walk. Each chunk of steps
 	// runs on its own pooled batch session, and the failure scan
-	// reduces in descending-bias order, so the result is bit-identical for every
-	// setting (parallel runs may probe a few steps past the failure
-	// and discard them).
+	// reduces in descending-bias order, so the result is bit-identical
+	// for every setting (parallel runs may probe a few steps past the
+	// failure and discard them).
 	Workers int
 	// Batch is the lockstep lane width: consecutive bias steps pack
 	// into the lanes of one batch session — per-lane fixed supplies
