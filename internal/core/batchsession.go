@@ -346,7 +346,8 @@ func (s *BatchSession) run(ctx context.Context, specs []RunSpec, out []*Measurem
 			return fmt.Errorf("core: lane %d window start/warmup (%g,%g) differs from lane 0 (%g,%g); lockstep lanes must share Start and Warmup",
 				l, sp.Start, sp.Warmup, specs[0].Start, specs[0].Warmup)
 		}
-		maxSteps = max(maxSteps, int(math.Round(sp.Duration/s.cfg.Dt)))
+		s.lanes[l].steps = int(math.Round(sp.Duration / s.cfg.Dt))
+		maxSteps = max(maxSteps, s.lanes[l].steps)
 	}
 	start := specs[0].Start
 	for l := range s.lanes {
@@ -382,7 +383,6 @@ func (s *BatchSession) run(ctx context.Context, specs []RunSpec, out []*Measurem
 		for _, m := range c.macros {
 			m.Reset()
 		}
-		c.steps = int(math.Round(sp.Duration / s.cfg.Dt))
 		c.record = sp.Record
 		c.energy = 0
 		m := &Measurement{Start: start, Duration: sp.Duration}

@@ -442,6 +442,8 @@ func (t *BatchTransient) stepScalar(next float64) (bad int) {
 			rhs[pe.hm] -= h
 		}
 	}
+	// Loads evaluated at the new time (backward-looking sources keep the
+	// trapezoidal solve linear).
 	if t.onLane != nil {
 		t.onLane(0)
 	}
@@ -536,7 +538,18 @@ func stepBlocks[P interface {
 			}
 		}
 	}
-	t.applyLoads(next)
+	// Loads evaluated at the new time, lane by lane (backward-looking
+	// sources keep the trapezoidal solve linear).
+	for l := 0; l < B; l++ {
+		if t.onLane != nil {
+			t.onLane(l)
+		}
+		for _, ld := range t.c.loads {
+			if i := t.idxP[ld.Node]; i >= 0 {
+				rhs[i*B+l] -= ld.Current(next)
+			}
+		}
+	}
 	t.lu.solveBatchInPlace(rhs, B)
 	// Scatter and divergence check, as in stepScalar (element-wise: a
 	// whole-block array assignment lowers to a runtime.memmove call).
@@ -561,23 +574,6 @@ func blk[P interface {
 	*[DefaultBatchLanes]float64 | *[WideBatchLanes]float64 | []float64
 }](s []float64, i, B int) P {
 	return P(s[i*B:][:B])
-}
-
-// applyLoads subtracts every lane's load currents at the new time from
-// the right-hand sides, lane by lane (backward-looking sources keep the
-// trapezoidal solve linear).
-func (t *BatchTransient) applyLoads(next float64) {
-	rhs, idxP, loads, B := t.rhs, t.idxP, t.c.loads, t.lanes
-	for l := 0; l < B; l++ {
-		if t.onLane != nil {
-			t.onLane(l)
-		}
-		for _, ld := range loads {
-			if i := idxP[ld.Node]; i >= 0 {
-				rhs[i*B+l] -= ld.Current(next)
-			}
-		}
-	}
 }
 
 // LaneFootprintBytes reports the engine state one lane streams through
