@@ -32,7 +32,7 @@ import (
 // one per in-flight batch from a SessionPool.
 type BatchSession struct {
 	cfg   Config
-	lanes []lane
+	lanes []laneState
 
 	circuit *pdn.Circuit
 	nodes   pdn.ZEC12Nodes
@@ -40,13 +40,13 @@ type BatchSession struct {
 	idle    Workload
 	// cur is the lane whose loads the circuit is evaluating right now,
 	// kept current by the engine's onLane hook (always lane 0 at width 1).
-	cur *lane
+	cur *laneState
 	// coreV[i] is the live view of core i's potential in every lane.
 	coreV [NumCores][]float64
 }
 
-// lane is one measurement lane of a BatchSession.
-type lane struct {
+// laneState is one measurement lane of a BatchSession.
+type laneState struct {
 	bias    float64 // quantized, as Platform.SetVoltageBias
 	vnom    float64 // effective supply (PDN.Vnom * bias)
 	uncoreI float64 // constant uncore current (UncorePower / vnom)
@@ -75,7 +75,7 @@ type lane struct {
 	// within a lane, so the source slot's closure has always run first
 	// this step: core i copies its bit-identical power sample and pays
 	// at most the p/vnom division (only when the supplies differ).
-	src     [NumCores]*lane
+	src     [NumCores]*laneState
 	srcCore [NumCores]int
 
 	// Per-run observation state.
@@ -94,7 +94,7 @@ func NewBatchSession(cfg Config, lanes int) (*BatchSession, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("core: batch lane count %d, want >= 1", lanes)
 	}
-	s := &BatchSession{cfg: cfg, lanes: make([]lane, lanes), idle: Idle(cfg.Core)}
+	s := &BatchSession{cfg: cfg, lanes: make([]laneState, lanes), idle: Idle(cfg.Core)}
 	for l := range s.lanes {
 		c := &s.lanes[l]
 		c.bias = 1.0
@@ -274,7 +274,7 @@ func (s *BatchSession) SetLaneGains(lane int, gains [NumCores]float64) error {
 
 // rebuildMacros constructs one lane's per-core skitter macros with
 // process-variation gains, calibrated at the lane's effective supply.
-func (s *BatchSession) rebuildMacros(c *lane) error {
+func (s *BatchSession) rebuildMacros(c *laneState) error {
 	for i := range c.macros {
 		sc := s.cfg.Skitter
 		sc.Vnom = c.vnom
