@@ -54,8 +54,10 @@ all: tier1
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file in the tree is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...

@@ -313,7 +313,7 @@ func runChips(e *env) error {
 	if !e.quick {
 		n = 5
 	}
-	plats, err := voltnoise.ChipPopulationCtx(e.ctx, voltnoise.DefaultPlatformConfig(), n, e.workers)
+	plats, err := voltnoise.ChipPopulation(e.ctx, voltnoise.DefaultPlatformConfig(), n, e.workers)
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ func main() {
 	// Each of the 21 fit measurements draws a pooled session, so the
 	// circuit build and factorization are paid once, not per run.
 	pool := plat.Sessions()
-	model, err := voltnoise.FitPairwiseNoiseModel(func(cores []int) (float64, error) {
+	model, err := voltnoise.FitPairwiseNoiseModel(1, func(cores []int) (float64, error) {
 		var wl [voltnoise.NumCores]voltnoise.Workload
 		for _, c := range cores {
 			wl[c] = proto

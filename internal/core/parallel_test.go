@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -50,11 +51,11 @@ func TestCloneIsolatesBias(t *testing.T) {
 // chips as the serial path.
 func TestChipPopulationNDeterminism(t *testing.T) {
 	const n = 6
-	serial, err := ChipPopulationN(DefaultConfig(), n, 1)
+	serial, err := ChipPopulation(context.Background(), DefaultConfig(), n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ChipPopulationN(DefaultConfig(), n, 8)
+	parallel, err := ChipPopulation(context.Background(), DefaultConfig(), n, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

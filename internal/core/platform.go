@@ -97,8 +97,8 @@ func (p *Platform) Sessions() *SessionPool { return p.sessions }
 
 // Clone returns an independent platform on the same (read-only)
 // configuration with the same current voltage bias. Run never mutates
-// the platform, but SetVoltageBias does; parallel experiment workers
-// therefore operate on clones so concurrent studies never race on the
+// the platform, but SetVoltageBias does; callers that set different
+// biases concurrently operate on clones so they never race on the
 // service-element state. Clones share the session pool — sessions are
 // keyed by configuration, which clones preserve.
 func (p *Platform) Clone() *Platform {

@@ -53,24 +53,14 @@ func ChipVariant(cfg Config, id uint64) Config {
 }
 
 // ChipPopulation builds n platforms: the reference chip plus n-1
-// deterministic variants. Construction runs across the default worker
-// pool; chip id i always lands at index i.
-func ChipPopulation(cfg Config, n int) ([]*Platform, error) {
-	return ChipPopulationCtx(context.Background(), cfg, n, 0)
-}
-
-// ChipPopulationN is ChipPopulation with an explicit worker count
-// (<= 0 selects one worker per CPU).
-func ChipPopulationN(cfg Config, n, workers int) ([]*Platform, error) {
-	return ChipPopulationCtx(context.Background(), cfg, n, workers)
-}
-
-// ChipPopulationCtx is ChipPopulationN with cancellation: a canceled
-// context aborts the remaining platform constructions and returns
-// ctx.Err(). Building a large population stamps and validates one
-// platform per chip, so fleet-scale callers thread their request
-// context through here instead of letting a dead job finish the build.
-func ChipPopulationCtx(ctx context.Context, cfg Config, n, workers int) ([]*Platform, error) {
+// deterministic variants, constructed across `workers` concurrent
+// workers (<= 0 selects one per CPU); chip id i always lands at index
+// i. A canceled context aborts the remaining platform constructions
+// and returns ctx.Err(): building a large population stamps and
+// validates one platform per chip, so fleet-scale callers thread their
+// request context through here instead of letting a dead job finish
+// the build.
+func ChipPopulation(ctx context.Context, cfg Config, n, workers int) ([]*Platform, error) {
 	if n < 0 {
 		n = 0
 	}

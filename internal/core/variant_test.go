@@ -62,7 +62,7 @@ func TestChipVariantWithinTolerance(t *testing.T) {
 }
 
 func TestChipPopulation(t *testing.T) {
-	plats, err := ChipPopulation(DefaultConfig(), 4)
+	plats, err := ChipPopulation(context.Background(), DefaultConfig(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestChipPopulationCtxCancellation(t *testing.T) {
 	// dead fleet request must not finish thousands of them.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ChipPopulationCtx(ctx, DefaultConfig(), 64, 2); !errors.Is(err, context.Canceled) {
+	if _, err := ChipPopulation(ctx, DefaultConfig(), 64, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled build: err = %v, want context.Canceled", err)
 	}
 
@@ -92,7 +92,7 @@ func TestChipPopulationCtxCancellation(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := ChipPopulationCtx(ctx, DefaultConfig(), 512, 2)
+		_, err := ChipPopulation(ctx, DefaultConfig(), 512, 2)
 		done <- err
 	}()
 	cancel()

@@ -6,13 +6,15 @@
 // across CPUs while keeping the results bit-identical to the serial
 // path:
 //
-//   - Map returns results in item order, regardless of which worker
-//     finished which item when, so downstream reductions see exactly
-//     the ordering a serial loop would have produced (no
-//     accumulation-order drift).
-//   - MapOrdered streams results to a reduction callback strictly in
-//     item order, which also makes early-exit semantics (Vmin's
-//     "stop at first failure") reproducible under any worker count.
+//   - MapStolen cuts the items into chunks, lets idle workers steal
+//     whole chunks, and streams each chunk's result to a reduction
+//     callback strictly in chunk order, so downstream reductions see
+//     exactly the ordering a serial loop would have produced (no
+//     accumulation-order drift) and early exits (Vmin's "stop at
+//     first failure", via ErrStop) are reproducible under any worker
+//     count.
+//   - Map is MapStolen with one item per chunk, collecting the
+//     results in item order.
 //   - When several items fail, the error of the lowest-index item
 //     wins — the same error a serial loop would have returned first.
 //
@@ -27,7 +29,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync/atomic"
 )
 
 // DefaultWorkers is the worker count selected by workers <= 0:
@@ -127,8 +128,8 @@ func NumChunks(n, width int) int {
 	return (n + width - 1) / width
 }
 
-// ErrStop is returned by a MapOrdered reduction callback to stop
-// consuming items: outstanding work is cancelled and MapOrdered
+// ErrStop is returned by a MapStolen reduction callback to stop
+// consuming chunks: outstanding work is cancelled and MapStolen
 // returns nil.
 var ErrStop = errors.New("exec: stop")
 
@@ -149,58 +150,27 @@ func (e *PanicError) Error() string {
 }
 
 // Map runs fn(ctx, i) for every i in [0, n) on up to `workers`
-// concurrent workers and returns the results in item order.
-// workers <= 0 selects DefaultWorkers; workers == 1 runs serially on
-// the calling goroutine. The output is bit-identical for every worker
-// count: out[i] depends only on fn and i, never on scheduling. On
-// error the lowest-index failure is returned and the remaining items
-// are cancelled.
+// concurrent workers and returns the results in item order. It is
+// MapStolen with one item per chunk: workers <= 0 selects
+// DefaultWorkers, one worker runs serially on the calling goroutine,
+// and out[i] depends only on fn and i, never on scheduling. On error
+// the lowest-index failure is returned and the remaining items are
+// cancelled.
 func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("exec: negative item count %d", n)
 	}
 	out := make([]T, n)
-	err := MapOrdered(ctx, n, workers, fn, func(i int, v T) error {
-		out[i] = v
-		return nil
-	})
+	err := MapStolen(ctx, n, 1, workers,
+		func(ctx context.Context, i, _ int) (T, error) { return fn(ctx, i) },
+		func(i, _, _ int, v T) error {
+			out[i] = v
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// ForEach is Map for functions with no result.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, n, workers, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}
-
-// MapOrdered runs fn across workers like Map but streams each result
-// to `each` strictly in item order (item i is always reduced before
-// item i+1, whatever order the workers finished in). `each` runs on
-// the calling goroutine and needs no locking. Returning ErrStop from
-// `each` cancels outstanding items and makes MapOrdered return nil —
-// a deterministic early exit: because reduction is ordered, the items
-// that were reduced before the stop are the same under any worker
-// count. Any other error from `each` or fn cancels the run and is
-// returned (fn errors resolve to the lowest failing index).
-func MapOrdered[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error), each func(i int, v T) error) error {
-	if n < 0 {
-		return fmt.Errorf("exec: negative item count %d", n)
-	}
-	if n == 0 {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if Clamp(workers, n) == 1 {
-		return mapSerial(ctx, n, fn, each)
-	}
-	return mapParallel(ctx, n, Clamp(workers, n), fn, each)
 }
 
 // call invokes fn with panic containment.
@@ -227,63 +197,6 @@ func mapSerial[T any](ctx context.Context, n int, fn func(ctx context.Context, i
 				return nil
 			}
 			return err
-		}
-	}
-	return nil
-}
-
-func mapParallel[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error), each func(i int, v T) error) error {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type item struct {
-		i   int
-		v   T
-		err error
-	}
-	// Buffered to n so workers never block on a departed coordinator:
-	// after an early return every in-flight worker can still deliver
-	// its item and exit.
-	results := make(chan item, n)
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := cctx.Err(); err != nil {
-					results <- item{i: i, err: err}
-					continue
-				}
-				v, err := call(cctx, i, fn)
-				results <- item{i: i, v: v, err: err}
-			}
-		}()
-	}
-
-	// Ordered reduction: hold out-of-order arrivals until their turn.
-	buf := make([]item, n)
-	have := make([]bool, n)
-	done := 0
-	for received := 0; received < n && done < n; received++ {
-		it := <-results
-		buf[it.i], have[it.i] = it, true
-		for done < n && have[done] {
-			it := buf[done]
-			done++
-			if it.err != nil {
-				cancel()
-				return it.err
-			}
-			if err := each(it.i, it.v); err != nil {
-				cancel()
-				if errors.Is(err, ErrStop) {
-					return nil
-				}
-				return err
-			}
 		}
 	}
 	return nil

@@ -166,19 +166,20 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestMapOrderedStreamsInOrder: the reduction callback sees items
-// strictly in index order whatever the completion order.
-func TestMapOrderedStreamsInOrder(t *testing.T) {
+// TestMapStolenWidth1StreamsInOrder: at width 1 the reduction
+// callback sees items strictly in index order whatever the completion
+// order.
+func TestMapStolenWidth1StreamsInOrder(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var seen []int
-		err := MapOrdered(context.Background(), 40, workers,
-			func(_ context.Context, i int) (int, error) {
+		err := MapStolen(context.Background(), 40, 1, workers,
+			func(_ context.Context, i, _ int) (int, error) {
 				time.Sleep(time.Duration((40-i)%5) * 100 * time.Microsecond)
 				return i, nil
 			},
-			func(i, v int) error {
-				if i != v {
-					t.Fatalf("item %d carries value %d", i, v)
+			func(i, start, _ int, v int) error {
+				if i != start || i != v {
+					t.Fatalf("item %d covers start %d and carries value %d", i, start, v)
 				}
 				seen = append(seen, i)
 				return nil
@@ -197,15 +198,15 @@ func TestMapOrderedStreamsInOrder(t *testing.T) {
 	}
 }
 
-// TestMapOrderedEarlyStop: ErrStop ends the reduction deterministically
-// — the same items are reduced under any worker count, and MapOrdered
-// returns nil.
-func TestMapOrderedEarlyStop(t *testing.T) {
+// TestMapStolenWidth1EarlyStop: ErrStop ends the width-1 reduction
+// deterministically — the same items are reduced under any worker
+// count, and MapStolen returns nil.
+func TestMapStolenWidth1EarlyStop(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		var reduced []int
-		err := MapOrdered(context.Background(), 100, workers,
-			func(_ context.Context, i int) (int, error) { return i, nil },
-			func(i, v int) error {
+		err := MapStolen(context.Background(), 100, 1, workers,
+			func(_ context.Context, i, _ int) (int, error) { return i, nil },
+			func(i, _, _ int, v int) error {
 				reduced = append(reduced, i)
 				if i == 6 {
 					return ErrStop
@@ -221,14 +222,14 @@ func TestMapOrderedEarlyStop(t *testing.T) {
 	}
 }
 
-// TestMapOrderedEachError: a non-ErrStop reduction error is returned
-// as-is.
-func TestMapOrderedEachError(t *testing.T) {
+// TestMapStolenWidth1EachError: a non-ErrStop reduction error is
+// returned as-is.
+func TestMapStolenWidth1EachError(t *testing.T) {
 	boom := errors.New("reduce failed")
 	for _, workers := range []int{1, 4} {
-		err := MapOrdered(context.Background(), 10, workers,
-			func(_ context.Context, i int) (int, error) { return i, nil },
-			func(i, v int) error {
+		err := MapStolen(context.Background(), 10, 1, workers,
+			func(_ context.Context, i, _ int) (int, error) { return i, nil },
+			func(i, _, _ int, v int) error {
 				if i == 2 {
 					return boom
 				}
@@ -236,22 +237,6 @@ func TestMapOrderedEachError(t *testing.T) {
 			})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-	}
-}
-
-// TestForEach covers the no-result convenience wrapper.
-func TestForEach(t *testing.T) {
-	var hits [25]atomic.Int64
-	if err := ForEach(context.Background(), 25, 5, func(_ context.Context, i int) error {
-		hits[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("item %d ran %d times", i, hits[i].Load())
 		}
 	}
 }

@@ -93,12 +93,15 @@ func (s *stealQueues) next(w int) (chunk [2]int, ci int, ok bool) {
 // and a worker whose run is exhausted steals whole chunks from the
 // fullest remaining queue instead of splitting lanes.
 //
-// Determinism matches MapOrdered exactly: fn(start, end) must depend
-// only on the chunk bounds, reduction is ordered (chunk i is always
-// reduced before chunk i+1, whatever order or worker produced them),
-// ErrStop from `each` cancels outstanding chunks and returns nil, and
-// on error the lowest-index failure wins. The schedule — which worker
-// runs which chunk when — is the only thing the worker count changes.
+// fn(start, end) must depend only on the chunk bounds. Reduction is
+// ordered: chunk i is always reduced before chunk i+1, whatever order
+// or worker produced them, and `each` runs on the calling goroutine
+// and needs no locking. ErrStop from `each` cancels outstanding chunks
+// and returns nil — a deterministic early exit, because the chunks
+// reduced before the stop are the same under any worker count. Any
+// other error cancels the run and is returned; among fn errors the
+// lowest-index failure wins. The schedule — which worker runs which
+// chunk when — is the only thing the worker count changes.
 //
 // workers <= 0 selects DefaultWorkers; one worker (or a single chunk)
 // runs serially on the calling goroutine. width < 1 is treated as 1.
@@ -130,9 +133,9 @@ func MapStolen[T any](ctx context.Context, n, width, workers int, fn func(ctx co
 	return mapStolenParallel(ctx, chunks, workers, wrap, reduce)
 }
 
-// mapStolenParallel is the stealing counterpart of mapParallel: same
-// ordered reduction and error semantics, but workers draw chunks from
-// the StealChunks ownership map instead of a single shared counter.
+// mapStolenParallel runs the chunks on `workers` goroutines that draw
+// from the StealChunks ownership map, and reduces their results in
+// chunk order on the calling goroutine.
 func mapStolenParallel[T any](ctx context.Context, chunks [][2]int, workers int, fn func(ctx context.Context, ci int) (T, error), each func(ci int, v T) error) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -6,17 +6,18 @@ import (
 	"testing"
 )
 
-// TestBestWorstNDeterminism: the parallel placement search returns
-// exactly the serial answer for every worker count — including the
-// tie-break (earliest placement in enumeration order wins), which the
-// ordered reduction preserves.
+// TestBestWorstNDeterminism: the parallel, batched placement search
+// returns exactly the serial batch-1 answer for every worker count —
+// including the tie-break (earliest placement in enumeration order
+// wins), which the ordered reduction preserves.
 func TestBestWorstNDeterminism(t *testing.T) {
-	wantBest, wantWorst, err := BestWorst(3, fakeEval)
+	ctx := context.Background()
+	wantBest, wantWorst, err := BestWorst(ctx, 3, 1, 1, fakeEval)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 64} {
-		best, worst, err := BestWorstN(context.Background(), 3, workers, fakeEval)
+		best, worst, err := BestWorst(ctx, 3, workers, 3, fakeEval)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,18 +29,21 @@ func TestBestWorstNDeterminism(t *testing.T) {
 }
 
 // TestStudyNDeterminism: the whole opportunity study is bit-identical
-// across worker counts.
+// across worker counts and batch widths.
 func TestStudyNDeterminism(t *testing.T) {
+	ctx := context.Background()
 	ks := []int{1, 2, 3}
-	want, err := Study(ks, fakeEval)
+	want, err := Study(ctx, ks, 1, 1, fakeEval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := StudyN(context.Background(), ks, 8, fakeEval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("StudyN(8) differs from serial Study:\n%+v\n%+v", got, want)
+	for _, workers := range []int{2, 8, 64} {
+		got, err := Study(ctx, ks, workers, 3, fakeEval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d batch=3 differs from serial batch 1:\n%+v\n%+v", workers, got, want)
+		}
 	}
 }

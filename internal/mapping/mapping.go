@@ -19,13 +19,8 @@ import (
 	"voltnoise/internal/exec"
 )
 
-// Evaluator measures one placement: given the set of cores running the
-// workload (the rest idle), it returns the worst per-core noise
-// reading and the core showing it.
-type Evaluator func(cores []int) (worstP2P float64, worstCore int, err error)
-
-// Eval is one placement's measured result, as returned by a
-// BatchEvaluator.
+// Eval is one placement's measured result, as returned by an
+// Evaluator.
 type Eval struct {
 	// WorstP2P is the highest per-core noise of the placement.
 	WorstP2P float64
@@ -33,27 +28,12 @@ type Eval struct {
 	WorstCore int
 }
 
-// BatchEvaluator measures a group of placements in one call — e.g. as
-// the lanes of one lockstep batch session — returning one Eval per
+// Evaluator measures a group of placements in one call — e.g. as the
+// lanes of one lockstep batch session: given each placement's set of
+// cores running the workload (the rest idle), it returns one Eval per
 // placement, in order. Each placement's result must be identical to
 // evaluating it alone.
-type BatchEvaluator func(placements [][]int) ([]Eval, error)
-
-// batchOf adapts a single-placement evaluator to the batch interface;
-// BestWorstBatchN hands it one placement per call at width 1.
-func batchOf(eval Evaluator) BatchEvaluator {
-	return func(placements [][]int) ([]Eval, error) {
-		out := make([]Eval, len(placements))
-		for i, cores := range placements {
-			w, wc, err := eval(cores)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = Eval{WorstP2P: w, WorstCore: wc}
-		}
-		return out, nil
-	}
-}
+type Evaluator func(placements [][]int) ([]Eval, error)
 
 // Placement is one evaluated workload-to-core mapping.
 type Placement struct {
@@ -67,33 +47,16 @@ type Placement struct {
 
 // BestWorst enumerates all C(NumCores, k) placements of k workloads
 // and returns the quietest and the noisiest placement (by worst-case
-// per-core noise). Evaluations run serially; use BestWorstN to fan
-// them out.
-func BestWorst(k int, eval Evaluator) (best, worst Placement, err error) {
-	return BestWorstN(context.Background(), k, 1, eval)
-}
-
-// BestWorstN is BestWorst with the placement evaluations spread
-// across `workers` concurrent workers (<= 0 selects one per CPU).
-// The evaluator must then be safe for concurrent use. The reduction
-// is ordered, so ties resolve to the earliest placement in
-// enumeration order — the same winners the serial scan picks — under
-// every worker count. Canceling ctx stops the scan early.
-func BestWorstN(ctx context.Context, k, workers int, eval Evaluator) (best, worst Placement, err error) {
-	if eval == nil {
-		return best, worst, fmt.Errorf("mapping: nil evaluator")
-	}
-	return BestWorstBatchN(ctx, k, workers, 1, batchOf(eval))
-}
-
-// BestWorstBatchN is BestWorstN over a batch evaluator: the placement
-// enumeration is cut into groups of width exec.BatchWidth(batch,
-// ...) — the lanes of one lockstep batch measurement — and the groups
-// spread across `workers`. batch == 1 evaluates one placement per
-// call; the reduction walks results in enumeration
-// order either way, so the winners and tie-breaks are identical at
-// every (workers, batch) combination.
-func BestWorstBatchN(ctx context.Context, k, workers, batch int, eval BatchEvaluator) (best, worst Placement, err error) {
+// per-core noise). The enumeration is cut into groups of width
+// exec.BatchWidth(batch, ...) — the lanes of one lockstep batch
+// measurement, one placement per call at batch 1 — and the groups
+// spread across `workers` (<= 0 selects one per CPU, 1 runs serially);
+// with more than one worker the evaluator must be safe for concurrent
+// use. The reduction walks results in enumeration order, so ties
+// resolve to the earliest placement and the winners are identical at
+// every (workers, batch) combination. Canceling ctx stops the scan
+// early.
+func BestWorst(ctx context.Context, k, workers, batch int, eval Evaluator) (best, worst Placement, err error) {
 	if k < 1 || k > core.NumCores {
 		return best, worst, fmt.Errorf("mapping: %d workloads on %d cores", k, core.NumCores)
 	}
@@ -149,29 +112,12 @@ type Opportunity struct {
 }
 
 // Study evaluates the mapping opportunity for each workload count in
-// ks (the paper sweeps 1..6). Evaluations run serially; use StudyN to
-// fan them out.
-func Study(ks []int, eval Evaluator) ([]Opportunity, error) {
-	return StudyN(context.Background(), ks, 1, eval)
-}
-
-// StudyN is Study with each count's placement evaluations spread
-// across `workers` concurrent workers (the evaluator must then be
-// safe for concurrent use).
-func StudyN(ctx context.Context, ks []int, workers int, eval Evaluator) ([]Opportunity, error) {
-	if eval == nil {
-		return nil, fmt.Errorf("mapping: nil evaluator")
-	}
-	return StudyBatchN(ctx, ks, workers, 1, batchOf(eval))
-}
-
-// StudyBatchN is StudyN over a batch evaluator: each count's
-// placements pack into lockstep groups of width exec.BatchWidth(batch,
-// ...) before fanning out (see BestWorstBatchN).
-func StudyBatchN(ctx context.Context, ks []int, workers, batch int, eval BatchEvaluator) ([]Opportunity, error) {
+// ks (the paper sweeps 1..6), each count's placements scheduled as in
+// BestWorst.
+func Study(ctx context.Context, ks []int, workers, batch int, eval Evaluator) ([]Opportunity, error) {
 	out := make([]Opportunity, 0, len(ks))
 	for _, k := range ks {
-		best, worst, err := BestWorstBatchN(ctx, k, workers, batch, eval)
+		best, worst, err := BestWorst(ctx, k, workers, batch, eval)
 		if err != nil {
 			return nil, err
 		}

@@ -1,17 +1,37 @@
 package mapping
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"voltnoise/internal/analysis"
 	"voltnoise/internal/core"
 )
 
-// fakeEval scores a placement by a synthetic rule: placements
+// perPlacement lifts a one-placement scoring rule to an Evaluator
+// that scores each placement of a group in turn.
+func perPlacement(score func(cores []int) (float64, int, error)) Evaluator {
+	return func(placements [][]int) ([]Eval, error) {
+		out := make([]Eval, len(placements))
+		for i, cores := range placements {
+			w, wc, err := score(cores)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = Eval{WorstP2P: w, WorstCore: wc}
+		}
+		return out, nil
+	}
+}
+
+// fakeEval scores placements by a synthetic rule: placements
 // concentrated in one layout cluster (all same parity) are noisiest,
 // mirroring the paper's finding.
-func fakeEval(cores []int) (float64, int, error) {
+var fakeEval = perPlacement(fakeScore)
+
+func fakeScore(cores []int) (float64, int, error) {
 	sameParity := true
 	for _, c := range cores[1:] {
 		if c%2 != cores[0]%2 {
@@ -26,7 +46,7 @@ func fakeEval(cores []int) (float64, int, error) {
 }
 
 func TestBestWorst(t *testing.T) {
-	best, worst, err := BestWorst(3, fakeEval)
+	best, worst, err := BestWorst(context.Background(), 3, 1, 1, fakeEval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +76,13 @@ func TestBestWorst(t *testing.T) {
 }
 
 func TestBestWorstValidation(t *testing.T) {
-	if _, _, err := BestWorst(0, fakeEval); err == nil {
+	if _, _, err := BestWorst(context.Background(), 0, 1, 1, fakeEval); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := BestWorst(core.NumCores+1, fakeEval); err == nil {
+	if _, _, err := BestWorst(context.Background(), core.NumCores+1, 1, 1, fakeEval); err == nil {
 		t.Error("k>n accepted")
 	}
-	if _, _, err := BestWorst(2, nil); err == nil {
+	if _, _, err := BestWorst(context.Background(), 2, 1, 1, nil); err == nil {
 		t.Error("nil evaluator accepted")
 	}
 }
@@ -77,8 +97,20 @@ func TestBestWorstPropagatesError(t *testing.T) {
 		}
 		return 1, 0, nil
 	}
-	if _, _, err := BestWorst(2, eval); !errors.Is(err, boom) {
+	if _, _, err := BestWorst(context.Background(), 2, 1, 1, perPlacement(eval)); !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
+	}
+}
+
+// TestBestWorstShortEvaluator: an evaluator that returns fewer Evals
+// than it was handed placements is an error, not a silent skip.
+func TestBestWorstShortEvaluator(t *testing.T) {
+	short := func(placements [][]int) ([]Eval, error) {
+		return make([]Eval, len(placements)-1), nil
+	}
+	_, _, err := BestWorst(context.Background(), 2, 1, 3, short)
+	if err == nil || !strings.Contains(err.Error(), "returned 2 results for 3 placements") {
+		t.Errorf("short evaluator: err = %v", err)
 	}
 }
 
@@ -88,7 +120,7 @@ func TestBestWorstEnumeratesAllPlacements(t *testing.T) {
 		count++
 		return float64(count), 0, nil
 	}
-	if _, _, err := BestWorst(3, eval); err != nil {
+	if _, _, err := BestWorst(context.Background(), 3, 1, 1, perPlacement(eval)); err != nil {
 		t.Fatal(err)
 	}
 	if want := analysis.Binomial(core.NumCores, 3); count != want {
@@ -97,7 +129,7 @@ func TestBestWorstEnumeratesAllPlacements(t *testing.T) {
 }
 
 func TestStudy(t *testing.T) {
-	ops, err := Study([]int{1, 3, 6}, fakeEval)
+	ops, err := Study(context.Background(), []int{1, 3, 6}, 1, 1, fakeEval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +158,8 @@ func TestStudy(t *testing.T) {
 
 func TestStudyPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	eval := func([]int) (float64, int, error) { return 0, 0, boom }
-	if _, err := Study([]int{2}, eval); !errors.Is(err, boom) {
+	eval := perPlacement(func([]int) (float64, int, error) { return 0, 0, boom })
+	if _, err := Study(context.Background(), []int{2}, 1, 1, eval); !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package noise
 import (
 	"context"
 
-	"voltnoise/internal/core"
 	"voltnoise/internal/stressmark"
 	"voltnoise/internal/vmin"
 )
@@ -36,13 +35,12 @@ func (l *Lab) CustomerCodeMargin(ctx context.Context, freq float64, vcfg vmin.Co
 		StimulusFreq: freq,
 		Duty:         0.5,
 	}
-	wl, err := stressmark.UnsyncWorkloads(spec, cfg.Core, l.table())
+	j, err := l.specJob(spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	start, dur := measureWindow(spec)
-	vcfg.Windows = []vmin.Window{{Start: start, Duration: dur}}
-	return vmin.Run(ctx, l.Platform, wl, vcfg)
+	vcfg.Windows = []vmin.Window{{Start: j.start, Duration: j.dur}}
+	return vmin.Run(ctx, l.Platform, j.wl, vcfg)
 }
 
 // SensitivitySummary quantifies the relative importance of the four
@@ -81,51 +79,58 @@ func (s SensitivitySummary) Primary() bool {
 // Sensitivity runs the four comparisons at the given resonant and
 // off-resonant frequencies and summarizes them.
 func (l *Lab) Sensitivity(ctx context.Context, resonant, offResonant float64) (*SensitivitySummary, error) {
+	// worst measures one job and reports its worst per-core noise.
+	worst := func(j measJob, err error) (float64, error) {
+		if err != nil {
+			return 0, err
+		}
+		m, err := l.runMeasurement(ctx, j)
+		if err != nil {
+			return 0, err
+		}
+		w, _ := m.WorstP2P()
+		return w, nil
+	}
 	s := &SensitivitySummary{}
 
 	// Sync effect: aligned vs free-running at resonance.
-	unsync, err := l.runSpec(ctx, l.MaxSpec(resonant), nil, false)
+	wU, err := worst(l.specJob(l.MaxSpec(resonant), nil))
 	if err != nil {
 		return nil, err
 	}
-	synced, err := l.runSpec(ctx, syncSpec(l.MaxSpec(resonant), 1000), nil, false)
+	synced, err := l.specJob(syncSpec(l.MaxSpec(resonant), 1000), nil)
+	wS, err := worst(synced, err)
 	if err != nil {
 		return nil, err
 	}
-	wU, _ := unsync.WorstP2P()
-	wS, _ := synced.WorstP2P()
 	s.SyncEffect = wS - wU
 
-	// DeltaI effect: one medium mark vs six max marks, synchronized.
-	cfg := l.Platform.Config()
-	medWl, err := syncSpec(l.MedSpec(resonant), 1000).Workload(cfg.Core, l.table())
+	// DeltaI effect: one medium mark vs six max marks, synchronized,
+	// over the synchronized max mark's window.
+	medWl, err := syncSpec(l.MedSpec(resonant), 1000).Workload(l.Platform.Config().Core, l.table())
 	if err != nil {
 		return nil, err
 	}
-	var smallest [core.NumCores]core.Workload
-	smallest[0] = medWl
-	start, dur := measureWindow(syncSpec(l.MaxSpec(resonant), 1000))
-	small, err := l.runMeasurement(ctx, core.RunSpec{Workloads: smallest, Start: start, Duration: dur})
+	smallest := measJob{start: synced.start, dur: synced.dur}
+	smallest.wl[0] = medWl
+	wSmall, err := worst(smallest, nil)
 	if err != nil {
 		return nil, err
 	}
-	wSmall, _ := small.WorstP2P()
 	s.DeltaIEffect = wS - wSmall
 
 	// Frequency effect: resonant vs off-resonant, synchronized.
-	off, err := l.runSpec(ctx, syncSpec(l.MaxSpec(offResonant), 1000), nil, false)
+	wOff, err := worst(l.specJob(syncSpec(l.MaxSpec(offResonant), 1000), nil))
 	if err != nil {
 		return nil, err
 	}
-	wOff, _ := off.WorstP2P()
 	s.FrequencyEffect = wS - wOff
 
 	// Events effect: long burst vs 10-event burst, synchronized.
-	short, err := l.runSpec(ctx, syncSpec(l.MaxSpec(resonant), 10), nil, false)
+	wShort, err := worst(l.specJob(syncSpec(l.MaxSpec(resonant), 10), nil))
 	if err != nil {
 		return nil, err
 	}
-	wShort, _ := short.WorstP2P()
 	s.EventsEffect = wS - wShort
 
 	return s, nil

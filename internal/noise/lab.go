@@ -105,35 +105,26 @@ func New(plat *core.Platform, opts ...Option) (*Lab, error) {
 	for _, f := range opts {
 		f(&o)
 	}
-	l, err := NewLabOn(plat, o.search)
+	res, err := stressmark.FindMaxPowerSequence(o.search)
 	if err != nil {
 		return nil, err
 	}
-	l.Workers = o.workers
-	l.Batch = o.batch
-	l.Progress = o.progress
-	return l, nil
-}
-
-// NewLabOn builds a lab around an existing platform.
-func NewLabOn(plat *core.Platform, scfg stressmark.SearchConfig) (*Lab, error) {
-	res, err := stressmark.FindMaxPowerSequence(scfg)
-	if err != nil {
-		return nil, err
-	}
-	min := stressmark.MinPowerSequence(scfg)
-	target := (scfg.Core.Power(res.Best) + scfg.Core.Power(min)) / 2
-	med, err := stressmark.SequenceWithPower(scfg, res.Best, target, 0.5)
+	min := stressmark.MinPowerSequence(o.search)
+	target := (o.search.Core.Power(res.Best) + o.search.Core.Power(min)) / 2
+	med, err := stressmark.SequenceWithPower(o.search, res.Best, target, 0.5)
 	if err != nil {
 		return nil, err
 	}
 	return &Lab{
 		Platform:     plat,
-		Search:       scfg,
+		Search:       o.search,
 		MaxSeq:       res.Best,
 		MedSeq:       med,
 		MinSeq:       min,
 		SearchFunnel: res,
+		Workers:      o.workers,
+		Batch:        o.batch,
+		Progress:     o.progress,
 	}, nil
 }
 
@@ -195,33 +186,6 @@ func measureWindow(s stressmark.Spec) (start, dur float64) {
 		dur = 500e-6
 	}
 	return 0, dur
-}
-
-// runSpec instantiates one copy of the spec per core (synchronized or
-// free-running as the spec says) and measures it over the default
-// window for the spec.
-func (l *Lab) runSpec(ctx context.Context, s stressmark.Spec, offsets *[core.NumCores]uint64, record bool) (*core.Measurement, error) {
-	start, dur := measureWindow(s)
-	return l.runSpecWindow(ctx, s, offsets, start, dur, record)
-}
-
-// runSpecWindow is runSpec with an explicit measurement window.
-func (l *Lab) runSpecWindow(ctx context.Context, s stressmark.Spec, offsets *[core.NumCores]uint64, start, dur float64, record bool) (*core.Measurement, error) {
-	cfg := l.Platform.Config()
-	var wl [core.NumCores]core.Workload
-	var err error
-	if s.Sync != nil {
-		wl, err = stressmark.SyncWorkloads(s, cfg.Core, l.table(), offsets)
-	} else {
-		if offsets != nil {
-			return nil, fmt.Errorf("noise: offsets require a synchronized spec")
-		}
-		wl, err = stressmark.UnsyncWorkloads(s, cfg.Core, l.table())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return l.runMeasurement(ctx, core.RunSpec{Workloads: wl, Start: start, Duration: dur, Record: record})
 }
 
 // measJob is one measurement a batched study wants taken: the
@@ -328,35 +292,15 @@ type ChunkResult struct {
 
 // runMeasurements executes the jobs and returns one measurement per
 // job, in job order. Jobs sharing a measurement window are packed into
-// the lanes of lockstep batch sessions (width exec.BatchWidth of
-// l.Batch), and the batches fan out across l.Workers. A lane's
+// the lanes of lockstep batch sessions (width exec.BatchWidthAuto of
+// l.Batch; batch 1 packs one job per batch), the impedance pre-screen
+// orders the batches, and they fan out across l.Workers. A lane's
 // arithmetic does not depend on the width, so the results are
 // bit-identical at every (workers, batch) combination. When l.Progress
 // is set, each reduced chunk additionally emits a ChunkResult from the
 // ordered-reduction side.
 func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Measurement, error) {
 	width := exec.BatchWidthAuto(l.Batch, len(jobs), l.Platform.Sessions().AutoBatchWidth)
-	if width <= 1 {
-		out := make([]*core.Measurement, len(jobs))
-		done := 0
-		err := exec.MapOrdered(ctx, len(jobs), l.Workers,
-			func(ctx context.Context, i int) (*core.Measurement, error) {
-				return l.runMeasurement(ctx, jobs[i].spec())
-			},
-			func(i int, m *core.Measurement) error {
-				out[i] = m
-				done++
-				l.Progress.Emit(progress.Event{
-					Chunk: i, Done: done, Total: len(jobs),
-					Payload: ChunkResult{Jobs: []int{i}, Measurements: []*core.Measurement{m}},
-				})
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	// Group jobs by warmup window — lockstep lanes must share Start and
 	// Warmup, while each lane observes only its own Duration — in
 	// first-appearance order, then cut each group into width-sized
@@ -410,13 +354,13 @@ func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Meas
 	return out, nil
 }
 
-// runMeasurement executes one run on a width-1 batch session from the
+// runMeasurement executes one job on a width-1 batch session from the
 // platform's pool (amortizing circuit construction and matrix
 // factorization across the whole study) and honors cancellation. It is
 // safe for concurrent workers: each in-flight measurement holds its
 // own session.
-func (l *Lab) runMeasurement(ctx context.Context, spec core.RunSpec) (*core.Measurement, error) {
-	ms, err := l.runBatch(ctx, []core.RunSpec{spec})
+func (l *Lab) runMeasurement(ctx context.Context, j measJob) (*core.Measurement, error) {
+	ms, err := l.runBatch(ctx, []core.RunSpec{j.spec()})
 	if err != nil {
 		return nil, err
 	}
@@ -453,7 +397,11 @@ func (l *Lab) DeltaIMax() float64 {
 // droop resonance — the baseline the application suite is validated
 // against.
 func (l *Lab) RunWorstMark() (float64, error) {
-	m, err := l.runSpec(context.Background(), l.MaxSpec(2e6), nil, false)
+	j, err := l.specJob(l.MaxSpec(2e6), nil)
+	if err != nil {
+		return 0, err
+	}
+	m, err := l.runMeasurement(context.Background(), j)
 	if err != nil {
 		return 0, err
 	}

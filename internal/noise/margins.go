@@ -3,9 +3,7 @@ package noise
 import (
 	"context"
 
-	"voltnoise/internal/core"
 	"voltnoise/internal/exec"
-	"voltnoise/internal/stressmark"
 	"voltnoise/internal/vmin"
 )
 
@@ -31,12 +29,11 @@ type MarginPoint struct {
 // entries of 0 select the unsynchronized variant. The vmin
 // configuration's windows are adapted per point to cover the burst.
 func (l *Lab) ConsecutiveEventStudy(ctx context.Context, freqs []float64, eventCounts []int, vcfg vmin.Config) ([]MarginPoint, error) {
-	cfg := l.Platform.Config()
 	// Grid cells are independent Vmin experiments; fan them out across
-	// l.Workers. Each cell drives its own platform clone (Vmin mutates
-	// the voltage bias); the cell's inner bias walk parallelizes
-	// further per vcfg.Workers — goroutines beyond GOMAXPROCS just
-	// queue, so nesting the pools is safe.
+	// l.Workers. Vmin only reads the platform, so every cell shares it;
+	// the cell's inner bias walk parallelizes further per vcfg.Workers —
+	// goroutines beyond GOMAXPROCS just queue, so nesting the pools is
+	// safe.
 	type cell struct {
 		freq   float64
 		events int
@@ -49,26 +46,17 @@ func (l *Lab) ConsecutiveEventStudy(ctx context.Context, freqs []float64, eventC
 	}
 	return exec.Map(ctx, len(cells), l.Workers, func(ctx context.Context, i int) (MarginPoint, error) {
 		c := cells[i]
-		var spec stressmark.Spec
-		if c.events == 0 {
-			spec = l.MaxSpec(c.freq)
-		} else {
-			spec = syncSpec(l.MaxSpec(c.freq), c.events)
+		spec := l.MaxSpec(c.freq)
+		if c.events != 0 {
+			spec = syncSpec(spec, c.events)
 		}
-		var wl [core.NumCores]core.Workload
-		var err error
-		if spec.Sync != nil {
-			wl, err = stressmark.SyncWorkloads(spec, cfg.Core, l.table(), nil)
-		} else {
-			wl, err = stressmark.UnsyncWorkloads(spec, cfg.Core, l.table())
-		}
+		j, err := l.specJob(spec, nil)
 		if err != nil {
 			return MarginPoint{}, err
 		}
-		start, dur := measureWindow(spec)
 		pcfg := vcfg
-		pcfg.Windows = []vmin.Window{{Start: start, Duration: dur}}
-		res, err := vmin.Run(ctx, l.Platform.Clone(), wl, pcfg)
+		pcfg.Windows = []vmin.Window{{Start: j.start, Duration: j.dur}}
+		res, err := vmin.Run(ctx, l.Platform, j.wl, pcfg)
 		if err != nil {
 			return MarginPoint{}, err
 		}

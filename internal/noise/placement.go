@@ -7,41 +7,16 @@ import (
 	"voltnoise/internal/mapping"
 )
 
-// PlacementEvaluator returns a mapping.Evaluator that measures a
-// placement of synchronized maximum dI/dt stressmarks on the platform:
-// the workload-to-core mapping experiments of the paper's Figures 14
-// and 15. The evaluator is safe for concurrent use (each call holds
-// its own pooled session), so it can feed mapping.BestWorstN and
-// scheduler.FitPairwiseN directly. The evaluator captures ctx:
+// PlacementBatchEvaluator returns a mapping.Evaluator that measures
+// placements of synchronized maximum dI/dt stressmarks on the
+// platform — the workload-to-core mapping experiments of the paper's
+// Figures 14 and 15 — a whole group at a time, as the lanes of one
+// pooled batch session. Each lane's result is bit-identical to
+// evaluating the placement alone, so mapping.BestWorst picks the same
+// winners at every batch width. The evaluator is safe for concurrent
+// use (each call holds its own pooled session) and captures ctx:
 // canceling it interrupts any in-flight measurement.
-func (l *Lab) PlacementEvaluator(ctx context.Context, freq float64, events int) mapping.Evaluator {
-	cfg := l.Platform.Config()
-	spec := syncSpec(l.MaxSpec(freq), events)
-	wlProto, protoErr := spec.Workload(cfg.Core, l.table())
-	start, dur := measureWindow(spec)
-	return func(cores []int) (float64, int, error) {
-		if protoErr != nil {
-			return 0, 0, protoErr
-		}
-		var wl [core.NumCores]core.Workload
-		for _, c := range cores {
-			wl[c] = wlProto
-		}
-		m, err := l.runMeasurement(ctx, core.RunSpec{Workloads: wl, Start: start, Duration: dur})
-		if err != nil {
-			return 0, 0, err
-		}
-		worst, worstCore := m.WorstP2P()
-		return worst, worstCore, nil
-	}
-}
-
-// PlacementBatchEvaluator is the lockstep counterpart of
-// PlacementEvaluator: it measures a whole group of placements as the
-// lanes of one pooled batch session. Each lane's result is
-// bit-identical to evaluating the placement alone, so
-// mapping.BestWorstBatchN picks the same winners at every batch width.
-func (l *Lab) PlacementBatchEvaluator(ctx context.Context, freq float64, events int) mapping.BatchEvaluator {
+func (l *Lab) PlacementBatchEvaluator(ctx context.Context, freq float64, events int) mapping.Evaluator {
 	cfg := l.Platform.Config()
 	spec := syncSpec(l.MaxSpec(freq), events)
 	wlProto, protoErr := spec.Workload(cfg.Core, l.table())
@@ -76,7 +51,7 @@ func (l *Lab) PlacementBatchEvaluator(ctx context.Context, freq float64, events 
 // measurements packed into lockstep lanes (l.Batch, auto resolved to
 // the pool's calibrated width) and fanned out across l.Workers.
 func (l *Lab) MappingOpportunity(ctx context.Context, freq float64, events int, ks []int) ([]mapping.Opportunity, error) {
-	return mapping.StudyBatchN(ctx, ks, l.Workers, l.resolveBatch(), l.PlacementBatchEvaluator(ctx, freq, events))
+	return mapping.Study(ctx, ks, l.Workers, l.resolveBatch(), l.PlacementBatchEvaluator(ctx, freq, events))
 }
 
 // resolveBatch resolves the Lab's batch knob for callees that take a

@@ -19,7 +19,11 @@ func (l *Lab) FindResonance(ctx context.Context, lo, hi float64, coarse int, tol
 	}
 	measure := func(f float64) (float64, error) {
 		runs++
-		m, err := l.runSpec(ctx, l.MaxSpec(f), nil, false)
+		j, err := l.specJob(l.MaxSpec(f), nil)
+		if err != nil {
+			return 0, err
+		}
+		m, err := l.runMeasurement(ctx, j)
 		if err != nil {
 			return 0, err
 		}

@@ -73,8 +73,12 @@ func (l *Lab) FrequencySweep(ctx context.Context, freqs []float64, sync bool, ev
 // the requested duration starting at the burst onset.
 func (l *Lab) Waveform(freq, duration float64) ([core.NumCores]*signal.Trace, error) {
 	var traces [core.NumCores]*signal.Trace
-	spec := syncSpec(l.MaxSpec(freq), 1000)
-	m, err := l.runSpecWindow(context.Background(), spec, nil, 0, duration, true)
+	j, err := l.specJob(syncSpec(l.MaxSpec(freq), 1000), nil)
+	if err != nil {
+		return traces, err
+	}
+	j.start, j.dur, j.record = 0, duration, true
+	m, err := l.runMeasurement(context.Background(), j)
 	if err != nil {
 		return traces, err
 	}

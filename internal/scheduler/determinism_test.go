@@ -20,12 +20,12 @@ func TestFitPairwiseNDeterminism(t *testing.T) {
 		}
 		return ref.WorstNoise(busy), nil
 	}
-	want, err := FitPairwise(eval)
+	want, err := FitPairwise(1, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := FitPairwiseN(workers, eval)
+		got, err := FitPairwise(workers, eval)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -160,21 +160,16 @@ func (m *PairwiseModel) WorstNoise(busy [core.NumCores]bool) float64 {
 }
 
 // Evaluator measures the worst noise of a set of co-scheduled noisy
-// jobs (the same shape as mapping.Evaluator, taking the busy set).
+// jobs, given the busy cores.
 type Evaluator func(cores []int) (float64, error)
 
-// FitPairwise builds a pairwise model by measuring singles and pairs,
-// serially. Use FitPairwiseN to fan the measurements out.
-func FitPairwise(eval Evaluator) (*PairwiseModel, error) {
-	return FitPairwiseN(1, eval)
-}
-
-// FitPairwiseN is FitPairwise with the 6 single and 15 pair
-// measurements spread across `workers` concurrent workers (<= 0
-// selects one per CPU); the evaluator must then be safe for
-// concurrent use. Each measurement depends only on its core set, so
-// the fitted model is bit-identical for every worker count.
-func FitPairwiseN(workers int, eval Evaluator) (*PairwiseModel, error) {
+// FitPairwise builds a pairwise model by measuring the 6 singles and
+// 15 pairs, spread across `workers` concurrent workers (<= 0 selects
+// one per CPU, 1 measures serially); with more than one worker the
+// evaluator must be safe for concurrent use. Each measurement depends
+// only on its core set, so the fitted model is bit-identical for every
+// worker count.
+func FitPairwise(workers int, eval Evaluator) (*PairwiseModel, error) {
 	m := &PairwiseModel{}
 	singles, err := exec.Map(context.Background(), core.NumCores, workers, func(_ context.Context, i int) (float64, error) {
 		return eval([]int{i})

@@ -194,7 +194,7 @@ func TestFitPairwise(t *testing.T) {
 		}
 		return truth.WorstNoise(busy), nil
 	}
-	fitted, err := FitPairwise(eval)
+	fitted, err := FitPairwise(1, eval)
 	if err != nil {
 		t.Fatal(err)
 	}

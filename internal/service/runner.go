@@ -67,7 +67,7 @@ func (r *LabRunner) lab(quick bool) (*noise.Lab, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := noise.NewLabOn(plat, searchConfig(quick))
+	l, err := noise.New(plat, noise.WithSearch(searchConfig(quick)))
 	if err != nil {
 		return nil, err
 	}

@@ -50,6 +50,7 @@ func TestRunDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The platform's bias is untouched.
 				if p.VoltageBias() != 1.0 {
 					t.Fatalf("bias left at %g", p.VoltageBias())
 				}

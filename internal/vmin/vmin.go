@@ -138,11 +138,12 @@ type Result struct {
 // descending-bias order and stops at the first failure — exactly the
 // serial schedule — so Steps, FailBias and MarginPercent never depend
 // on the worker count. Canceling ctx interrupts the walk mid-window.
+// Run only reads p: every bias is probed on a pooled session's lanes,
+// so p's own voltage bias stays wherever the caller set it.
 func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Workload, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	defer p.SetVoltageBias(1.0) // leave the platform at nominal
 	sessions := p.Sessions()
 
 	var biases []float64

@@ -52,9 +52,28 @@ func TestIdleWorkloadHasLargeMargin(t *testing.T) {
 	if res.MarginPercent < 9.9 {
 		t.Errorf("idle margin %g%%, want full 10%%", res.MarginPercent)
 	}
-	// Platform must be restored to nominal.
+	// The platform's bias must be untouched.
 	if p.VoltageBias() != 1.0 {
 		t.Errorf("bias left at %g", p.VoltageBias())
+	}
+}
+
+// TestRunLeavesPlatformBias: Run probes biases on pooled sessions, so
+// a caller's own bias setting survives the walk.
+func TestRunLeavesPlatformBias(t *testing.T) {
+	p, _ := core.New(core.DefaultConfig())
+	if err := p.SetVoltageBias(0.97); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MinBias = 0.90
+	cfg.Windows = []Window{{Start: 0, Duration: 10e-6}}
+	var wl [core.NumCores]core.Workload
+	if _, err := Run(context.Background(), p, wl, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.VoltageBias(); got != 0.97 {
+		t.Errorf("bias left at %g, want the caller's 0.97", got)
 	}
 }
 

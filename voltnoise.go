@@ -452,17 +452,13 @@ func RoundRobinPolicy() SchedulerPolicy { return scheduler.RoundRobin() }
 func NoiseAwarePolicy() SchedulerPolicy { return scheduler.NoiseAware() }
 
 // FitPairwiseNoiseModel measures singles and pairs through the given
-// evaluator and fits the pairwise model.
-func FitPairwiseNoiseModel(eval func(cores []int) (float64, error)) (*PairwiseNoiseModel, error) {
-	return scheduler.FitPairwise(eval)
-}
-
-// FitPairwiseNoiseModelN is FitPairwiseNoiseModel with the 21
-// measurements spread across `workers` concurrent workers (<= 0
-// selects one per CPU); the evaluator must be safe for concurrent
-// use. The fitted model is bit-identical for every worker count.
-func FitPairwiseNoiseModelN(workers int, eval func(cores []int) (float64, error)) (*PairwiseNoiseModel, error) {
-	return scheduler.FitPairwiseN(workers, eval)
+// evaluator and fits the pairwise model. The 21 measurements spread
+// across `workers` concurrent workers (<= 0 selects one per CPU, 1
+// measures serially); with more than one worker the evaluator must be
+// safe for concurrent use. The fitted model is bit-identical for every
+// worker count.
+func FitPairwiseNoiseModel(workers int, eval func(cores []int) (float64, error)) (*PairwiseNoiseModel, error) {
+	return scheduler.FitPairwise(workers, eval)
 }
 
 // CompareSchedulers replays the trace under each policy.
@@ -495,22 +491,12 @@ func AppSuite(table *isa.Table) []*App { return apps.Suite(table) }
 // several CP chips). Chip 0 is the reference.
 func ChipVariant(cfg PlatformConfig, id uint64) PlatformConfig { return core.ChipVariant(cfg, id) }
 
-// ChipPopulation builds the reference platform plus n-1 deterministic
-// manufacturing variants, constructed in parallel (chip i always
-// lands at index i).
-func ChipPopulation(cfg PlatformConfig, n int) ([]*Platform, error) {
-	return core.ChipPopulation(cfg, n)
-}
-
-// ChipPopulationN is ChipPopulation with an explicit worker count.
-func ChipPopulationN(cfg PlatformConfig, n, workers int) ([]*Platform, error) {
-	return core.ChipPopulationN(cfg, n, workers)
-}
-
-// ChipPopulationCtx is ChipPopulationN with cancellation: a canceled
-// context aborts the remaining platform constructions.
-func ChipPopulationCtx(ctx context.Context, cfg PlatformConfig, n, workers int) ([]*Platform, error) {
-	return core.ChipPopulationCtx(ctx, cfg, n, workers)
+// ChipPopulation builds the reference platform plus n-1
+// deterministic manufacturing variants across `workers` concurrent
+// workers (<= 0 selects one per CPU); chip i always lands at index i.
+// A canceled context aborts the remaining platform constructions.
+func ChipPopulation(ctx context.Context, cfg PlatformConfig, n, workers int) ([]*Platform, error) {
+	return core.ChipPopulation(ctx, cfg, n, workers)
 }
 
 // PopulationConfig describes a fleet-scale population study: chip
