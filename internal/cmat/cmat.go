@@ -65,6 +65,10 @@ func (m *Matrix) check(i, j int) {
 	}
 }
 
+// Zero sets every element to zero, so a matrix can be restamped
+// without reallocating it.
+func (m *Matrix) Zero() { clear(m.data) }
+
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.rows, m.cols)
@@ -118,18 +122,36 @@ type LU struct {
 	sign int
 }
 
-// Factor computes the LU factorization of square matrix a. It returns
-// an error when the matrix is singular to working precision.
+// Factor computes the LU factorization of square matrix a, leaving a
+// unchanged. It returns an error when the matrix is singular to
+// working precision.
 func Factor(a *Matrix) (*LU, error) {
+	f := new(LU)
+	if err := f.FactorInPlace(a.Clone()); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// FactorInPlace is Factor without the copies: the factors overwrite
+// square matrix a, which f then holds, and f's permutation buffer is
+// reused when it fits. A caller that restamps one matrix per solve
+// keeps one LU and factors into it without allocating. On error f
+// holds no usable factorization.
+func (f *LU) FactorInPlace(a *Matrix) error {
 	if a.rows != a.cols {
-		return nil, fmt.Errorf("cmat: Factor of non-square %dx%d matrix", a.rows, a.cols)
+		return fmt.Errorf("cmat: Factor of non-square %dx%d matrix", a.rows, a.cols)
 	}
 	n := a.rows
-	lu := a.Clone()
-	perm := make([]int, n)
+	if cap(f.perm) < n {
+		f.perm = make([]int, n)
+	}
+	perm := f.perm[:n]
 	for i := range perm {
 		perm[i] = i
 	}
+	f.lu, f.perm = nil, perm
+	lu := a
 	sign := 1
 	for col := 0; col < n; col++ {
 		// Partial pivot: largest magnitude in the column at/below the diagonal.
@@ -142,7 +164,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 		if maxMag < 1e-300 {
-			return nil, fmt.Errorf("cmat: singular matrix (pivot %d)", col)
+			return fmt.Errorf("cmat: singular matrix (pivot %d)", col)
 		}
 		if pivot != col {
 			for j := 0; j < n; j++ {
@@ -153,26 +175,34 @@ func Factor(a *Matrix) (*LU, error) {
 		}
 		inv := 1 / lu.data[col*n+col]
 		for r := col + 1; r < n; r++ {
-			f := lu.data[r*n+col] * inv
-			lu.data[r*n+col] = f
-			if f == 0 {
+			m := lu.data[r*n+col] * inv
+			lu.data[r*n+col] = m
+			if m == 0 {
 				continue
 			}
 			for j := col + 1; j < n; j++ {
-				lu.data[r*n+j] -= f * lu.data[col*n+j]
+				lu.data[r*n+j] -= m * lu.data[col*n+j]
 			}
 		}
 	}
-	return &LU{lu: lu, perm: perm, sign: sign}, nil
+	f.lu, f.sign = lu, sign
+	return nil
 }
 
 // Solve returns x such that A*x = b for the factored matrix.
 func (f *LU) Solve(b []complex128) []complex128 {
+	x := make([]complex128, f.lu.rows)
+	f.SolveInto(x, b)
+	return x
+}
+
+// SolveInto is Solve writing into x, which must have the system's
+// length and must not share memory with b.
+func (f *LU) SolveInto(x, b []complex128) {
 	n := f.lu.rows
-	if len(b) != n {
-		panic(fmt.Sprintf("cmat: Solve rhs length %d for %dx%d system", len(b), n, n))
+	if len(b) != n || len(x) != n {
+		panic(fmt.Sprintf("cmat: Solve rhs length %d, solution length %d for %dx%d system", len(b), len(x), n, n))
 	}
-	x := make([]complex128, n)
 	// Apply permutation.
 	for i := 0; i < n; i++ {
 		x[i] = b[f.perm[i]]
@@ -193,7 +223,6 @@ func (f *LU) Solve(b []complex128) []complex128 {
 		}
 		x[i] = sum / f.lu.data[i*n+i]
 	}
-	return x
 }
 
 // Determinant returns det(A) from the factorization.

@@ -207,6 +207,61 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestFactorInPlaceReuse checks one LU refactored over matrices of
+// different sizes gives Factor's answers bit for bit, and that a
+// refactor-and-solve into held buffers allocates nothing.
+func TestFactorInPlaceReuse(t *testing.T) {
+	mats := []*Matrix{New(3, 3), New(2, 2), New(3, 3)}
+	for k, a := range mats {
+		n := a.Rows()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, complex(float64((i*7+j*3+k)%5), float64(j-i)))
+			}
+			a.Add(i, i, complex(float64(10+k), 0))
+		}
+	}
+	var f LU
+	for k, a := range mats {
+		b := make([]complex128, a.Rows())
+		for i := range b {
+			b[i] = complex(float64(i+1), float64(k))
+		}
+		ref, err := Factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Solve(b)
+		if err := f.FactorInPlace(a.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]complex128, len(b))
+		f.SolveInto(got, b)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("matrix %d: x[%d] = %v, Factor gives %v", k, i, got[i], want[i])
+			}
+		}
+		if f.Determinant() != ref.Determinant() {
+			t.Errorf("matrix %d: det %v, Factor gives %v", k, f.Determinant(), ref.Determinant())
+		}
+	}
+	a, work := mats[0], New(3, 3)
+	b, x := []complex128{1, 2, 3}, make([]complex128, 3)
+	if allocs := testing.AllocsPerRun(20, func() {
+		copy(work.data, a.data)
+		if err := f.FactorInPlace(work); err != nil {
+			t.Fatal(err)
+		}
+		f.SolveInto(x, b)
+	}); allocs != 0 {
+		t.Errorf("FactorInPlace+SolveInto: %.0f allocs, want 0", allocs)
+	}
+	if err := f.FactorInPlace(New(2, 2)); err == nil {
+		t.Error("FactorInPlace of a zero matrix: want a singular-matrix error")
+	}
+}
+
 // Property: for random diagonally dominant matrices, Solve returns a
 // vector whose residual is tiny.
 func TestSolveResidualProperty(t *testing.T) {

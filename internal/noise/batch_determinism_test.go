@@ -141,3 +141,31 @@ func TestBatchStudyCancellation(t *testing.T) {
 		t.Fatalf("lab unusable after canceled batched sweep: %v", err)
 	}
 }
+
+// TestFindResonanceBatchDeterminism checks the search's rounds —
+// each one batch spread over the workers — land on the serial
+// width-1 answer, run count included, at every (workers, batch).
+func TestFindResonanceBatchDeterminism(t *testing.T) {
+	type answer struct {
+		freq, worst float64
+		runs        int
+	}
+	run := func(workers, batch int) answer {
+		f, w, n, err := withWorkersBatch(t, workers, batch).FindResonance(context.Background(), 1e6, 4e6, 4, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answer{f, w, n}
+	}
+	want := run(1, 1)
+	if want.runs <= 4 {
+		t.Fatalf("search ended after the coarse round (%d runs); the refine rounds go unchecked", want.runs)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, batch := range []int{0, 1, 3, 8, 16} {
+			if got := run(workers, batch); got != want {
+				t.Errorf("FindResonance workers=%d batch=%d = %+v, serial width-1 %+v", workers, batch, got, want)
+			}
+		}
+	}
+}

@@ -36,10 +36,10 @@ type Lab struct {
 	SearchFunnel *stressmark.SearchResult
 	// Workers caps the concurrent measurement workers the parallel
 	// studies (FrequencySweep, MisalignmentSweep, MappingStudy,
-	// ConsecutiveEventStudy, MappingOpportunity) fan out to. Zero
-	// selects one worker per CPU; one forces the serial path. Results
-	// are bit-identical for every setting — the engine reduces in item
-	// order (see internal/exec).
+	// ConsecutiveEventStudy, MappingOpportunity, and each round of
+	// FindResonance) fan out to. Zero selects one worker per CPU; one
+	// forces the serial path. Results are bit-identical for every
+	// setting — the engine reduces in item order (see internal/exec).
 	Workers int
 	// Batch is the lane width of the lockstep batch engine: studies
 	// pack measurement runs sharing a window into lanes of one
@@ -49,17 +49,25 @@ type Lab struct {
 	// core.SessionPool.AutoBatchWidth), which probes the register-
 	// blocked kernels once per pool and picks the fastest per-lane
 	// width that stays cache-resident. One runs one measurement per
-	// width-1 session. Lanes are never split to feed idle workers —
-	// workers contend for whole batches by work stealing
-	// (exec.MapStolen). Results are bit-identical for every width — a
-	// lane's arithmetic does not depend on the width.
+	// width-1 session. When the auto width would cut a study into
+	// fewer batches than workers, it drops to ceil(jobs / workers) so
+	// every worker gets a batch (see exec.BatchWidthAuto for the
+	// measured reason); an explicit width is never split. Workers
+	// contend for whole batches by work stealing (exec.MapStolen).
+	// Results are bit-identical for every width — a lane's arithmetic
+	// does not depend on the width.
 	Batch int
 	// Progress, when set, receives one ChunkResult per reduced
-	// measurement chunk of the batched studies. Events fire from the
-	// ordered-reduction side of the scheduler, so their order and
-	// payloads are deterministic at every (Workers, Batch) setting —
-	// the chunking (and hence the event count) changes with Batch, the
-	// assembled results never do.
+	// measurement chunk of the batched studies (FrequencySweep,
+	// MisalignmentSweep, MappingStudy, and each round of
+	// FindResonance). Events fire from the ordered-reduction side of
+	// the scheduler, so their order and payloads are deterministic for
+	// a given (Workers, Batch) setting. Both knobs can change them: the
+	// chunking (and hence the event count) changes with Batch and,
+	// under the auto width, with Workers; and at any width, which jobs
+	// each chunk carries can change with Workers, because the
+	// impedance pre-screen reorders batches only when they outnumber
+	// the workers. The assembled results never change.
 	Progress progress.Sink
 }
 
@@ -237,7 +245,10 @@ func (l *Lab) specJob(s stressmark.Spec, offsets *[core.NumCores]uint64) (measJo
 // pre-screen on or off — ordering is hash-excluded exactly like the
 // workers and batch knobs.
 func (l *Lab) prioritizeBatches(jobs []measJob, batches [][]int) [][]int {
-	if len(batches) < 2 {
+	// With a worker free for every batch, all batches start at once and
+	// their order cannot move the schedule: skip the pre-screen and the
+	// impedance profile it pays for.
+	if len(batches) <= exec.Clamp(l.Workers, len(batches)) {
 		return batches
 	}
 	seen := map[float64]bool{}
@@ -293,14 +304,15 @@ type ChunkResult struct {
 // runMeasurements executes the jobs and returns one measurement per
 // job, in job order. Jobs sharing a measurement window are packed into
 // the lanes of lockstep batch sessions (width exec.BatchWidthAuto of
-// l.Batch; batch 1 packs one job per batch), the impedance pre-screen
-// orders the batches, and they fan out across l.Workers. A lane's
+// l.Batch and l.Workers; batch 1 packs one job per batch), the
+// impedance pre-screen orders the batches when there are more batches
+// than workers, and they fan out across l.Workers. A lane's
 // arithmetic does not depend on the width, so the results are
 // bit-identical at every (workers, batch) combination. When l.Progress
 // is set, each reduced chunk additionally emits a ChunkResult from the
 // ordered-reduction side.
 func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Measurement, error) {
-	width := exec.BatchWidthAuto(l.Batch, len(jobs), l.Platform.Sessions().AutoBatchWidth)
+	width := exec.BatchWidthAuto(l.Batch, len(jobs), l.Workers, l.Platform.Sessions().AutoBatchWidth)
 	// Group jobs by warmup window — lockstep lanes must share Start and
 	// Warmup, while each lane observes only its own Duration — in
 	// first-appearance order, then cut each group into width-sized

@@ -12,34 +12,43 @@ import (
 // sweep locates the noisiest stimulus band, then the bracket is
 // refined by repeated subdivision until the frequency resolution
 // reaches tol (relative). It returns the discovered resonant frequency
-// and the noise level there.
+// and the noise level there. runs counts the measurements of the
+// completed rounds; a round that fails adds none.
 func (l *Lab) FindResonance(ctx context.Context, lo, hi float64, coarse int, tol float64) (freq, worstP2P float64, runs int, err error) {
 	if lo <= 0 || hi <= lo || coarse < 4 || tol <= 0 || tol >= 1 {
 		return 0, 0, 0, fmt.Errorf("noise: FindResonance(%g, %g, %d, %g)", lo, hi, coarse, tol)
 	}
-	measure := func(f float64) (float64, error) {
-		runs++
-		j, err := l.specJob(l.MaxSpec(f), nil)
-		if err != nil {
-			return 0, err
+	// Each round's runs are independent, so a round goes out as one
+	// runMeasurements call, spread over the lab's workers and lanes; the
+	// scan below stays in index order, so the answer is the serial one.
+	measure := func(freqs []float64) ([]float64, error) {
+		jobs := make([]measJob, len(freqs))
+		for i, f := range freqs {
+			j, err := l.specJob(l.MaxSpec(f), nil)
+			if err != nil {
+				return nil, err
+			}
+			jobs[i] = j
 		}
-		m, err := l.runMeasurement(ctx, j)
+		ms, err := l.runMeasurements(ctx, jobs)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		w, _ := m.WorstP2P()
-		return w, nil
+		runs += len(freqs)
+		vals := make([]float64, len(ms))
+		for i, m := range ms {
+			vals[i], _ = m.WorstP2P()
+		}
+		return vals, nil
 	}
 	// Coarse sweep.
 	freqs := logSpace(lo, hi, coarse)
+	vals, err := measure(freqs)
+	if err != nil {
+		return 0, 0, runs, err
+	}
 	bestIdx, bestVal := 0, -1.0
-	vals := make([]float64, len(freqs))
-	for i, f := range freqs {
-		v, err := measure(f)
-		if err != nil {
-			return 0, 0, runs, err
-		}
-		vals[i] = v
+	for i, v := range vals {
 		if v > bestVal {
 			bestVal, bestIdx = v, i
 		}
@@ -57,13 +66,13 @@ func (l *Lab) FindResonance(ctx context.Context, lo, hi float64, coarse int, tol
 	// Refine: subdivide the bracket until the span is within tol.
 	for hiB/loB-1 > tol {
 		mids := []float64{(loB + bestF) / 2, (bestF + hiB) / 2}
-		for _, f := range mids {
-			v, err := measure(f)
-			if err != nil {
-				return 0, 0, runs, err
-			}
+		vals, err := measure(mids)
+		if err != nil {
+			return 0, 0, runs, err
+		}
+		for i, v := range vals {
 			if v > bestVal {
-				bestVal, bestF = v, f
+				bestVal, bestF = v, mids[i]
 			}
 		}
 		// Narrow the bracket around the current best.

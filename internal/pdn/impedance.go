@@ -34,37 +34,11 @@ func (c *Circuit) Impedance(at NodeID, f float64) (complex128, error) {
 	if idx[at] < 0 {
 		return 0, fmt.Errorf("pdn: impedance at fixed node %q is zero by construction", c.NodeName(at))
 	}
-	y := cmat.New(n, n)
-	w := 2 * math.Pi * f
-	for _, e := range c.elements {
-		var ye complex128
-		switch e.kind {
-		case kindResistor:
-			ye = complex(1/e.value, 0)
-		case kindInductor:
-			ye = 1 / complex(0, w*e.value)
-		case kindCapacitor:
-			ye = complex(0, w*e.value)
-		}
-		ia, ib := idx[e.a], idx[e.b]
-		if ia >= 0 {
-			y.Add(ia, ia, ye)
-		}
-		if ib >= 0 {
-			y.Add(ib, ib, ye)
-		}
-		if ia >= 0 && ib >= 0 {
-			y.Add(ia, ib, -ye)
-			y.Add(ib, ia, -ye)
-		}
-	}
-	rhs := make([]complex128, n)
-	rhs[idx[at]] = 1 // 1 A injection
-	v, err := cmat.Solve(y, rhs)
+	z, err := c.phasorSolve(newPhasorScratch(idx, n), at, at, f)
 	if err != nil {
 		return 0, fmt.Errorf("pdn: impedance solve at %g Hz: %w", f, err)
 	}
-	return v[idx[at]], nil
+	return z, nil
 }
 
 // TransferImpedance computes the small-signal transfer impedance
@@ -83,7 +57,33 @@ func (c *Circuit) TransferImpedance(observe, inject NodeID, f float64) (complex1
 	if idx[observe] < 0 || idx[inject] < 0 {
 		return 0, fmt.Errorf("pdn: transfer impedance involving a fixed node is zero by construction")
 	}
-	y := cmat.New(n, n)
+	z, err := c.phasorSolve(newPhasorScratch(idx, n), observe, inject, f)
+	if err != nil {
+		return 0, fmt.Errorf("pdn: transfer impedance solve at %g Hz: %w", f, err)
+	}
+	return z, nil
+}
+
+// phasorScratch holds the buffers of a phasor solve over a circuit's
+// unknowns, so a caller solving at many frequencies allocates them
+// once.
+type phasorScratch struct {
+	idx    []int // node -> unknown index, -1 for fixed nodes
+	y      *cmat.Matrix
+	lu     cmat.LU
+	rhs, v []complex128
+}
+
+func newPhasorScratch(idx []int, n int) *phasorScratch {
+	return &phasorScratch{idx: idx, y: cmat.New(n, n), rhs: make([]complex128, n), v: make([]complex128, n)}
+}
+
+// phasorSolve injects 1 A at `inject` at frequency f and returns the
+// phasor voltage at `observe`. It restamps the nodal admittance matrix
+// into s and factors it in place, so repeated solves allocate nothing.
+func (c *Circuit) phasorSolve(s *phasorScratch, observe, inject NodeID, f float64) (complex128, error) {
+	y, idx := s.y, s.idx
+	y.Zero()
 	w := 2 * math.Pi * f
 	for _, e := range c.elements {
 		var ye complex128
@@ -107,22 +107,37 @@ func (c *Circuit) TransferImpedance(observe, inject NodeID, f float64) (complex1
 			y.Add(ib, ia, -ye)
 		}
 	}
-	rhs := make([]complex128, n)
-	rhs[idx[inject]] = 1
-	v, err := cmat.Solve(y, rhs)
-	if err != nil {
-		return 0, fmt.Errorf("pdn: transfer impedance solve at %g Hz: %w", f, err)
+	if err := s.lu.FactorInPlace(y); err != nil {
+		return 0, err
 	}
-	return v[idx[observe]], nil
+	clear(s.rhs)
+	s.rhs[idx[inject]] = 1 // 1 A injection
+	s.lu.SolveInto(s.v, s.rhs)
+	return s.v[idx[observe]], nil
 }
 
-// ImpedanceProfile computes |Z|(f) at the given frequencies.
+// ImpedanceProfile computes |Z|(f) at the given frequencies. The
+// circuit's unknowns are indexed once and every frequency restamps and
+// refactors the same buffers, so a profile's allocations do not grow
+// with its length.
 func (c *Circuit) ImpedanceProfile(at NodeID, freqs []float64) ([]ImpedancePoint, error) {
 	out := make([]ImpedancePoint, len(freqs))
+	if len(freqs) == 0 {
+		return out, nil
+	}
+	c.checkNode(at)
+	idx, n := c.unknowns()
+	if idx[at] < 0 {
+		return nil, fmt.Errorf("pdn: impedance at fixed node %q is zero by construction", c.NodeName(at))
+	}
+	s := newPhasorScratch(idx, n)
 	for i, f := range freqs {
-		z, err := c.Impedance(at, f)
+		if f <= 0 {
+			return nil, fmt.Errorf("pdn: impedance at non-positive frequency %g", f)
+		}
+		z, err := c.phasorSolve(s, at, at, f)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("pdn: impedance solve at %g Hz: %w", f, err)
 		}
 		out[i] = ImpedancePoint{Freq: f, Z: z}
 	}

@@ -144,6 +144,38 @@ func TestImpedanceProfileL3BridgeOff(t *testing.T) {
 	}
 }
 
+// TestImpedanceProfileMatchesPointSolves pins the profile's reused
+// buffers to the one-off solve: every point must equal Impedance at
+// that frequency bit for bit, and the profile's allocation count must
+// not grow with its length.
+func TestImpedanceProfileMatchesPointSolves(t *testing.T) {
+	c, nodes := ZEC12(DefaultZEC12Config())
+	freqs := LogSpace(10e3, 100e6, 41)
+	prof, err := c.ImpedanceProfile(nodes.Core[0], freqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range freqs {
+		z, err := c.Impedance(nodes.Core[0], f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prof[i].Freq != f || prof[i].Z != z {
+			t.Errorf("point %d: %v, Impedance gives %v at %g Hz", i, prof[i], z, f)
+		}
+	}
+	allocs := func(freqs []float64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := c.ImpedanceProfile(nodes.Core[0], freqs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(freqs[:2]), allocs(freqs); long != short {
+		t.Errorf("ImpedanceProfile: %.0f allocs for %d points, %.0f for 2", long, len(freqs), short)
+	}
+}
+
 func TestDomainOfClusters(t *testing.T) {
 	// The two on-die domains: even cores form one, odd cores the
 	// other, and ClusterOf agrees with DomainOf everywhere.

@@ -131,7 +131,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	width := exec.BatchWidthAuto(cfg.Batch, cfg.Chips, auto)
+	// The width is resolved as for one worker, so it is never split to
+	// feed idle workers: a 24-chip bin on two workers ran slower as
+	// 12+12 lanes than as 16+8.
+	width := exec.BatchWidthAuto(cfg.Batch, cfg.Chips, 1, auto)
 	type chipBatch struct {
 		bin int
 		ids []int

@@ -89,14 +89,24 @@ func SpinProgram(table *isa.Table) *uarch.Program {
 // computing phase powers from the core model. table supplies the spin
 // loop for synchronized marks.
 func (s Spec) Workload(cfg uarch.Config, table *isa.Table) (core.Workload, error) {
-	if err := s.Validate(); err != nil {
+	w, err := s.lower(cfg, table)
+	if err != nil {
 		return nil, err
+	}
+	return &w, nil
+}
+
+// lower is Workload's body, returning the runtime form by value so a
+// caller instantiating several copies pays for the lowering once.
+func (s Spec) lower(cfg uarch.Config, table *isa.Table) (didtWorkload, error) {
+	if err := s.Validate(); err != nil {
+		return didtWorkload{}, err
 	}
 	edge := s.EdgeTime
 	if edge == 0 {
 		edge = DefaultEdgeTime
 	}
-	w := &didtWorkload{
+	w := didtWorkload{
 		name: fmt.Sprintf("didt@%s", formatFreq(s.StimulusFreq)),
 		wave: signal.SquareWave{
 			High:   cfg.Power(s.HighSeq),
@@ -171,20 +181,24 @@ func (w *didtWorkload) Power(t float64) float64 {
 var UnsyncPhases = [core.NumCores]float64{0.00, 0.58, 0.70, 0.77, 0.86, 0.90}
 
 // UnsyncWorkloads instantiates one free-running copy of the spec per
-// core with the deterministic unsynchronized phases.
+// core with the deterministic unsynchronized phases. The phase enters
+// only the square wave, so the spec is lowered once and each core gets
+// a copy with its own phase — the same workloads as lowering the spec
+// per core with Phase set, without repeating the power model.
 func UnsyncWorkloads(s Spec, cfg uarch.Config, table *isa.Table) ([core.NumCores]core.Workload, error) {
 	var out [core.NumCores]core.Workload
 	if s.Sync != nil {
 		return out, fmt.Errorf("stressmark: UnsyncWorkloads with a synchronized spec")
 	}
+	base, err := s.lower(cfg, table)
+	if err != nil {
+		return out, err
+	}
+	copies := new([core.NumCores]didtWorkload)
 	for i := range out {
-		si := s
-		si.Phase = UnsyncPhases[i] / s.StimulusFreq
-		w, err := si.Workload(cfg, table)
-		if err != nil {
-			return out, err
-		}
-		out[i] = w
+		copies[i] = base
+		copies[i].wave.Phase = UnsyncPhases[i] / s.StimulusFreq
+		out[i] = &copies[i]
 	}
 	return out, nil
 }

@@ -31,17 +31,13 @@ func DitherWorkloads(s Spec, cfg uarch.Config, table *isa.Table, window float64,
 	if window < 0 || window >= s.Sync.Period() {
 		return out, fmt.Errorf("stressmark: dither window %g outside [0, sync period)", window)
 	}
-	base, err := s.Workload(cfg, table)
+	didt, err := s.lower(cfg, table)
 	if err != nil {
 		return out, err
 	}
-	didt, ok := base.(*didtWorkload)
-	if !ok {
-		return out, fmt.Errorf("stressmark: unexpected workload type %T", base)
-	}
 	for i := range out {
 		out[i] = &ditherWorkload{
-			didt:   *didt,
+			didt:   didt,
 			window: window,
 			seed:   seed + uint64(i)*0x9E3779B97F4A7C15,
 		}

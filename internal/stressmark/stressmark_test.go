@@ -309,6 +309,63 @@ func TestUnsyncSyncConstructors(t *testing.T) {
 	}
 }
 
+// TestUnsyncWorkloadsMatchPerCoreLowering pins the lower-once
+// construction to its definition: each core's copy must be the
+// workload Spec.Workload lowers with that core's unsynchronized phase.
+func TestUnsyncWorkloadsMatchPerCoreLowering(t *testing.T) {
+	cfg := quickSearch()
+	res, _ := FindMaxPowerSequence(cfg)
+	for _, freq := range []float64{0.7e6, 2e6, 13e6} {
+		// A caller-set phase is overridden by the per-core phases.
+		spec := Spec{HighSeq: res.Best, LowSeq: MinPowerSequence(cfg), StimulusFreq: freq, Duty: 0.4, Phase: 1e-7}
+		got, err := UnsyncWorkloads(spec, cfg.Core, cfg.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		period := 1 / freq
+		for i, w := range got {
+			si := spec
+			si.Phase = UnsyncPhases[i] / freq
+			want, err := si.Workload(cfg.Core, cfg.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Name() != want.Name() {
+				t.Errorf("%g Hz core %d: name %q, want %q", freq, i, w.Name(), want.Name())
+			}
+			for k := -50; k <= 300; k++ {
+				tt := float64(k) * period / 97
+				if g, e := w.Power(tt), want.Power(tt); g != e {
+					t.Fatalf("%g Hz core %d: Power(%g) = %g, want %g", freq, i, tt, g, e)
+				}
+			}
+		}
+	}
+}
+
+// TestUnsyncWorkloadsLowerOnce guards the allocation contract: six
+// copies cost one lowering plus the copies' shared backing array. The
+// bound sits below two lowerings rather than at one plus one, because
+// under the race detector either count can drift by an allocation.
+func TestUnsyncWorkloadsLowerOnce(t *testing.T) {
+	cfg := quickSearch()
+	res, _ := FindMaxPowerSequence(cfg)
+	spec := Spec{HighSeq: res.Best, LowSeq: MinPowerSequence(cfg), StimulusFreq: 2e6, Duty: 0.5}
+	one := testing.AllocsPerRun(20, func() {
+		if _, err := spec.Workload(cfg.Core, cfg.Table); err != nil {
+			t.Fatal(err)
+		}
+	})
+	all := testing.AllocsPerRun(20, func() {
+		if _, err := UnsyncWorkloads(spec, cfg.Core, cfg.Table); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if all >= 2*one {
+		t.Errorf("UnsyncWorkloads: %.0f allocs per call, want fewer than two lowerings (%.0f)", all, 2*one)
+	}
+}
+
 func TestSpinProgramPowerNearLow(t *testing.T) {
 	cfg := DefaultSearchConfig()
 	spin := cfg.Core.Power(SpinProgram(cfg.Table))

@@ -52,11 +52,13 @@ type Config struct {
 	// let one factored circuit probe several biases per step walk.
 	// Zero selects the auto width — the session pool's calibrated
 	// lane width (core.SessionPool.AutoBatchWidth); one runs one step
-	// per width-1 session. Lanes are never split to feed idle workers —
-	// workers contend for whole chunks by work stealing
-	// (exec.MapStolen). Like Workers, every setting is bit-identical: a
-	// lane's arithmetic does not depend on the width, and the reduction
-	// stays in descending-bias order.
+	// per width-1 session. Unlike the noise studies, the walk never
+	// splits the auto width to feed idle workers: for a 17-step walk on
+	// two workers, 9+8 lanes measured no faster than 16+1, so the
+	// calibrated width stands. Workers contend for whole chunks by work
+	// stealing (exec.MapStolen). Like Workers, every setting is
+	// bit-identical: a lane's arithmetic does not depend on the width,
+	// and the reduction stays in descending-bias order.
 	Batch int
 	// Progress, when set, receives one StepEvent per reduced bias lane,
 	// in descending-bias order — including the failing step, which is
@@ -175,8 +177,10 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 	// Pack consecutive bias steps into lockstep lanes: per-lane fixed
 	// supplies probe several biases through one factored circuit, one
 	// window walk per chunk. Workers contend for whole chunks by work
-	// stealing; the reduction stays in descending-bias order.
-	width := exec.BatchWidthAuto(cfg.Batch, len(biases), sessions.AutoBatchWidth)
+	// stealing; the reduction stays in descending-bias order. The width
+	// is resolved as for one worker, so it is never split for workers
+	// (see Config.Batch).
+	width := exec.BatchWidthAuto(cfg.Batch, len(biases), 1, sessions.AutoBatchWidth)
 	err := exec.MapStolen(ctx, len(biases), width, cfg.Workers,
 		func(ctx context.Context, start, end int) ([]step, error) {
 			lanes := end - start
