@@ -87,7 +87,7 @@ race:
 # batch-session pool and the stolen-chunk scheduler must stay
 # race-clean while doing it.
 batch-determinism:
-	$(GO) test -race -run 'Batch|Determinism|Invariance' ./internal/noise/ ./internal/vmin/ ./internal/epi/ ./internal/core/ ./internal/population/ ./internal/service/
+	$(GO) test -race -run 'Batch|Determinism|Invariance' ./internal/noise/ ./internal/vmin/ ./internal/epi/ ./internal/core/ ./internal/population/ ./internal/service/ ./internal/mapping/ ./internal/scheduler/
 
 # fuzz-smoke runs each fuzz target for FUZZTIME on top of its committed
 # seed corpus: the request validator (decode -> normalize -> hash

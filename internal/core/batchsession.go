@@ -288,12 +288,6 @@ func (s *BatchSession) rebuildMacros(c *laneState) error {
 	return nil
 }
 
-// LaneFootprintBytes reports the engine state one lane streams through
-// per step, for the width-calibration footprint gate (see
-// SessionPool.AutoBatchWidth). It is independent of this session's own
-// width.
-func (s *BatchSession) LaneFootprintBytes() int { return s.bt.LaneFootprintBytes() }
-
 // RunBatch executes one measurement window on every lane. See
 // RunBatchContext.
 func (s *BatchSession) RunBatch(specs []RunSpec) ([]*Measurement, error) {

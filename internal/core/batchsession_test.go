@@ -298,26 +298,25 @@ func TestBatchSessionDedupEvaluatesOnce(t *testing.T) {
 	}
 }
 
-// TestAutoBatchWidth: calibration must settle on one of the
-// register-blocked kernel widths, cache its answer, and leave the pool
-// fully usable (the probe sessions go back to the free lists).
+// TestAutoBatchWidth: the pool's auto width is the pdn rule, and
+// asking a fresh pool for it costs nothing — no probe sessions, no
+// timing runs.
 func TestAutoBatchWidth(t *testing.T) {
-	pool := NewSessionPool(DefaultConfig())
-	w := pool.AutoBatchWidth()
-	if w != pdn.DefaultBatchLanes && w != pdn.WideBatchLanes {
-		t.Fatalf("AutoBatchWidth() = %d, want %d or %d", w, pdn.DefaultBatchLanes, pdn.WideBatchLanes)
+	const runs = 10
+	pools := make([]*SessionPool, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range pools {
+		pools[i] = NewSessionPool(DefaultConfig())
 	}
-	if again := pool.AutoBatchWidth(); again != w {
-		t.Fatalf("AutoBatchWidth() flapped: %d then %d", w, again)
+	next := 0
+	a := testing.AllocsPerRun(runs, func() {
+		if w, want := pools[next].AutoBatchWidth(), pdn.AutoBatchLanes(); w != want {
+			t.Fatalf("AutoBatchWidth() = %d, want pdn.AutoBatchLanes() = %d", w, want)
+		}
+		next++
+	})
+	if a != 0 {
+		t.Errorf("AutoBatchWidth on a fresh pool allocates %.0f times", a)
 	}
-	bs, err := pool.GetBatch(1.0, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs.LaneFootprintBytes() <= 0 {
-		t.Error("non-positive lane footprint")
-	}
-	pool.PutBatch(bs)
 }
 
 // TestSessionPoolGainReset: a pooled session returned with overridden

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
-	"time"
 
 	"voltnoise/internal/pdn"
 )
@@ -70,9 +68,6 @@ type SessionPool struct {
 
 	mu   sync.Mutex
 	free map[int][]*BatchSession // free sessions by lane width
-
-	autoOnce  sync.Once
-	autoWidth int
 }
 
 // NewSessionPool returns an empty pool for the configuration.
@@ -130,70 +125,9 @@ func (sp *SessionPool) GetBatch(bias float64, lanes int) (*BatchSession, error) 
 	return s, nil
 }
 
-// AutoBatchWidth returns the calibrated lane width studies should use
-// when their batch knob asks for auto (batch == 0): the fastest
-// per-lane width among the register-blocked step kernels whose
-// lockstep working set still fits in cache. The first call probes each
-// candidate width with a few hundred idle engine steps on this
-// machine; the result is cached for the pool's lifetime and concurrent
-// callers share one calibration. Because every lane is bit-identical
-// at every width, the choice moves only wall-clock time — a study's
-// outputs never depend on what this returns.
-func (sp *SessionPool) AutoBatchWidth() int {
-	sp.autoOnce.Do(func() { sp.autoWidth = sp.calibrateWidth() })
-	return sp.autoWidth
-}
-
-// calibrateWidth times the candidate widths and picks the best lane
-// throughput, with a small hysteresis so the wider kernel must clearly
-// win before it displaces the default: on hosts where the two are
-// within noise of each other the narrower width keeps scheduling
-// granularity fine and working sets small. Calibration failures fall
-// back to the default width.
-func (sp *SessionPool) calibrateWidth() int {
-	const (
-		calSteps    = 256
-		cacheBudget = 1 << 20 // past ~1 MiB of lane state, wider widths thrash
-		hysteresis  = 0.97    // wider must win by >3% per lane
-	)
-	best := pdn.DefaultBatchLanes
-	bestPerLane := math.Inf(1)
-	footprint := 0
-	for _, w := range []int{pdn.DefaultBatchLanes, pdn.WideBatchLanes} {
-		if footprint > 0 && w*footprint > cacheBudget {
-			continue
-		}
-		s, err := sp.GetBatch(1.0, w)
-		if err != nil {
-			break
-		}
-		footprint = s.LaneFootprintBytes()
-		if w*footprint > cacheBudget {
-			sp.PutBatch(s)
-			continue
-		}
-		specs := make([]RunSpec, w)
-		for l := range specs {
-			specs[l] = RunSpec{Start: 0, Warmup: sp.cfg.Dt, Duration: calSteps * sp.cfg.Dt}
-		}
-		perLane := math.Inf(1)
-		for rep := 0; rep < 2; rep++ {
-			t0 := time.Now()
-			if _, err := s.RunBatch(specs); err != nil {
-				perLane = math.Inf(1)
-				break
-			}
-			if d := float64(time.Since(t0)) / float64(w); d < perLane {
-				perLane = d
-			}
-		}
-		sp.PutBatch(s)
-		if perLane < hysteresis*bestPerLane {
-			best, bestPerLane = w, perLane
-		}
-	}
-	return best
-}
+// AutoBatchWidth returns the lane width studies use when their batch
+// knob asks for auto: pdn.AutoBatchLanes, the same for every pool.
+func (sp *SessionPool) AutoBatchWidth() int { return pdn.AutoBatchLanes() }
 
 // PutBatch returns a batch session to the pool. The session must not
 // be used after PutBatch.

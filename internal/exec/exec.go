@@ -80,13 +80,12 @@ func BatchWidth(batch, n int) int {
 	return batch
 }
 
-// BatchWidthAuto resolves a batch knob like BatchWidth but lets a
-// calibrated width stand in for the static default: batch <= 0 invokes
-// auto — typically core.SessionPool.AutoBatchWidth, passed as a method
-// value — and uses its result instead of DefaultBatchWidth (a result
-// below 1 falls back to the default). The auto width is split only
-// when it would leave a worker idle: if cutting n items at that width
-// gives fewer batches than Clamp(workers, n), the width drops to
+// BatchWidthAuto resolves a batch knob like BatchWidth but lets the
+// auto lane width (typically pdn.AutoBatchLanes) stand in for the
+// static default: batch <= 0 resolves auto itself through BatchWidth,
+// so an auto below 1 still means DefaultBatchWidth. The auto width is
+// split only when it would leave a worker idle: if cutting n items at that
+// width gives fewer batches than Clamp(workers, n), the width drops to
 // ceil(n / Clamp(workers, n)) so every worker gets a batch. Measured
 // on a 2-vCPU x86-64 host with 2 workers, 16 runs as one 16-lane batch
 // took 306-351 ms against 202-222 ms as two 8-lane batches, and 2 runs
@@ -95,26 +94,16 @@ func BatchWidth(batch, n int) int {
 // not pay: a 24-chip, one-bin population study on the same host took
 // 15.7 ms as 12+12 lanes against 12.2 ms as 16+8 (medians of 10
 // pairs), because widths off the register-blocked 8 and 16 take the
-// generic kernel. An explicit batch is never split. auto runs only
-// when its answer matters: an explicit batch, a single item, a worker
-// per item, or a nil auto skip the call, so studies with pinned widths
-// never pay for calibration. Lane results are bit-identical at every
-// width, so the choice moves only wall-clock time, never output.
-func BatchWidthAuto(batch, n, workers int, auto func() int) int {
+// generic kernel. An explicit batch is never split. The result is a
+// pure function of the arguments, and lane results are bit-identical
+// at every width, so the choice moves only wall-clock time, never
+// output.
+func BatchWidthAuto(batch, n, workers, auto int) int {
 	if batch > 0 || n <= 1 {
 		return BatchWidth(batch, n)
 	}
-	w := Clamp(workers, n)
-	if w == n {
-		return 1
-	}
-	if auto != nil {
-		if a := auto(); a >= 1 {
-			batch = a
-		}
-	}
-	width := BatchWidth(batch, n)
-	if (n+width-1)/width < w {
+	width := BatchWidth(auto, n)
+	if w := Clamp(workers, n); (n+width-1)/width < w {
 		width = (n + w - 1) / w
 	}
 	return width

@@ -277,55 +277,35 @@ func TestBatchWidth(t *testing.T) {
 }
 
 func TestBatchWidthAuto(t *testing.T) {
-	sixteen := func() int { return 16 }
 	cases := []struct {
-		batch, n, workers int
-		auto              func() int
-		want              int
+		batch, n, workers, auto, want int
 	}{
-		{0, 100, 1, sixteen, 16},                // auto defers to the calibrated width; one worker: no split
-		{0, 5, 1, sixteen, 5},                   // still capped at the item count
-		{0, 100, 1, func() int { return 0 }, 8}, // useless calibration: static default
-		{0, 100, 1, nil, 8},                     // no calibrator: static default
-		{-1, 100, 1, sixteen, 16},               // negative behaves like auto
-		{3, 100, 1, sixteen, 3},                 // explicit width wins
-		{1, 100, 1, sixteen, 1},                 // explicit lane-per-run wins
-		{0, 8, 2, sixteen, 4},                   // auto split so both workers get a batch
-		{0, 2, 2, sixteen, 1},                   // one lane per worker
-		{0, 32, 2, sixteen, 16},                 // two full batches already feed both workers
-		{0, 24, 2, sixteen, 16},                 // 16+8 feeds both workers: not rebalanced to 12+12
-		{0, 17, 2, sixteen, 16},                 // 16+1 feeds both workers
-		{0, 41, 4, sixteen, 11},                 // three batches for four workers: split
-		{0, 7, 2, sixteen, 4},                   // ceil(7/2)
-		{0, 3, 8, sixteen, 1},                   // more workers than items
-		{0, 100, 2, func() int { return 0 }, 8}, // static default under the cap
-		{0, 8, 2, nil, 4},                       // the cap applies to the static default too
-		{8, 8, 2, sixteen, 8},                   // explicit width ignores workers
-		{16, 2, 2, sixteen, 2},                  // explicit width only capped at n
-		{3, 100, 64, sixteen, 3},                // explicit width ignores workers
+		{0, 100, 1, 16, 16},  // auto defers to the auto width; one worker: no split
+		{0, 5, 1, 16, 5},     // still capped at the item count
+		{0, 100, 1, 0, 8},    // no auto width: static default
+		{-1, 100, 1, 16, 16}, // negative behaves like auto
+		{3, 100, 1, 16, 3},   // explicit width wins
+		{1, 100, 1, 16, 1},   // explicit lane-per-run wins
+		{0, 8, 2, 16, 4},     // auto split so both workers get a batch
+		{0, 2, 2, 16, 1},     // one lane per worker
+		{0, 32, 2, 16, 16},   // two full batches already feed both workers
+		{0, 24, 2, 16, 16},   // 16+8 feeds both workers: not rebalanced to 12+12
+		{0, 17, 2, 16, 16},   // 16+1 feeds both workers
+		{0, 41, 4, 16, 11},   // three batches for four workers: split
+		{0, 7, 2, 16, 4},     // ceil(7/2)
+		{0, 3, 8, 16, 1},     // more workers than items
+		{0, 100, 2, 0, 8},    // static default under the cap
+		{0, 8, 2, 0, 4},      // the cap applies to the static default too
+		{0, 1, 1, 16, 1},     // a single item
+		{0, 0, 1, 16, 1},     // no items
+		{8, 8, 2, 16, 8},     // explicit width ignores workers
+		{16, 2, 2, 16, 2},    // explicit width only capped at n
+		{3, 100, 64, 16, 3},  // explicit width ignores workers
 	}
 	for _, c := range cases {
 		if got := BatchWidthAuto(c.batch, c.n, c.workers, c.auto); got != c.want {
-			t.Errorf("BatchWidthAuto(%d, %d, %d, auto) = %d, want %d", c.batch, c.n, c.workers, got, c.want)
+			t.Errorf("BatchWidthAuto(%d, %d, %d, %d) = %d, want %d", c.batch, c.n, c.workers, c.auto, got, c.want)
 		}
-	}
-	// The calibrator must not run when its answer cannot matter: an
-	// explicit width, a single item, no items, or a worker per item.
-	boom := func() int { t.Fatal("auto invoked needlessly"); return 0 }
-	if got := BatchWidthAuto(8, 100, 1, boom); got != 8 {
-		t.Errorf("BatchWidthAuto(8, 100, 1) = %d", got)
-	}
-	if got := BatchWidthAuto(0, 1, 1, boom); got != 1 {
-		t.Errorf("BatchWidthAuto(0, 1, 1) = %d", got)
-	}
-	if got := BatchWidthAuto(0, 0, 1, boom); got != 1 {
-		t.Errorf("BatchWidthAuto(0, 0, 1) = %d", got)
-	}
-	if got := BatchWidthAuto(0, 2, 2, boom); got != 1 {
-		t.Errorf("BatchWidthAuto(0, 2, 2) = %d", got)
-	}
-	if got := BatchWidthAuto(0, 3, 8, boom); got != 1 {
-		t.Errorf("BatchWidthAuto(0, 3, 8) = %d", got)
 	}
 }
 

@@ -5,7 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"voltnoise/internal/exec"
 	"voltnoise/internal/mapping"
+	"voltnoise/internal/pdn"
+	"voltnoise/internal/progress"
 )
 
 // Batch determinism suite: every study that packs its measurement runs
@@ -165,6 +168,40 @@ func TestFindResonanceBatchDeterminism(t *testing.T) {
 		for _, batch := range []int{0, 1, 3, 8, 16} {
 			if got := run(workers, batch); got != want {
 				t.Errorf("FindResonance workers=%d batch=%d = %+v, serial width-1 %+v", workers, batch, got, want)
+			}
+		}
+	}
+}
+
+// TestBatchProgressDeterminism checks the progress stream is a pure
+// function of the request: at every (workers, batch), the chunks of a
+// sweep arrive in job order and cut it exactly where exec.Chunks cuts
+// it at the resolved lane width — no worker count reorders them.
+func TestBatchProgressDeterminism(t *testing.T) {
+	freqs := pdn.LogSpace(100e3, 20e6, 32)
+	order := make([]int, len(freqs))
+	for i := range order {
+		order[i] = i
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, batch := range []int{0, 3, 8, 16} {
+			l := withWorkersBatch(t, workers, batch)
+			var jobs []int
+			var bounds [][2]int
+			l.Progress = func(ev progress.Event) {
+				cr := ev.Payload.(ChunkResult)
+				bounds = append(bounds, [2]int{len(jobs), len(jobs) + len(cr.Jobs)})
+				jobs = append(jobs, cr.Jobs...)
+			}
+			if _, err := l.FrequencySweep(context.Background(), freqs, false, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(jobs, order) {
+				t.Errorf("workers=%d batch=%d: jobs %v, want 0..%d in order", workers, batch, jobs, len(freqs)-1)
+			}
+			width := exec.BatchWidthAuto(batch, len(freqs), workers, pdn.AutoBatchLanes())
+			if want := exec.Chunks(len(freqs), width); !reflect.DeepEqual(bounds, want) {
+				t.Errorf("workers=%d batch=%d: chunks %v, want %v", workers, batch, bounds, want)
 			}
 		}
 	}

@@ -9,7 +9,6 @@ package noise
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"voltnoise/internal/core"
 	"voltnoise/internal/exec"
@@ -45,29 +44,24 @@ type Lab struct {
 	// pack measurement runs sharing a window into lanes of one
 	// core.BatchSession, amortizing the step-plan walk and turning the
 	// per-step solve into a multi-RHS substitution. Zero selects the
-	// auto width: the session pool's calibrated lane width (see
-	// core.SessionPool.AutoBatchWidth), which probes the register-
-	// blocked kernels once per pool and picks the fastest per-lane
-	// width that stays cache-resident. One runs one measurement per
-	// width-1 session. When the auto width would cut a study into
-	// fewer batches than workers, it drops to ceil(jobs / workers) so
-	// every worker gets a batch (see exec.BatchWidthAuto for the
-	// measured reason); an explicit width is never split. Workers
-	// contend for whole batches by work stealing (exec.MapStolen).
-	// Results are bit-identical for every width — a lane's arithmetic
-	// does not depend on the width.
+	// auto width, pdn.AutoBatchLanes: 16 lanes where the AVX2
+	// substitution bodies run, 8 on the pure-Go bodies, the faster per
+	// lane-step on each. One runs one measurement per width-1 session.
+	// When the auto width would cut a study into fewer batches than
+	// workers, it drops to ceil(jobs / workers) so every worker gets a
+	// batch (see exec.BatchWidthAuto for the measured reason); an
+	// explicit width is never split. Workers contend for whole batches
+	// by work stealing (exec.MapStolen). Results are bit-identical for
+	// every width — a lane's arithmetic does not depend on the width.
 	Batch int
 	// Progress, when set, receives one ChunkResult per reduced
 	// measurement chunk of the batched studies (FrequencySweep,
 	// MisalignmentSweep, MappingStudy, and each round of
 	// FindResonance). Events fire from the ordered-reduction side of
-	// the scheduler, so their order and payloads are deterministic for
-	// a given (Workers, Batch) setting. Both knobs can change them: the
-	// chunking (and hence the event count) changes with Batch and,
-	// under the auto width, with Workers; and at any width, which jobs
-	// each chunk carries can change with Workers, because the
-	// impedance pre-screen reorders batches only when they outnumber
-	// the workers. The assembled results never change.
+	// the scheduler in batch order (see ChunkResult), so the stream is
+	// a pure function of the study, Batch and Workers: Batch sets the
+	// chunking and, under the auto width, Workers can split it; no
+	// setting reorders the jobs. The assembled results never change.
 	Progress progress.Sink
 }
 
@@ -197,15 +191,12 @@ func measureWindow(s stressmark.Spec) (start, dur float64) {
 }
 
 // measJob is one measurement a batched study wants taken: the
-// workloads plus the measurement window. freq is the stimulus
-// frequency behind the job (0 when unknown); it only steers the
-// impedance pre-screen ordering, never the measurement itself.
+// workloads plus the measurement window.
 type measJob struct {
 	wl     [core.NumCores]core.Workload
 	start  float64
 	dur    float64
 	record bool
-	freq   float64
 }
 
 func (j measJob) spec() core.RunSpec {
@@ -232,70 +223,16 @@ func (l *Lab) specJob(s stressmark.Spec, offsets *[core.NumCores]uint64) (measJo
 		return measJob{}, err
 	}
 	start, dur := measureWindow(s)
-	return measJob{wl: wl, start: start, dur: dur, freq: s.StimulusFreq}, nil
-}
-
-// prioritizeBatches orders whole batches so the ones nearest the PDN's
-// first-droop resonance run first: a frequency-domain pre-screen ranks
-// each batch by the largest impedance magnitude |Z(f)| among its jobs'
-// stimulus frequencies (pdn.ImpedanceProfile phasor analysis), and a
-// stable sort schedules worst-case batches at the head of the queue.
-// Only the schedule changes: every job keeps its index, the reduction
-// stays ordered, and the study outputs are bit-identical with the
-// pre-screen on or off — ordering is hash-excluded exactly like the
-// workers and batch knobs.
-func (l *Lab) prioritizeBatches(jobs []measJob, batches [][]int) [][]int {
-	// With a worker free for every batch, all batches start at once and
-	// their order cannot move the schedule: skip the pre-screen and the
-	// impedance profile it pays for.
-	if len(batches) <= exec.Clamp(l.Workers, len(batches)) {
-		return batches
-	}
-	seen := map[float64]bool{}
-	var freqs []float64
-	for _, j := range jobs {
-		if j.freq > 0 && !seen[j.freq] {
-			seen[j.freq] = true
-			freqs = append(freqs, j.freq)
-		}
-	}
-	if len(freqs) < 2 {
-		return batches
-	}
-	prof, err := l.ImpedanceProfile(freqs)
-	if err != nil {
-		return batches
-	}
-	mag := make(map[float64]float64, len(prof))
-	for _, p := range prof {
-		mag[p.Freq] = p.Mag()
-	}
-	score := make([]float64, len(batches))
-	for bi, idxs := range batches {
-		for _, ji := range idxs {
-			if m := mag[jobs[ji].freq]; m > score[bi] {
-				score[bi] = m
-			}
-		}
-	}
-	order := make([]int, len(batches))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return score[order[a]] > score[order[b]] })
-	out := make([][]int, len(batches))
-	for i, bi := range order {
-		out[i] = batches[bi]
-	}
-	return out
+	return measJob{wl: wl, start: start, dur: dur}, nil
 }
 
 // ChunkResult is the Progress payload runMeasurements emits per
 // reduced chunk: the job indices the chunk covered and their
-// measurements, aligned one to one. Chunks arrive in reduction order;
-// Jobs carries the original job indices so consumers can place partial
-// results regardless of how the impedance pre-screen reordered the
-// schedule.
+// measurements, aligned one to one. Each chunk is one batch, and
+// chunks arrive in batch order: each window group of the jobs, in
+// first-appearance order, cut into consecutive runs of the lane width.
+// When the jobs share one window, as in every sweep, that is job
+// order.
 type ChunkResult struct {
 	Jobs         []int
 	Measurements []*core.Measurement
@@ -304,15 +241,14 @@ type ChunkResult struct {
 // runMeasurements executes the jobs and returns one measurement per
 // job, in job order. Jobs sharing a measurement window are packed into
 // the lanes of lockstep batch sessions (width exec.BatchWidthAuto of
-// l.Batch and l.Workers; batch 1 packs one job per batch), the
-// impedance pre-screen orders the batches when there are more batches
-// than workers, and they fan out across l.Workers. A lane's
+// l.Batch and l.Workers; batch 1 packs one job per batch), and the
+// batches fan out across l.Workers in batch order. A lane's
 // arithmetic does not depend on the width, so the results are
 // bit-identical at every (workers, batch) combination. When l.Progress
 // is set, each reduced chunk additionally emits a ChunkResult from the
 // ordered-reduction side.
 func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Measurement, error) {
-	width := exec.BatchWidthAuto(l.Batch, len(jobs), l.Workers, l.Platform.Sessions().AutoBatchWidth)
+	width := exec.BatchWidthAuto(l.Batch, len(jobs), l.Workers, pdn.AutoBatchLanes())
 	// Group jobs by warmup window — lockstep lanes must share Start and
 	// Warmup, while each lane observes only its own Duration — in
 	// first-appearance order, then cut each group into width-sized
@@ -336,7 +272,6 @@ func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Meas
 			batches = append(batches, g[r[0]:r[1]])
 		}
 	}
-	batches = l.prioritizeBatches(jobs, batches)
 	out := make([]*core.Measurement, len(jobs))
 	done := 0
 	// Each batch is one whole lockstep chunk: workers own contiguous

@@ -184,7 +184,7 @@ func (l *Lab) runMappings(ctx context.Context, freq float64, events int, assigns
 				wl[i] = medWl
 			}
 		}
-		jobs[j] = measJob{wl: wl, start: start, dur: dur, freq: freq}
+		jobs[j] = measJob{wl: wl, start: start, dur: dur}
 	}
 	ms, err := l.runMeasurements(ctx, jobs)
 	if err != nil {

@@ -3,7 +3,6 @@ package noise
 import (
 	"context"
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -119,28 +118,6 @@ func TestImpedanceProfileBands(t *testing.T) {
 	peaks := pdn.Peaks(prof)
 	if len(peaks) < 2 {
 		t.Fatalf("%d peaks", len(peaks))
-	}
-}
-
-// TestPrioritizeBatchesNeedsAQueue checks the pre-screen moves the
-// first-droop batch to the head only when batches outnumber workers —
-// with a worker per batch, every batch starts at once and the
-// impedance profile is not worth computing.
-func TestPrioritizeBatchesNeedsAQueue(t *testing.T) {
-	jobs := []measJob{{freq: 8e6}, {freq: 2e6}}
-	batches := [][]int{{0}, {1}}
-	for _, c := range []struct {
-		workers int
-		want    [][]int
-	}{
-		{1, [][]int{{1}, {0}}},
-		{2, [][]int{{0}, {1}}},
-		{8, [][]int{{0}, {1}}},
-	} {
-		l := withWorkers(t, c.workers)
-		if got := l.prioritizeBatches(jobs, batches); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("workers=%d: order %v, want %v", c.workers, got, c.want)
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"voltnoise/internal/core"
 	"voltnoise/internal/mapping"
+	"voltnoise/internal/pdn"
 )
 
 // PlacementBatchEvaluator returns a mapping.Evaluator that measures
@@ -49,17 +50,17 @@ func (l *Lab) PlacementBatchEvaluator(ctx context.Context, freq float64, events 
 // MappingOpportunity runs the paper's Figure 15 study: the best/worst
 // placement gap for each workload count in ks, with the placement
 // measurements packed into lockstep lanes (l.Batch, auto resolved to
-// the pool's calibrated width) and fanned out across l.Workers.
+// pdn.AutoBatchLanes) and fanned out across l.Workers.
 func (l *Lab) MappingOpportunity(ctx context.Context, freq float64, events int, ks []int) ([]mapping.Opportunity, error) {
 	return mapping.Study(ctx, ks, l.Workers, l.resolveBatch(), l.PlacementBatchEvaluator(ctx, freq, events))
 }
 
 // resolveBatch resolves the Lab's batch knob for callees that take a
-// concrete width (the mapping study): auto (0) becomes the session
-// pool's calibrated lane width, explicit settings pass through.
+// concrete width (the mapping study): auto (0) becomes
+// pdn.AutoBatchLanes, explicit settings pass through.
 func (l *Lab) resolveBatch() int {
 	if l.Batch > 0 {
 		return l.Batch
 	}
-	return l.Platform.Sessions().AutoBatchWidth()
+	return pdn.AutoBatchLanes()
 }

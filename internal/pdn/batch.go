@@ -576,18 +576,6 @@ func blk[P interface {
 	return P(s[i*B:][:B])
 }
 
-// LaneFootprintBytes reports the engine state one lane streams through
-// per step — companion state, potentials, right-hand side, and plan
-// contributions — for the width-calibration footprint gate: widths
-// whose total working set outgrows cache stop paying for themselves.
-func (t *BatchTransient) LaneFootprintBytes() int {
-	perLane := 3*len(t.c.elements) + // vab, ibr, hist
-		2*t.c.NumNodes() + // pots, fixedPot
-		t.n + // rhs
-		2*len(t.plan) // planFA, planFB
-	return 8 * perLane
-}
-
 // RunUntil advances all lanes until the given absolute time without
 // recording anything. Useful for warm-up.
 func (t *BatchTransient) RunUntil(until float64) error {

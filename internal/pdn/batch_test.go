@@ -1,6 +1,7 @@
 package pdn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -241,27 +242,40 @@ func TestBatchStepDoesNotAllocate(t *testing.T) {
 // steps. The AllocsPerRun guard above keeps the loop at 0 allocs/step.
 func BenchmarkBatchStep(b *testing.B) {
 	for _, lanes := range []int{1, 4, 8, 16} {
-		b.Run(map[int]string{1: "Lanes1", 4: "Lanes4", 8: "Lanes8", 16: "Lanes16"}[lanes], func(b *testing.B) {
-			cfg := DefaultZEC12Config()
-			ckt, nodes := ZEC12(cfg)
-			cur := 0
-			for i := range nodes.Core {
-				i := i
-				ckt.AddLoad("core", nodes.Core[i], func(tm float64) float64 {
-					return batchWave(cur)(tm) * float64(i+1)
-				})
-			}
-			bt, err := NewBatchTransient(ckt, 2e-9, lanes, func(l int) { cur = l })
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bt.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
+		b.Run(fmt.Sprintf("Lanes%d", lanes), func(b *testing.B) { benchBatchStep(b, lanes) })
+	}
+	// The same steps on the pure-Go solve bodies, the other input of
+	// AutoBatchLanes.
+	if useSolveAVX2 {
+		defer func() { useSolveAVX2 = true }()
+		useSolveAVX2 = false
+		for _, lanes := range []int{DefaultBatchLanes, WideBatchLanes} {
+			b.Run(fmt.Sprintf("Go%d", lanes), func(b *testing.B) { benchBatchStep(b, lanes) })
+		}
+	}
+}
+
+// benchBatchStep times one lockstep step of the zEC12 network at the
+// given width, each lane driving its six cores with its own waveform.
+func benchBatchStep(b *testing.B, lanes int) {
+	cfg := DefaultZEC12Config()
+	ckt, nodes := ZEC12(cfg)
+	cur := 0
+	for i := range nodes.Core {
+		i := i
+		ckt.AddLoad("core", nodes.Core[i], func(tm float64) float64 {
+			return batchWave(cur)(tm) * float64(i+1)
 		})
+	}
+	bt, err := NewBatchTransient(ckt, 2e-9, lanes, func(l int) { cur = l })
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bt.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -160,6 +160,24 @@ func BenchmarkInPlaceSolve(b *testing.B) {
 	}
 }
 
+// TestAutoBatchLanes pins the auto-width rule on both solve bodies:
+// 16 lanes with the AVX2 kernels, 8 on the pure-Go walks.
+func TestAutoBatchLanes(t *testing.T) {
+	defer func(v bool) { useSolveAVX2 = v }(useSolveAVX2)
+	for _, c := range []struct {
+		vector bool
+		want   int
+	}{
+		{true, WideBatchLanes},
+		{false, DefaultBatchLanes},
+	} {
+		useSolveAVX2 = c.vector
+		if got := AutoBatchLanes(); got != c.want {
+			t.Errorf("useSolveAVX2=%v: AutoBatchLanes() = %d, want %d", c.vector, got, c.want)
+		}
+	}
+}
+
 // TestBatch16LanesMatchSingleLane extends the core lockstep contract to
 // the wide width: every lane of a width-16 batch stays bit-identical to
 // a dedicated single-lane Transient, through both the vector and the

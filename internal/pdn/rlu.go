@@ -317,10 +317,26 @@ func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 const DefaultBatchLanes = 8
 
 // WideBatchLanes is the second specialized lane width: twice the
-// default, for hosts whose calibration finds the per-lane cost still
-// dropping past 8 (the substitution kernels gain instruction-level
-// parallelism with width until the lane state outgrows cache).
+// default. It is the auto width wherever the AVX2 substitution bodies
+// run (see AutoBatchLanes).
 const WideBatchLanes = 16
+
+// AutoBatchLanes is the lane width studies use when their batch knob
+// asks for auto: WideBatchLanes when the AVX2 substitution bodies run,
+// DefaultBatchLanes on the pure-Go bodies. The rule restates what
+// timing the two widths converges to on each body. On a shared 2-vCPU
+// x86-64 host, BenchmarkBatchStep (12 interleaved runs, median per
+// lane-step) cost 587 ns at width 8 and 550 ns at width 16 with AVX2,
+// and 722 ns at width 8 and 774 ns at width 16 on the Go bodies. The
+// lane state does not bound the width: a zEC12 lane streams 1,968 B
+// of engine state per step, 31 KB at width 16. Lanes are bit-identical
+// at every width, so the answer moves only wall-clock time.
+func AutoBatchLanes() int {
+	if useSolveAVX2 {
+		return WideBatchLanes
+	}
+	return DefaultBatchLanes
+}
 
 // solveBatch8InPlace is the width-8 register-blocked substitution,
 // run in place on right-hand sides the caller assembled in permuted

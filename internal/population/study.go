@@ -6,6 +6,7 @@ import (
 
 	"voltnoise/internal/core"
 	"voltnoise/internal/exec"
+	"voltnoise/internal/pdn"
 	"voltnoise/internal/progress"
 )
 
@@ -120,21 +121,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Cut each bin's chip list into lockstep batches. The batch list
 	// is a pure function of (chips, bins, width) — scheduling knobs
-	// only decide which worker runs which batch when, and the
-	// calibrated auto width moves only wall-clock time (lanes are
-	// bit-identical at every width). All bins share one circuit
-	// topology, so any bin's pool calibrates for the whole study.
-	var auto func() int
-	for _, p := range platforms {
-		if p != nil {
-			auto = p.Sessions().AutoBatchWidth
-			break
-		}
-	}
-	// The width is resolved as for one worker, so it is never split to
-	// feed idle workers: a 24-chip bin on two workers ran slower as
-	// 12+12 lanes than as 16+8.
-	width := exec.BatchWidthAuto(cfg.Batch, cfg.Chips, 1, auto)
+	// only decide which worker runs which batch when, and the auto
+	// width (pdn.AutoBatchLanes) moves only wall-clock time (lanes are
+	// bit-identical at every width). The width is resolved as for one
+	// worker, so it is never split to feed idle workers: a 24-chip bin
+	// on two workers ran slower as 12+12 lanes than as 16+8.
+	width := exec.BatchWidthAuto(cfg.Batch, cfg.Chips, 1, pdn.AutoBatchLanes())
 	type chipBatch struct {
 		bin int
 		ids []int

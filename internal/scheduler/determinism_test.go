@@ -7,11 +7,11 @@ import (
 	"voltnoise/internal/core"
 )
 
-// TestFitPairwiseNDeterminism: fitting the pairwise model with the 21
+// TestFitPairwiseDeterminism: fitting the pairwise model with the 21
 // measurements fanned out across workers produces the exact model the
 // serial fit does — each measurement depends only on its core set and
 // the coupling combine runs in fixed pair order.
-func TestFitPairwiseNDeterminism(t *testing.T) {
+func TestFitPairwiseDeterminism(t *testing.T) {
 	ref := clusterModel()
 	eval := func(cores []int) (float64, error) {
 		var busy [core.NumCores]bool

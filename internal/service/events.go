@@ -86,9 +86,9 @@ func resultSum(b []byte) string {
 // lifecycle events only: its result is one indivisible table.
 
 // IndexedFreqPoint ties a sweep partial point to its position in the
-// final Points slice. The impedance pre-screen reorders the
-// measurement schedule, so chunks arrive in reduction order but always
-// carry original sweep indices.
+// final Points slice. Chunks arrive in sweep order, but a chunk's
+// first index depends on the batch width, so each point carries its
+// sweep index.
 type IndexedFreqPoint struct {
 	Index int            `json:"index"`
 	Point FreqSweepPoint `json:"point"`

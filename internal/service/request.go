@@ -87,9 +87,9 @@ type Request struct {
 	// (0 = one per CPU, 1 = serial). Scheduling only; not hashed.
 	Workers int `json:"workers,omitempty"`
 	// Batch is the lockstep batch lane width for studies that pack
-	// measurement runs into one factored circuit (0 = auto: the
-	// session pool's calibrated width, picked once per pool from the
-	// register-blocked kernels; 1 = lane-per-run). Like Workers it is
+	// measurement runs into one factored circuit (0 = auto:
+	// pdn.AutoBatchLanes, 16 lanes on the AVX2 solve bodies and 8 on
+	// the pure-Go ones; 1 = lane-per-run). Like Workers it is
 	// scheduling only — every width produces bit-identical bytes — so
 	// it is excluded from the canonical hash.
 	Batch int `json:"batch,omitempty"`

@@ -13,6 +13,7 @@ import (
 
 	"voltnoise/internal/core"
 	"voltnoise/internal/exec"
+	"voltnoise/internal/pdn"
 	"voltnoise/internal/progress"
 )
 
@@ -50,12 +51,13 @@ type Config struct {
 	// Batch is the lockstep lane width: consecutive bias steps pack
 	// into the lanes of one batch session — per-lane fixed supplies
 	// let one factored circuit probe several biases per step walk.
-	// Zero selects the auto width — the session pool's calibrated
-	// lane width (core.SessionPool.AutoBatchWidth); one runs one step
-	// per width-1 session. Unlike the noise studies, the walk never
-	// splits the auto width to feed idle workers: for a 17-step walk on
-	// two workers, 9+8 lanes measured no faster than 16+1, so the
-	// calibrated width stands. Workers contend for whole chunks by work
+	// Zero selects the auto width, pdn.AutoBatchLanes: 16 lanes where
+	// the AVX2 substitution bodies run, 8 on the pure-Go bodies, the
+	// faster per lane-step on each. One runs one step per width-1
+	// session. Unlike the noise studies, the walk never splits the
+	// auto width to feed idle workers: for a 17-step walk on two
+	// workers, 9+8 lanes measured no faster than 16+1, so the auto
+	// width stands. Workers contend for whole chunks by work
 	// stealing (exec.MapStolen). Like Workers, every setting is
 	// bit-identical: a lane's arithmetic does not depend on the width,
 	// and the reduction stays in descending-bias order.
@@ -180,7 +182,7 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 	// stealing; the reduction stays in descending-bias order. The width
 	// is resolved as for one worker, so it is never split for workers
 	// (see Config.Batch).
-	width := exec.BatchWidthAuto(cfg.Batch, len(biases), 1, sessions.AutoBatchWidth)
+	width := exec.BatchWidthAuto(cfg.Batch, len(biases), 1, pdn.AutoBatchLanes())
 	err := exec.MapStolen(ctx, len(biases), width, cfg.Workers,
 		func(ctx context.Context, start, end int) ([]step, error) {
 			lanes := end - start
