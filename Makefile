@@ -10,8 +10,9 @@
 #   make fuzz-smoke  short fuzzing pass over the request validator,
 #                    the journal replayer and the client's SSE frame
 #                    parser (plus their seed corpora)
-#   make profile     CPU profiles of the FrequencySweep pair into
-#                    results/ for step-kernel hot-spot digging
+#   make profile     CPU profiles of the FrequencySweep pair and of
+#                    ResonanceDiscovery into results/ for step-kernel
+#                    hot-spot digging
 #   make run-service start the voltnoised HTTP service on :8080
 #   make fault       fault-injection suite: store failures, corruption,
 #                    crash recovery, journaled shutdown
@@ -82,10 +83,16 @@ race:
 	$(GO) test -race ./internal/...
 
 # batch-determinism runs the lockstep-batching determinism suites
-# under the race detector: every study must produce bit-identical
-# results at batch widths {1,3,8,16} x workers {1,4,8}, and the shared
-# batch-session pool and the stolen-chunk scheduler must stay
-# race-clean while doing it.
+# under the race detector: every study must produce results
+# bit-identical to its serial width-1 run across its (workers, batch)
+# grid, and the shared batch-session pool and the stolen-chunk
+# scheduler must stay race-clean while doing it. The grids: noise
+# sweeps and mappings batch {0,1,3,4,8,16} x workers {1,4,8} (the
+# frequency sweep has 16 runs, so it reaches a full 16-lane batch);
+# noise resonance search batch {0,1,3,8,16} x workers {1,2,8}; the
+# service batch {1,3,8,16} x workers {1,4,8}; mapping batch
+# {0,3,8,16} x workers {1,2,8,64}; vmin, epi and population batch
+# {1,3,8} x workers {1,4,8}. Batch 0 is the auto width.
 batch-determinism:
 	$(GO) test -race -run 'Batch|Determinism|Invariance' ./internal/noise/ ./internal/vmin/ ./internal/epi/ ./internal/core/ ./internal/population/ ./internal/service/ ./internal/mapping/ ./internal/scheduler/
 
@@ -128,8 +135,11 @@ bench-check:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) /tmp/bench-check.json -max-regress $(BENCH_MAX_REGRESS)
 
 # profile captures CPU profiles of the FrequencySweep pair — the
-# serial lane-per-run path and the parallel lockstep-lane path — into
-# results/, along with the test binary pprof needs to symbolize them.
+# serial lane-per-run path and the parallel lockstep-lane path — and
+# of ResonanceDiscovery, whose coarse round runs 4-lane batches and
+# whose refinement rounds run width-1 steps (pprof's stepBlocks vs
+# stepScalar split), into results/, along with the test binary pprof
+# needs to symbolize them.
 # Inspect with: go tool pprof results/profile.test results/freqsweep_parallel.pprof
 profile:
 	mkdir -p results
@@ -137,7 +147,9 @@ profile:
 		-cpuprofile results/freqsweep_serial.pprof -o results/profile.test .
 	$(GO) test -run NONE -bench 'FrequencySweepParallel$$' -benchtime 3x \
 		-cpuprofile results/freqsweep_parallel.pprof -o results/profile.test .
-	@echo "profiles in results/: freqsweep_serial.pprof freqsweep_parallel.pprof"
+	$(GO) test -run NONE -bench 'ResonanceDiscovery$$' -benchtime 5x \
+		-cpuprofile results/resonance.pprof -o results/profile.test .
+	@echo "profiles in results/: freqsweep_serial.pprof freqsweep_parallel.pprof resonance.pprof"
 
 # run-service starts the voltnoised characterization service; stop it
 # with SIGINT/SIGTERM for a graceful queue drain.

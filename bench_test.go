@@ -411,12 +411,15 @@ func benchPopulationStudy(b *testing.B, workers, batch int) {
 func BenchmarkPopulationStudySerial(b *testing.B)   { benchPopulationStudy(b, 1, 1) }
 func BenchmarkPopulationStudyParallel(b *testing.B) { benchPopulationStudy(b, 0, 0) }
 
-// BenchmarkResonanceDiscovery measures the automated resonance search.
+// BenchmarkResonanceDiscovery measures the automated resonance search
+// in the shape of the voltbench resonance workload: an 8-point coarse
+// grid over a decade (two 4-lane batches on two workers) refined to a
+// 5 % bracket in width-1 pairs.
 func BenchmarkResonanceDiscovery(b *testing.B) {
 	lab := benchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		freq, _, _, err := lab.FindResonance(context.Background(), 500e3, 5e6, 6, 0.2)
+		freq, _, _, err := lab.FindResonance(context.Background(), 500e3, 5e6, 8, 0.05)
 		if err != nil {
 			b.Fatal(err)
 		}

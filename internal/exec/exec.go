@@ -93,8 +93,8 @@ func BatchWidth(batch, n int) int {
 // runs in parallel. Once every worker has a batch, balancing them does
 // not pay: a 24-chip, one-bin population study on the same host took
 // 15.7 ms as 12+12 lanes against 12.2 ms as 16+8 (medians of 10
-// pairs), because widths off the register-blocked 8 and 16 take the
-// generic kernel. An explicit batch is never split. The result is a
+// pairs), because 12 is off the register-blocked widths 4, 8 and 16
+// and takes the generic kernel. An explicit batch is never split. The result is a
 // pure function of the arguments, and lane results are bit-identical
 // at every width, so the choice moves only wall-clock time, never
 // output.

@@ -20,13 +20,16 @@ import (
 
 // batchGrid is the (workers, batch) matrix every batched study is
 // checked across, against the serial lane-per-run baseline: batch
-// widths {1, 3, 8} (lane-per-run, a ragged width, the full default
-// width) crossed with worker counts {1, 4, 8} (serial, a stealing
-// pool smaller than the chunk count, one worker per chunk).
+// knobs {0, 1, 3, 4, 8, 16} (auto, lane-per-run, a ragged width, and
+// the three register-blocked widths) crossed with worker counts
+// {1, 4, 8} (serial, a stealing pool smaller than the chunk count, one
+// worker per chunk). A knob wider than a study's run count resolves to
+// that count, so the grid reaches width 16 only in studies with at
+// least 16 runs (the frequency sweep below).
 var batchGrid = []struct{ workers, batch int }{
-	{1, 1}, {1, 3}, {1, 8},
-	{4, 1}, {4, 3}, {4, 8},
-	{8, 1}, {8, 3}, {8, 8},
+	{1, 0}, {1, 1}, {1, 3}, {1, 4}, {1, 8}, {1, 16},
+	{4, 0}, {4, 1}, {4, 3}, {4, 4}, {4, 8}, {4, 16},
+	{8, 0}, {8, 1}, {8, 3}, {8, 4}, {8, 8}, {8, 16},
 }
 
 // withWorkersBatch returns a copy of the shared test lab pinned to the
@@ -37,8 +40,14 @@ func withWorkersBatch(t *testing.T, workers, batch int) *Lab {
 	return l
 }
 
+// TestFrequencySweepBatchDeterminism sweeps 16 frequencies, so batch
+// 16 runs one full 16-lane batch (as does auto on one worker on AVX2
+// hosts) and batch 4 runs four 4-lane batches.
 func TestFrequencySweepBatchDeterminism(t *testing.T) {
-	freqs := []float64{1e6, 2e6, 3e6, 4e6}
+	freqs := make([]float64, 16)
+	for i := range freqs {
+		freqs[i] = 1e6 + 0.2e6*float64(i)
+	}
 	run := func(workers, batch int) []FreqPoint {
 		pts, err := withWorkersBatch(t, workers, batch).FrequencySweep(context.Background(), freqs, true, 200)
 		if err != nil {

@@ -365,16 +365,19 @@ func (t *BatchTransient) initState() {
 // Step advances every lane by one timestep. It allocates nothing.
 //
 // Width 1 walks the plan with scalar state; every other width walks it
-// over lane blocks (stepBlocks), instantiated for the two widths the
-// register-blocked substitution kernels serve and once for the rest.
-// Both bodies perform the same per-lane arithmetic in the same order.
-// On divergence the engine state is abandoned with the error.
+// over lane blocks (stepBlocks), instantiated for the three widths the
+// register-blocked substitution kernels serve (4, 8 and 16) and once
+// for the rest. Both bodies perform the same per-lane arithmetic in the
+// same order. On divergence the engine state is abandoned with the
+// error.
 func (t *BatchTransient) Step() error {
 	next := t.time + t.dt
 	var bad int
 	switch t.lanes {
 	case 1:
 		bad = t.stepScalar(next)
+	case NarrowBatchLanes:
+		bad = stepBlocks[*[NarrowBatchLanes]float64](t, next)
 	case DefaultBatchLanes:
 		bad = stepBlocks[*[DefaultBatchLanes]float64](t, next)
 	case WideBatchLanes:
@@ -468,15 +471,19 @@ func (t *BatchTransient) stepScalar(next float64) (bad int) {
 	return bad
 }
 
+// laneBlock is the set of lane-block shapes: an array pointer for each
+// register-blocked width, a slice for the rest.
+type laneBlock interface {
+	*[NarrowBatchLanes]float64 | *[DefaultBatchLanes]float64 | *[WideBatchLanes]float64 | []float64
+}
+
 // stepBlocks is the step at widths other than 1: stepScalar's walk with
 // every scalar replaced by a block of lane values. P is the block
 // shape: a fixed-size array pointer at the register-blocked widths, so
 // the width is a compile-time constant and the lane loops run without
 // bounds checks, or a slice for every other width. It returns -1, or
 // the last lane that diverged.
-func stepBlocks[P interface {
-	*[DefaultBatchLanes]float64 | *[WideBatchLanes]float64 | []float64
-}](t *BatchTransient, next float64) (bad int) {
+func stepBlocks[P laneBlock](t *BatchTransient, next float64) (bad int) {
 	var zero P
 	B := len(zero)
 	if B == 0 {
@@ -570,9 +577,7 @@ func stepBlocks[P interface {
 // blk returns row i of the lane-innermost block s (lanes i*B..i*B+B)
 // in block shape P. Slicing to exactly B lanes lets the compiler prove
 // every lane index below B in bounds for the slice shape too.
-func blk[P interface {
-	*[DefaultBatchLanes]float64 | *[WideBatchLanes]float64 | []float64
-}](s []float64, i, B int) P {
+func blk[P laneBlock](s []float64, i, B int) P {
 	return P(s[i*B:][:B])
 }
 

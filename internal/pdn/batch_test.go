@@ -3,6 +3,7 @@ package pdn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -222,7 +223,7 @@ func TestBatchRejectsBadArgs(t *testing.T) {
 // allocation-free, alongside the single-lane guard: the batch engine
 // must run entirely on preallocated state whatever the width.
 func TestBatchStepDoesNotAllocate(t *testing.T) {
-	for _, lanes := range []int{1, 8, 16} {
+	for _, lanes := range []int{1, 4, 8, 16} {
 		bt, _ := newBatchRLC(t, lanes, 0)
 		if allocs := testing.AllocsPerRun(100, func() {
 			if err := bt.Step(); err != nil {
@@ -230,6 +231,42 @@ func TestBatchStepDoesNotAllocate(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("lanes=%d: Step allocates %v objects per call, want 0", lanes, allocs)
+		}
+	}
+}
+
+// TestNewBatchTransientAllocs pins the cost of building a zEC12 engine.
+// Objects are pinned at today's 88 per engine at every width: the
+// factors' pattern slices are sized by a counting pass, one allocation
+// each, where growing them by append took 168. Bytes are pinned at or
+// below the figures from before the factor gained its forward row
+// list: 42,496, 48,727, 57,632 and 74,528 at widths 1, 4, 8 and 16.
+// Population studies build engines per bin on every run, so
+// construction allocation shows up end to end.
+func TestNewBatchTransientAllocs(t *testing.T) {
+	const maxAllocs = 88
+	ckt, _ := ZEC12(DefaultZEC12Config())
+	for _, c := range []struct {
+		lanes    int
+		maxBytes uint64
+	}{{1, 42496}, {NarrowBatchLanes, 48727}, {DefaultBatchLanes, 57632}, {WideBatchLanes, 74528}} {
+		build := func() {
+			if _, err := NewBatchTransient(ckt, 2e-9, c.lanes, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, build); allocs > maxAllocs {
+			t.Errorf("lanes=%d: NewBatchTransient allocates %v objects, want <= %d", c.lanes, allocs, maxAllocs)
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > c.maxBytes {
+			t.Errorf("lanes=%d: NewBatchTransient allocates %d bytes, want <= %d", c.lanes, bytes, c.maxBytes)
 		}
 	}
 }
@@ -258,16 +295,8 @@ func BenchmarkBatchStep(b *testing.B) {
 // benchBatchStep times one lockstep step of the zEC12 network at the
 // given width, each lane driving its six cores with its own waveform.
 func benchBatchStep(b *testing.B, lanes int) {
-	cfg := DefaultZEC12Config()
-	ckt, nodes := ZEC12(cfg)
 	cur := 0
-	for i := range nodes.Core {
-		i := i
-		ckt.AddLoad("core", nodes.Core[i], func(tm float64) float64 {
-			return batchWave(cur)(tm) * float64(i+1)
-		})
-	}
-	bt, err := NewBatchTransient(ckt, 2e-9, lanes, func(l int) { cur = l })
+	bt, err := NewBatchTransient(zec12WithLaneLoads(&cur), 2e-9, lanes, func(l int) { cur = l })
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -278,4 +307,18 @@ func benchBatchStep(b *testing.B, lanes int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// zec12WithLaneLoads builds the calibrated zEC12 network with core i
+// drawing batchWave(*lane) scaled by i+1: a batch points lane at the
+// active lane through onLane, a single-lane run at a fixed value.
+func zec12WithLaneLoads(lane *int) *Circuit {
+	ckt, nodes := ZEC12(DefaultZEC12Config())
+	for i := range nodes.Core {
+		scale := float64(i + 1)
+		ckt.AddLoad("core", nodes.Core[i], func(tm float64) float64 {
+			return batchWave(*lane)(tm) * scale
+		})
+	}
+	return ckt
 }

@@ -23,6 +23,7 @@ const digestSteps = 2000
 var pinnedZEC12Digests = map[int]string{
 	1:  "b18a602c8e25c9751316d3f231434e322ca66bcc243f1c622ed76ab9509f9db3",
 	3:  "eb1e6c9426031f5e16a57c9feeb9ace08f18dad6d2942b43f52f0144bfe0a2f7",
+	4:  "ecdde31254b13a0a7f7754da208a1b5ac6a1274c234ff2e4f9bfa47442b2b66c",
 	8:  "bfa7532c5ac2e61c263af5ce6172230d7bb276e9699b8fb195c93f7344d44374",
 	16: "bcf6f8b3bdeb3a391d8c39cb8774b32a8090de2160fe3fb46791c50afb3830be",
 }
@@ -86,15 +87,17 @@ func batchDigest(t *testing.T, lanes int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestZEC12DigestPinned checks the batch engine at widths 1, 3, 8 and
-// 16 (with the vector substitution kernels and with the Go fallback),
-// and the single-lane Transient, against the pinned digests.
+// TestZEC12DigestPinned checks the batch engine at widths 1, 3, 4, 8
+// and 16 (with the vector substitution kernels and with the Go
+// fallback), and the single-lane Transient, against the pinned
+// digests. The width-4 digest was taken on the slice-generic body,
+// before width 4 had a register-blocked kernel.
 func TestZEC12DigestPinned(t *testing.T) {
 	skipUnlessPinnedArch(t)
 	defer func(v bool) { useSolveAVX2 = v }(useSolveAVX2)
 	for _, vector := range []bool{useSolveAVX2, false} {
 		useSolveAVX2 = vector
-		for _, lanes := range []int{1, 3, 8, 16} {
+		for _, lanes := range []int{1, 3, 4, 8, 16} {
 			if got, want := batchDigest(t, lanes), pinnedZEC12Digests[lanes]; got != want {
 				t.Errorf("width %d (vector kernels %v): digest %s, want %s", lanes, vector, got, want)
 			}

@@ -7,11 +7,11 @@ import (
 )
 
 // FuzzSolveBatchInPlace hammers the in-place permuted-RHS substitution
-// kernels — single-lane, the width-8 and width-16 register blocks (both
-// the vector and pure-Go bodies), and the generic run-plan walk — with
-// random sparse diagonally-dominant systems and random right-hand
-// sides, and requires every path to reproduce the element-wise
-// reference walk bit for bit. The matrix sparsity pattern, values, and
+// kernels — single-lane, the width-4, width-8 and width-16 register
+// blocks (both the vector and pure-Go bodies), and the generic run-plan
+// walk — with random sparse diagonally-dominant systems and random
+// right-hand sides, and requires every path to reproduce the
+// element-wise reference walk bit for bit. The matrix sparsity pattern, values, and
 // lane data all derive from the fuzzed bytes, so the corpus explores
 // pivoting permutations, empty substitution rows, and denormal-scale
 // values the unit tests' fixed seeds never reach.

@@ -1,6 +1,8 @@
 package pdn
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -17,7 +19,7 @@ func permuteRHS(lu *realLU, b []float64, lanes int) []float64 {
 }
 
 // TestSolveInPlaceMatchesSolveInto: the in-place permuted-RHS walks —
-// single-lane, width 8, width 16, and the generic widths — are
+// single-lane, widths 4, 8 and 16, and the generic widths — are
 // byte-identical to the two-buffer element-wise reference on both the
 // production zEC12 factor and randomized sparse factors.
 func TestSolveInPlaceMatchesSolveInto(t *testing.T) {
@@ -52,7 +54,7 @@ func TestSolveInPlaceMatchesSolveInto(t *testing.T) {
 		x := permuteRHS(lu, b, 1)
 		lu.solveInPlace(x)
 		byteIdentical(t, "solveInPlace", x, want)
-		for _, lanes := range []int{1, 3, 5, 8, 16} {
+		for _, lanes := range []int{1, 3, 4, 5, 8, 16} {
 			bb := make([]float64, n*lanes)
 			for i := range bb {
 				bb[i] = rng.NormFloat64()
@@ -69,8 +71,8 @@ func TestSolveInPlaceMatchesSolveInto(t *testing.T) {
 
 // TestSolveBatchInPlaceVectorMatchesGo pins the hand-written vector
 // kernels to the pure-Go register-blocked walks bit for bit, on the
-// production factor and randomized sparse factors, at both specialized
-// widths. Hosts without the vector path have nothing to compare and
+// production factor and randomized sparse factors, at every specialized
+// width. Hosts without the vector path have nothing to compare and
 // skip.
 func TestSolveBatchInPlaceVectorMatchesGo(t *testing.T) {
 	if !useSolveAVX2 {
@@ -98,7 +100,7 @@ func TestSolveBatchInPlaceVectorMatchesGo(t *testing.T) {
 		factors = append(factors, lu)
 	}
 	for _, lu := range factors {
-		for _, lanes := range []int{DefaultBatchLanes, WideBatchLanes} {
+		for _, lanes := range []int{NarrowBatchLanes, DefaultBatchLanes, WideBatchLanes} {
 			b := make([]float64, lu.n*lanes)
 			for i := range b {
 				b[i] = rng.NormFloat64()
@@ -118,46 +120,56 @@ func TestSolveBatchInPlaceVectorMatchesGo(t *testing.T) {
 // BenchmarkInPlaceSolve measures the in-place permuted-RHS
 // substitution kernels on the production factor — the per-step solve
 // cost at each specialized width (compare BenchmarkBlockedSolve for the
-// two-buffer walks they replaced). Go8/Go16 force the pure-Go register
-// blocks so the vector kernels' margin is visible on AVX2 hosts.
+// two-buffer walks they replaced). Go4/Go8/Go16 force the pure-Go
+// register blocks so the vector kernels' margin is visible on AVX2
+// hosts.
+//
+// Every iteration refills the right-hand sides from a fixed source
+// before solving: a solve repeated on its own output shrinks toward
+// zero (on this factor max|x| is 1.9e-291 after 100 solves and exactly
+// 0 after 200), so timing that would time solves of zeros. The CopyN
+// entries time the refill alone; subtract them for the solve's cost.
 func BenchmarkInPlaceSolve(b *testing.B) {
 	lu := zec12LU(b)
 	n := lu.n
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, n*WideBatchLanes)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	src := randomRHS(n * WideBatchLanes)
+	x := make([]float64, len(src))
+	solve := func(name string, lanes int, kernel func([]float64)) {
+		b.Run(name, func(b *testing.B) {
+			xs, bs := x[:n*lanes], src[:n*lanes]
+			for i := 0; i < b.N; i++ {
+				copy(xs, bs)
+				kernel(xs)
+			}
+		})
 	}
-	b.Run("InPlace1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lu.solveInPlace(x[:n])
-		}
-	})
-	b.Run("InPlace8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lu.solveBatch8InPlace(x[:n*8])
-		}
-	})
-	b.Run("InPlace16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lu.solveBatch16InPlace(x)
-		}
-	})
+	noSolve := func([]float64) {}
+	for _, lanes := range []int{1, 4, DefaultBatchLanes, WideBatchLanes} {
+		solve(fmt.Sprintf("Copy%d", lanes), lanes, noSolve)
+	}
+	solve("InPlace1", 1, lu.solveInPlace)
+	solve("InPlace4", 4, lu.solveBatch4InPlace)
+	solve("InPlace8", DefaultBatchLanes, lu.solveBatch8InPlace)
+	solve("InPlace16", WideBatchLanes, lu.solveBatch16InPlace)
 	if useSolveAVX2 {
 		defer func() { useSolveAVX2 = true }()
 		useSolveAVX2 = false
-		b.Run("Go8", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lu.solveBatch8InPlace(x[:n*8])
-			}
-		})
-		b.Run("Go16", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lu.solveBatch16InPlace(x)
-			}
-		})
+		solve("Go4", 4, lu.solveBatch4InPlace)
+		solve("Go8", DefaultBatchLanes, lu.solveBatch8InPlace)
+		solve("Go16", WideBatchLanes, lu.solveBatch16InPlace)
 		useSolveAVX2 = true
 	}
+}
+
+// randomRHS returns m standard-normal values from a fixed seed: the
+// right-hand-side source the solve benchmarks refill from.
+func randomRHS(m int) []float64 {
+	rng := rand.New(rand.NewSource(1))
+	b := make([]float64, m)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	return b
 }
 
 // TestAutoBatchLanes pins the auto-width rule on both solve bodies:
@@ -179,11 +191,12 @@ func TestAutoBatchLanes(t *testing.T) {
 }
 
 // TestBatch16LanesMatchSingleLane extends the core lockstep contract to
-// the wide width: every lane of a width-16 batch stays bit-identical to
-// a dedicated single-lane Transient, through both the vector and the
+// the register-blocked widths: every lane of a width-4 and a width-16
+// batch stays bit-identical to a dedicated single-lane Transient, on
+// the RLC network and on the production zEC12 network (six loaded
+// cores, lane-distinct waveforms), through both the vector and the
 // pure-Go solve kernels.
 func TestBatch16LanesMatchSingleLane(t *testing.T) {
-	const lanes = WideBatchLanes
 	modes := []bool{useSolveAVX2}
 	if useSolveAVX2 {
 		modes = append(modes, false)
@@ -192,27 +205,67 @@ func TestBatch16LanesMatchSingleLane(t *testing.T) {
 	defer func() { useSolveAVX2 = saved }()
 	for _, vec := range modes {
 		useSolveAVX2 = vec
-		bt, out := newBatchRLC(t, lanes, 0)
-		singles := make([]*Transient, lanes)
-		outs := make([]NodeID, lanes)
-		for l := 0; l < lanes; l++ {
-			ckt, o := rlcWithLoad(batchWave(l))
-			tr, err := NewTransientAt(ckt, 1e-9, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			singles[l], outs[l] = tr, o
-		}
-		for i := 0; i < 3000; i++ {
-			if err := bt.Step(); err != nil {
-				t.Fatal(err)
-			}
+		for _, lanes := range []int{NarrowBatchLanes, WideBatchLanes} {
+			bt, out := newBatchRLC(t, lanes, 0)
+			singles := make([]*Transient, lanes)
+			outs := make([]NodeID, lanes)
 			for l := 0; l < lanes; l++ {
-				if err := singles[l].Step(); err != nil {
+				ckt, o := rlcWithLoad(batchWave(l))
+				tr, err := NewTransientAt(ckt, 1e-9, 0)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := bt.Voltage(l, out), singles[l].Voltage(outs[l]); got != want {
-					t.Fatalf("vector=%v step %d lane %d: %v != %v", vec, i, l, got, want)
+				singles[l], outs[l] = tr, o
+			}
+			for i := 0; i < 3000; i++ {
+				if err := bt.Step(); err != nil {
+					t.Fatal(err)
+				}
+				for l := 0; l < lanes; l++ {
+					if err := singles[l].Step(); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := bt.Voltage(l, out), singles[l].Voltage(outs[l]); got != want {
+						t.Fatalf("vector=%v lanes=%d step %d lane %d: %v != %v", vec, lanes, i, l, got, want)
+					}
+				}
+			}
+			checkZEC12LanesMatchSingle(t, lanes, vec)
+		}
+	}
+}
+
+// checkZEC12LanesMatchSingle steps a zEC12 batch of the given width
+// and one single-lane Transient per lane, with the benchBatchStep
+// loads, and requires every node potential of every lane to match its
+// single-lane run bit for bit at every step.
+func checkZEC12LanesMatchSingle(t *testing.T, lanes int, vec bool) {
+	t.Helper()
+	cur := 0
+	bt, err := NewBatchTransient(zec12WithLaneLoads(&cur), 2e-9, lanes, func(l int) { cur = l })
+	if err != nil {
+		t.Fatal(err)
+	}
+	singles := make([]*Transient, lanes)
+	for l := range singles {
+		l := l
+		if singles[l], err = NewTransient(zec12WithLaneLoads(&l), 2e-9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes := bt.c.NumNodes()
+	for i := 0; i < 1500; i++ {
+		if err := bt.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for l, tr := range singles {
+			if err := tr.Step(); err != nil {
+				t.Fatal(err)
+			}
+			for node := 0; node < nodes; node++ {
+				got, want := bt.Voltage(l, NodeID(node)), tr.Voltage(NodeID(node))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("zEC12 vector=%v lanes=%d step %d lane %d node %d: %v != %v", vec, lanes, i, l, node, got, want)
 				}
 			}
 		}

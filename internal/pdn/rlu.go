@@ -19,7 +19,6 @@ import (
 // performs identical arithmetic at every lane width.
 type realLU struct {
 	n    int
-	lu   []float64
 	perm []int
 	// invPerm is perm's inverse: invPerm[perm[i]] == i. The in-place
 	// solve paths have their callers assemble the right-hand side
@@ -31,13 +30,17 @@ type realLU struct {
 	// Sparse substitution pattern: row r's L nonzeros (columns < r)
 	// sit at lVal/lCol[lPtr[r]:lPtr[r+1]], its U nonzeros (columns
 	// > r) at uVal/uCol[uPtr[r]:uPtr[r+1]], columns ascending — the
-	// same order the dense loops visit them in. diag is the U
-	// diagonal.
+	// same order the dense loops visit them in. Each triangle is stored
+	// once; the back substitutions walk U's rows downward.
 	lVal, uVal []float64
 	lCol, uCol []int32
 	lPtr, uPtr []int32
-	diag       []float64
-	// invDiag is 1/diag, computed once at factorization time: the
+	// lRows lists, ascending, the rows whose L part is non-empty: the
+	// only rows the forward substitution changes. Their nonzeros are
+	// contiguous in lVal, so a walk over lRows consumes the L stream in
+	// order with one cursor.
+	lRows []int32
+	// invDiag is 1/diag(U), computed once at factorization time: the
 	// substitutions scale each row by multiplying with the reciprocal
 	// instead of dividing, trading one division per row per solve for
 	// one per row per factorization. Every solve path (blocked,
@@ -102,35 +105,61 @@ func factorReal(a []float64, n int) (*realLU, error) {
 			}
 		}
 	}
-	f := &realLU{n: n, lu: lu, perm: perm}
-	f.indexNonzeros()
+	f := &realLU{n: n, perm: perm}
+	f.indexNonzeros(lu)
 	return f, nil
 }
 
 // indexNonzeros records the nonzero pattern of the factored L and U
-// triangles for the sparse substitutions.
-func (f *realLU) indexNonzeros() {
+// triangles of the dense factor lu for the sparse substitutions. A
+// counting pass sizes every pattern slice exactly, so the index costs
+// one allocation per slice.
+func (f *realLU) indexNonzeros(lu []float64) {
 	n := f.n
 	f.invPerm = make([]int, n)
 	for i, p := range f.perm {
 		f.invPerm[p] = i
 	}
+	lNZ, uNZ, lRows := 0, 0, 0
+	for i := 0; i < n; i++ {
+		row := lu[i*n : i*n+n]
+		li := 0
+		for j := 0; j < i; j++ {
+			if row[j] != 0 {
+				li++
+			}
+		}
+		if li > 0 {
+			lRows++
+		}
+		lNZ += li
+		for j := i + 1; j < n; j++ {
+			if row[j] != 0 {
+				uNZ++
+			}
+		}
+	}
 	f.lPtr = make([]int32, n+1)
 	f.uPtr = make([]int32, n+1)
-	f.diag = make([]float64, n)
 	f.invDiag = make([]float64, n)
+	f.lVal, f.lCol = make([]float64, 0, lNZ), make([]int32, 0, lNZ)
+	f.uVal, f.uCol = make([]float64, 0, uNZ), make([]int32, 0, uNZ)
+	f.lRows = make([]int32, 0, lRows)
 	for i := 0; i < n; i++ {
-		f.diag[i] = f.lu[i*n+i]
-		f.invDiag[i] = 1 / f.diag[i]
+		row := lu[i*n : i*n+n]
+		f.invDiag[i] = 1 / row[i]
 		for j := 0; j < i; j++ {
-			if v := f.lu[i*n+j]; v != 0 {
+			if v := row[j]; v != 0 {
 				f.lVal = append(f.lVal, v)
 				f.lCol = append(f.lCol, int32(j))
 			}
 		}
 		f.lPtr[i+1] = int32(len(f.lVal))
+		if f.lPtr[i+1] > f.lPtr[i] {
+			f.lRows = append(f.lRows, int32(i))
+		}
 		for j := i + 1; j < n; j++ {
-			if v := f.lu[i*n+j]; v != 0 {
+			if v := row[j]; v != 0 {
 				f.uVal = append(f.uVal, v)
 				f.uCol = append(f.uCol, int32(j))
 			}
@@ -143,9 +172,19 @@ func (f *realLU) indexNonzeros() {
 
 // indexRuns groups each row's ascending nonzero columns into maximal
 // runs of consecutive columns, preserving order — the blocked
-// substitution plan.
+// substitution plan. A counting pass sizes the run slices exactly.
 func indexRuns(cols []int32, ptr []int32, n int) (runCol, runLen, runPtr []int32) {
+	runs := 0
+	for i := 0; i < n; i++ {
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			if k == ptr[i] || cols[k] != cols[k-1]+1 {
+				runs++
+			}
+		}
+	}
 	runPtr = make([]int32, n+1)
+	runCol = make([]int32, 0, runs)
+	runLen = make([]int32, 0, runs)
 	for i := 0; i < n; i++ {
 		k := ptr[i]
 		for k < ptr[i+1] {
@@ -228,44 +267,61 @@ func (f *realLU) solveInto(x, b []float64) {
 // arithmetic of the two-buffer walk minus the gather copy — solutions
 // are bit-identical.
 //
-// The walk is element-wise, not blocked: with one right-hand side the
-// run bookkeeping costs more than the per-element column loads it
-// avoids (the fill-reducing orderings leave almost every run at length
-// one), which is the same trade the width-8 and width-16 kernels make.
+// The walk is a flat stream over each triangle. Forward, it visits only
+// the rows in lRows and carries the nonzero cursor from row to row, so
+// a row costs one bound load instead of two pointer loads and an
+// empty-row test; back, it walks U's rows downward and carries each
+// row's start as the next row's bound. Each row still subtracts its
+// nonzeros in ascending column order, so the arithmetic is the
+// element-wise walk's. It is element-wise rather than blocked: with one
+// right-hand side the run bookkeeping costs more than the column loads
+// it avoids, since the fill-reducing ordering leaves almost every run
+// at length one.
 func (f *realLU) solveInPlace(x []float64) {
 	n := f.n
 	if len(x) != n {
 		panic(fmt.Sprintf("pdn: solveInPlace with len(x)=%d n=%d", len(x), n))
 	}
-	for i := 1; i < n; i++ {
+	lVal, lCol, lPtr := f.lVal, f.lCol[:len(f.lVal)], f.lPtr
+	k := 0
+	for _, i := range f.lRows {
+		end := int(lPtr[i+1])
 		sum := x[i]
-		for k := f.lPtr[i]; k < f.lPtr[i+1]; k++ {
-			sum -= f.lVal[k] * x[f.lCol[k]]
+		for ; k < end; k++ {
+			sum -= lVal[k] * x[lCol[k]]
 		}
 		x[i] = sum
 	}
+	uVal, uCol, uPtr, invDiag := f.uVal, f.uCol[:len(f.uVal)], f.uPtr[:n+1], f.invDiag[:n]
+	end := len(uVal)
 	for i := n - 1; i >= 0; i-- {
+		start := int(uPtr[i])
 		sum := x[i]
-		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
-			sum -= f.uVal[k] * x[f.uCol[k]]
+		for k := start; k < end; k++ {
+			sum -= uVal[k] * x[uCol[k]]
 		}
-		x[i] = sum * f.invDiag[i]
+		x[i] = sum * invDiag[i]
+		end = start
 	}
 }
 
 // solveBatchInPlace is solveInPlace for `lanes` lockstep right-hand
 // sides (row i, lane l at i*lanes+l), already assembled in permuted
-// row order. Widths 8 and 16 dispatch to the register-blocked kernels
-// (hardware-vectorized where the host supports it); other widths walk
-// the blocked run plan in place. Per lane every path performs the
-// multiplies, subtractions and reciprocal scalings of solveInPlace in
-// the same order, so a lane's solution does not depend on the width.
+// row order. Widths 4, 8 and 16 dispatch to the register-blocked
+// kernels (hardware-vectorized where the host supports it); other
+// widths walk the blocked run plan in place. Per lane every path
+// performs the multiplies, subtractions and reciprocal scalings of
+// solveInPlace in the same order, so a lane's solution does not depend
+// on the width.
 func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 	n := f.n
 	if lanes < 1 || len(x) != n*lanes {
 		panic(fmt.Sprintf("pdn: solveBatchInPlace with len(x)=%d n=%d lanes=%d", len(x), n, lanes))
 	}
 	switch lanes {
+	case NarrowBatchLanes:
+		f.solveBatch4InPlace(x)
+		return
 	case DefaultBatchLanes:
 		f.solveBatch8InPlace(x)
 		return
@@ -311,6 +367,11 @@ func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 	}
 }
 
+// NarrowBatchLanes is the narrowest register-blocked lane width: one
+// 4-lane vector per row. Small studies split across idle workers reach
+// it, such as an 8-point resonance grid on two workers.
+const NarrowBatchLanes = 4
+
 // DefaultBatchLanes is the lane width the 8-wide substitution kernel
 // is specialized for — exec.DefaultBatchWidth, restated here to keep
 // pdn free of an exec import.
@@ -336,6 +397,48 @@ func AutoBatchLanes() int {
 		return WideBatchLanes
 	}
 	return DefaultBatchLanes
+}
+
+// solveBatch4InPlace is the width-4 register-blocked substitution:
+// the element-wise walk of solveBatch8InPlace with four lane
+// accumulators (one 4-lane vector per row under AVX2). Per lane the
+// arithmetic order is identical to every other width.
+func (f *realLU) solveBatch4InPlace(x []float64) {
+	if useSolveAVX2 {
+		fwdBack4AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n)
+		return
+	}
+	const B = NarrowBatchLanes
+	n := f.n
+	for i := 1; i < n; i++ {
+		xi := (*[B]float64)(x[i*B : i*B+B])
+		x0, x1, x2, x3 := xi[0], xi[1], xi[2], xi[3]
+		for k := int(f.lPtr[i]); k < int(f.lPtr[i+1]); k++ {
+			v := f.lVal[k]
+			base := int(f.lCol[k]) * B
+			xj := (*[B]float64)(x[base : base+B])
+			x0 -= v * xj[0]
+			x1 -= v * xj[1]
+			x2 -= v * xj[2]
+			x3 -= v * xj[3]
+		}
+		xi[0], xi[1], xi[2], xi[3] = x0, x1, x2, x3
+	}
+	for i := n - 1; i >= 0; i-- {
+		xi := (*[B]float64)(x[i*B : i*B+B])
+		x0, x1, x2, x3 := xi[0], xi[1], xi[2], xi[3]
+		for k := int(f.uPtr[i]); k < int(f.uPtr[i+1]); k++ {
+			v := f.uVal[k]
+			base := int(f.uCol[k]) * B
+			xj := (*[B]float64)(x[base : base+B])
+			x0 -= v * xj[0]
+			x1 -= v * xj[1]
+			x2 -= v * xj[2]
+			x3 -= v * xj[3]
+		}
+		d := f.invDiag[i]
+		xi[0], xi[1], xi[2], xi[3] = x0*d, x1*d, x2*d, x3*d
+	}
 }
 
 // solveBatch8InPlace is the width-8 register-blocked substitution,

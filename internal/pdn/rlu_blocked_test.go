@@ -194,17 +194,16 @@ func BenchmarkBlockedStep(b *testing.B) {
 
 // BenchmarkBlockedSolve pits the blocked DC solve and the in-place
 // multi-RHS solves (the run plan at width 3, the register-blocked
-// kernel at width 8) against the element-wise walks, on the production
-// factor.
+// kernels at widths 4 and 8) against the element-wise walks, on the
+// production factor. The in-place entries refill their right-hand
+// sides from a fixed source every iteration, as BenchmarkInPlaceSolve
+// does and for the same reason; CopyN times that refill alone. The
+// two-buffer walks read a fixed b and need no refill.
 func BenchmarkBlockedSolve(b *testing.B) {
 	lu := zec12LU(b)
 	n := lu.n
-	rng := rand.New(rand.NewSource(1))
-	rhs := make([]float64, n*8)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n*8)
+	rhs := randomRHS(n * DefaultBatchLanes)
+	x := make([]float64, len(rhs))
 	b.Run("Blocked1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lu.solveInto(x[:n], rhs[:n])
@@ -215,15 +214,22 @@ func BenchmarkBlockedSolve(b *testing.B) {
 			lu.solveIntoElementwise(x[:n], rhs[:n])
 		}
 	})
-	for _, lanes := range []int{3, 8} {
+	for _, lanes := range []int{3, 4, DefaultBatchLanes} {
+		xs, bs := x[:n*lanes], rhs[:n*lanes]
+		b.Run(fmt.Sprintf("Copy%d", lanes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(xs, bs)
+			}
+		})
 		b.Run(fmt.Sprintf("InPlace%d", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lu.solveBatchInPlace(x[:n*lanes], lanes)
+				copy(xs, bs)
+				lu.solveBatchInPlace(xs, lanes)
 			}
 		})
 		b.Run(fmt.Sprintf("Elementwise%d", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lu.solveBatchIntoElementwise(x[:n*lanes], rhs[:n*lanes], lanes)
+				lu.solveBatchIntoElementwise(xs, bs, lanes)
 			}
 		})
 	}

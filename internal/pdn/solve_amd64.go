@@ -1,8 +1,8 @@
 package pdn
 
 // useSolveAVX2 selects the hand-written AVX2 substitution kernels for
-// the width-8 and width-16 in-place batch solves. The vector kernels
-// perform the identical IEEE-754 multiplies, subtractions and
+// the width-4, width-8 and width-16 in-place batch solves. The vector
+// kernels perform the identical IEEE-754 multiplies, subtractions and
 // reciprocal scalings in the identical per-lane order as the Go walks
 // (vectorization spans independent lanes, never reassociates within
 // one; no FMA contraction), so enabling them cannot change a result
@@ -44,13 +44,21 @@ func xgetbv() (eax, edx uint32)
 // lane vector and each row's two 4-lane vectors accumulate the same
 // multiply-then-subtract the scalar walk performs, rows in the same
 // order, reciprocal scaling last. All slices must be the factor's own
-// (lengths are not re-checked here).
+// (lengths are not re-checked here). The three kernels share one
+// assembly body (FWD_BACK in solve_amd64.s); only the row shape
+// differs.
 //
 //go:noescape
 func fwdBack8AVX2(lVal []float64, lCol, lPtr []int32, uVal []float64, uCol, uPtr []int32, invDiag, x []float64, n int)
 
+// fwdBack4AVX2 is fwdBack8AVX2 for 4-lane blocks (one 4-lane vector
+// per row), the body of solveBatch4InPlace.
+//
+//go:noescape
+func fwdBack4AVX2(lVal []float64, lCol, lPtr []int32, uVal []float64, uCol, uPtr []int32, invDiag, x []float64, n int)
+
 // fwdBack16AVX2 is fwdBack8AVX2 for 16-lane blocks (four 4-lane
-// vectors per row).
+// vectors per row), the body of solveBatch16InPlace.
 //
 //go:noescape
 func fwdBack16AVX2(lVal []float64, lCol, lPtr []int32, uVal []float64, uCol, uPtr []int32, invDiag, x []float64, n int)
