@@ -4,9 +4,11 @@
 #                    benchmark module's vet and short tests
 #   make race        race detector over all internal packages
 #   make bench       serial-vs-parallel engine benchmarks
-#   make bench-json  benchmark snapshot -> BENCH_PR$(BENCH_PR).json
-#   make bench-check fresh run compared against the committed snapshot
-#                    (prints the per-benchmark delta table either way)
+#   make bench-smoke every root benchmark once, as a smoke test
+#   make bench-ab BASE=<rev>
+#                    the performance gate: the bench/ workloads of
+#                    BENCHMARK.json on BASE and on the working tree in
+#                    10 alternating pairs, judged by paired ratios
 #   make fuzz-smoke  short fuzzing pass over the request validator,
 #                    the journal replayer and the client's SSE frame
 #                    parser (plus their seed corpora)
@@ -23,32 +25,16 @@
 #                    byte-identical assembled result
 #   make ci          everything the CI gate runs (tier-1 + race +
 #                    fault injection + fuzz smoke + batch determinism +
-#                    stream smoke + bench-check)
+#                    stream smoke + bench smoke + bench-ab against
+#                    the merge base with main)
 #
-# BENCH_PR pins which PR's snapshot bench-json writes and bench-check
-# diffs against; BENCH_SELECT narrows bench/bench-json; BENCH_OUT /
-# BENCH_BASELINE override the derived paths; BENCH_COUNT repeats each
-# benchmark (the snapshot keeps each one's fastest repetition — on
-# shared hosts min-of-N is the stable statistic); BENCH_MAX_REGRESS
-# loosens/tightens the bench-check budget; FUZZTIME stretches the
-# fuzz-smoke budget per target.
+# BASE names the revision bench-ab compares the working tree with;
+# FUZZTIME stretches the fuzz-smoke budget per target.
 
 GO ?= go
-BENCH_PR ?= 10
-BENCH_SELECT ?= FrequencySweep(Serial|Parallel)|EPIProfile(Serial|Parallel)|PopulationStudy(Serial|Parallel)
-BENCH_OUT ?= BENCH_PR$(BENCH_PR).json
-BENCH_BASELINE ?= BENCH_PR$(BENCH_PR).json
-BENCH_COUNT ?= 4
-# The budget absorbs the scheduler noise of small shared CI hosts:
-# the committed snapshots record fast-window minima (min-of-N), and
-# this host's throughput swings 25-30% between windows, so a fresh
-# min-of-$(BENCH_COUNT) in a slow window can sit ~30% above the
-# baseline without any code change. Real regressions from losing the
-# batched solve or the stolen-chunk schedule are 75%+.
-BENCH_MAX_REGRESS ?= 40%
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test tier1 bench-api race batch-determinism fuzz-smoke fault recover-smoke stream-smoke bench bench-json bench-check profile run-service ci clean
+.PHONY: all build vet test tier1 bench-api race batch-determinism fuzz-smoke fault recover-smoke stream-smoke bench bench-smoke bench-ab profile run-service ci clean
 
 all: tier1
 
@@ -117,22 +103,25 @@ fuzz-smoke:
 # lane width under the stolen-chunk scheduler) paths of the hot
 # studies. Results are bit-identical either way; only ns/op moves.
 bench:
-	$(GO) test -run NONE -bench '$(BENCH_SELECT)' -benchtime 3x .
+	$(GO) test -run NONE -bench 'FrequencySweep(Serial|Parallel)|EPIProfile(Serial|Parallel)|PopulationStudy(Serial|Parallel)' -benchtime 3x .
 
-# bench-json captures the same benchmarks (with allocation stats) as a
-# committed JSON snapshot, so perf baselines diff across PRs. Each
-# benchmark runs BENCH_COUNT times and the snapshot keeps the fastest.
-bench-json:
-	$(GO) test -run NONE -bench '$(BENCH_SELECT)' -benchtime 3x -count $(BENCH_COUNT) -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
-	@echo "wrote $(BENCH_OUT)"
+# bench-smoke runs every root benchmark once, so that each keeps
+# building and running; it times nothing (bench-ab does).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# bench-check reruns the benchmarks into a scratch snapshot and diffs
-# it against the committed baseline, failing on any benchmark that got
-# more than BENCH_MAX_REGRESS slower.
-bench-check:
-	$(MAKE) bench-json BENCH_OUT=/tmp/bench-check.json
-	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) /tmp/bench-check.json -max-regress $(BENCH_MAX_REGRESS)
+# bench-ab is the performance gate. cmd/benchab checks BASE out as a
+# git worktree under .bench_build/ and runs every workload of
+# BENCHMARK.json in 10 alternating base/change pairs, seeds 1-10,
+# through each tree's own bench/run.sh. It fails when the upper edge of
+# the bootstrap 95 % interval of an end-to-end metric's median paired
+# ratio is past that metric's bound (25 %; 10 % for alloc_mb_per_op),
+# when a run fails or reports wrong output, or when the change fails a
+# larger share of ops. The old root-benchmark pairs map onto the
+# workloads: FrequencySweep onto sweep, PopulationStudy onto fleet,
+# EPIProfile onto served. A run takes ~39 min on a 2-vCPU host.
+bench-ab:
+	$(GO) run ./cmd/benchab $(BASE)
 
 # profile captures CPU profiles of the FrequencySweep pair — the
 # serial lane-per-run path and the parallel lockstep-lane path — and
@@ -181,9 +170,9 @@ stream-smoke:
 # ci is the full gate: tier-1 plus the race detector over the service
 # (always, it is the concurrency hot spot) and the internal packages,
 # the fault-injection and durability suites, the fuzz smoke pass, the
-# batch determinism suites under -race, the streaming smoke script,
-# and a bench-check run that fails the gate on a benchmark regression
-# past BENCH_MAX_REGRESS.
+# batch determinism suites under -race, the streaming smoke script, the
+# root benchmarks once each, and bench-ab against the merge base with
+# main, which fails the gate on a paired end-to-end regression.
 ci: tier1
 	$(GO) test -race ./internal/service/...
 	$(GO) test -race ./internal/...
@@ -191,7 +180,8 @@ ci: tier1
 	$(MAKE) fuzz-smoke
 	$(MAKE) batch-determinism
 	$(MAKE) stream-smoke
-	$(MAKE) bench-check
+	$(MAKE) bench-smoke
+	$(MAKE) bench-ab BASE=$$(git merge-base HEAD main)
 
 clean:
 	$(GO) clean -testcache

@@ -24,6 +24,7 @@ func FuzzRequestValidate(f *testing.F) {
 		`{"study":"vmin_walk","vmin_walk":{"freq_hz":2e6,"fail_voltage":0.9,"min_bias":0.85}}`,
 		`{"study":"epi_profile","epi_profile":{}}`,
 		`{"study":"epi_profile","epi_profile":{"top_n":3,"measure_cycles":1024,"warmup_cycles":64}}`,
+		`{"study":"epi_profile","epi_profile":{"warmup_cycles":1048577}}`,
 		`{"study":"guardband","guardband":{"droops":[0,1,2,3,4,5,6],"trace":[{"active_cores":2,"duration_s":1}]}}`,
 		`{"study":"guardband","guardband":{"trace":[{"active_cores":6,"duration_s":0.5}],"freq_hz":2e6,"events":50}}`,
 		`{"study":"population","population":{"chips":100,"age_years":5,"mix":["o3","io","o3","io","o3","io"],"tech_node":22,"decap_scale":0.8,"exit_hz":1e6,"warmup_s":5e-6,"seed":42,"rlc_bins":4,"safety_percent":2}}`,

@@ -176,7 +176,9 @@ type EPIProfileParams struct {
 	// (default 5; capped at the table size).
 	TopN int `json:"top_n,omitempty"`
 	// MeasureCycles and WarmupCycles bound each per-instruction run
-	// (defaults: the standard 4096/512).
+	// (defaults: the standard 4096/512). MeasureCycles must lie in
+	// [100, 2^20] and WarmupCycles in [0, 2^20]: the warm-up loop does
+	// not watch for cancellation, so its length must be bounded here.
 	MeasureCycles int `json:"measure_cycles,omitempty"`
 	WarmupCycles  int `json:"warmup_cycles,omitempty"`
 }
@@ -198,8 +200,8 @@ func (p *EPIProfileParams) normalize() error {
 	if p.WarmupCycles == 0 {
 		p.WarmupCycles = def.WarmupCycles
 	}
-	if p.WarmupCycles < 0 {
-		return fmt.Errorf("epi_profile: negative warmup_cycles %d", p.WarmupCycles)
+	if p.WarmupCycles < 0 || p.WarmupCycles > 1<<20 {
+		return fmt.Errorf("epi_profile: warmup_cycles %d outside [0, 2^20]", p.WarmupCycles)
 	}
 	return nil
 }

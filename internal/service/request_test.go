@@ -185,6 +185,12 @@ func TestValidation(t *testing.T) {
 			Population: &PopulationParams{Chips: 10, TechNode: 28}}, "tech node"},
 		{"bad exit rate", &Request{Study: StudyPopulation,
 			Population: &PopulationParams{Chips: 10, ExitHz: 1}}, "exit rate"},
+		{"negative warmup", &Request{Study: StudyEPIProfile,
+			EPIProfile: &EPIProfileParams{WarmupCycles: -1}}, "warmup_cycles"},
+		{"warmup over 2^20", &Request{Study: StudyEPIProfile,
+			EPIProfile: &EPIProfileParams{WarmupCycles: 1<<20 + 1}}, "warmup_cycles"},
+		{"measure over 2^20", &Request{Study: StudyEPIProfile,
+			EPIProfile: &EPIProfileParams{MeasureCycles: 1<<20 + 1}}, "measure_cycles"},
 	}
 	for _, c := range cases {
 		if _, err := c.req.Normalize(); err == nil {
@@ -192,5 +198,18 @@ func TestValidation(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestEPICycleBoundsAccepted: 2^20 is the largest warm-up and
+// measurement length a request may ask for, and is accepted as given.
+func TestEPICycleBoundsAccepted(t *testing.T) {
+	req := &Request{Study: StudyEPIProfile, EPIProfile: &EPIProfileParams{MeasureCycles: 1 << 20, WarmupCycles: 1 << 20}}
+	n, err := req.Normalize()
+	if err != nil {
+		t.Fatalf("warmup_cycles and measure_cycles 2^20: %v", err)
+	}
+	if p := n.EPIProfile; p.WarmupCycles != 1<<20 || p.MeasureCycles != 1<<20 {
+		t.Fatalf("normalized to warmup %d, measure %d; want both 2^20", p.WarmupCycles, p.MeasureCycles)
 	}
 }
