@@ -4,7 +4,8 @@
 #                    benchmark module's vet and short tests
 #   make race        race detector over all internal packages
 #   make bench       serial-vs-parallel engine benchmarks
-#   make bench-smoke every root benchmark once, as a smoke test
+#   make bench-smoke every benchmark in the module once, as a smoke
+#                    test
 #   make bench-ab BASE=<rev>
 #                    the performance gate: the bench/ workloads of
 #                    BENCHMARK.json on BASE and on the working tree in
@@ -105,10 +106,12 @@ fuzz-smoke:
 bench:
 	$(GO) test -run NONE -bench 'FrequencySweep(Serial|Parallel)|EPIProfile(Serial|Parallel)|PopulationStudy(Serial|Parallel)' -benchtime 3x .
 
-# bench-smoke runs every root benchmark once, so that each keeps
-# building and running; it times nothing (bench-ab does).
+# bench-smoke runs every benchmark in the module once — the root
+# study benchmarks and the in-package layer benchmarks under
+# internal/ — so that each keeps building and running; it times
+# nothing (bench-ab does).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-ab is the performance gate. cmd/benchab checks BASE out as a
 # git worktree under .bench_build/ and runs every workload of
@@ -171,7 +174,7 @@ stream-smoke:
 # (always, it is the concurrency hot spot) and the internal packages,
 # the fault-injection and durability suites, the fuzz smoke pass, the
 # batch determinism suites under -race, the streaming smoke script, the
-# root benchmarks once each, and bench-ab against the merge base with
+# module's benchmarks once each, and bench-ab against the merge base with
 # main, which fails the gate on a paired end-to-end regression.
 ci: tier1
 	$(GO) test -race ./internal/service/...

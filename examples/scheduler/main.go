@@ -41,24 +41,25 @@ func main() {
 		log.Fatal(err)
 	}
 	vnom := plat.NominalVoltage()
-	// Each of the 21 fit measurements draws a pooled session, so the
-	// circuit build and factorization are paid once, not per run.
+	// Each of the 21 fit measurements draws a pooled width-1 batch
+	// session, so the circuit build and factorization are paid once,
+	// not per run.
 	pool := plat.Sessions()
 	model, err := voltnoise.FitPairwiseNoiseModel(1, func(cores []int) (float64, error) {
 		var wl [voltnoise.NumCores]voltnoise.Workload
 		for _, c := range cores {
 			wl[c] = proto
 		}
-		s, err := pool.Get(plat.VoltageBias())
+		s, err := pool.GetBatch(plat.VoltageBias(), 1)
 		if err != nil {
 			return 0, err
 		}
-		defer pool.Put(s)
-		m, err := s.RunContext(ctx, voltnoise.RunSpec{Workloads: wl, Start: -10e-6, Duration: 70e-6})
+		defer pool.PutBatch(s)
+		ms, err := s.RunBatchContext(ctx, []voltnoise.RunSpec{{Workloads: wl, Start: -10e-6, Duration: 70e-6}})
 		if err != nil {
 			return 0, err
 		}
-		return (vnom - m.MinVoltage()) / vnom * 100, nil
+		return (vnom - ms[0].MinVoltage()) / vnom * 100, nil
 	})
 	if err != nil {
 		log.Fatal(err)

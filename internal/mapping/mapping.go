@@ -17,6 +17,7 @@ import (
 	"voltnoise/internal/analysis"
 	"voltnoise/internal/core"
 	"voltnoise/internal/exec"
+	"voltnoise/internal/pdn"
 )
 
 // Eval is one placement's measured result, as returned by an
@@ -48,11 +49,12 @@ type Placement struct {
 // BestWorst enumerates all C(NumCores, k) placements of k workloads
 // and returns the quietest and the noisiest placement (by worst-case
 // per-core noise). The enumeration is cut into groups of width
-// exec.BatchWidth(batch, ...) — the lanes of one lockstep batch
-// measurement, one placement per call at batch 1 — and the groups
-// spread across `workers` (<= 0 selects one per CPU, 1 runs serially);
-// with more than one worker the evaluator must be safe for concurrent
-// use. The reduction walks results in enumeration order, so ties
+// exec.BatchWidthAuto(batch, ..., 1, pdn.AutoBatchLanes()) — the lanes
+// of one lockstep batch measurement, one placement per call at batch
+// 1, pdn.AutoBatchLanes at batch <= 0 as in every other study — and
+// the groups spread across `workers` (<= 0 selects one per CPU, 1 runs
+// serially); with more than one worker the evaluator must be safe for
+// concurrent use. The reduction walks results in enumeration order, so ties
 // resolve to the earliest placement and the winners are identical at
 // every (workers, batch) combination. Canceling ctx stops the scan
 // early.
@@ -67,7 +69,7 @@ func BestWorst(ctx context.Context, k, workers, batch int, eval Evaluator) (best
 	analysis.Combinations(core.NumCores, k, func(cores []int) {
 		placements = append(placements, append([]int{}, cores...))
 	})
-	width := exec.BatchWidth(batch, len(placements))
+	width := exec.BatchWidthAuto(batch, len(placements), 1, pdn.AutoBatchLanes())
 	first := true
 	err = exec.MapStolen(ctx, len(placements), width, workers,
 		func(_ context.Context, start, end int) ([]Eval, error) {

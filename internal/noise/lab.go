@@ -69,10 +69,9 @@ type Lab struct {
 type Option func(*labOptions)
 
 type labOptions struct {
-	search   stressmark.SearchConfig
-	workers  int
-	batch    int
-	progress progress.Sink
+	search  stressmark.SearchConfig
+	workers int
+	batch   int
 }
 
 // WithSearch selects the stressmark sequence-search configuration
@@ -91,12 +90,6 @@ func WithWorkers(n int) Option {
 // Lab.Batch).
 func WithBatch(n int) Option {
 	return func(o *labOptions) { o.batch = n }
-}
-
-// WithProgress taps the lab's measurement reduction: the sink receives
-// one ChunkResult per reduced chunk (see Lab.Progress).
-func WithProgress(s progress.Sink) Option {
-	return func(o *labOptions) { o.progress = s }
 }
 
 // New builds a lab on the given platform: runs the maximum-power
@@ -126,7 +119,6 @@ func New(plat *core.Platform, opts ...Option) (*Lab, error) {
 		SearchFunnel: res,
 		Workers:      o.workers,
 		Batch:        o.batch,
-		Progress:     o.progress,
 	}, nil
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"voltnoise/internal/core"
 	"voltnoise/internal/mapping"
-	"voltnoise/internal/pdn"
 )
 
 // PlacementBatchEvaluator returns a mapping.Evaluator that measures
@@ -49,18 +48,9 @@ func (l *Lab) PlacementBatchEvaluator(ctx context.Context, freq float64, events 
 
 // MappingOpportunity runs the paper's Figure 15 study: the best/worst
 // placement gap for each workload count in ks, with the placement
-// measurements packed into lockstep lanes (l.Batch, auto resolved to
-// pdn.AutoBatchLanes) and fanned out across l.Workers.
+// measurements packed into lockstep lanes (l.Batch, which the mapping
+// study resolves like every other study: auto is pdn.AutoBatchLanes)
+// and fanned out across l.Workers.
 func (l *Lab) MappingOpportunity(ctx context.Context, freq float64, events int, ks []int) ([]mapping.Opportunity, error) {
-	return mapping.Study(ctx, ks, l.Workers, l.resolveBatch(), l.PlacementBatchEvaluator(ctx, freq, events))
-}
-
-// resolveBatch resolves the Lab's batch knob for callees that take a
-// concrete width (the mapping study): auto (0) becomes
-// pdn.AutoBatchLanes, explicit settings pass through.
-func (l *Lab) resolveBatch() int {
-	if l.Batch > 0 {
-		return l.Batch
-	}
-	return pdn.AutoBatchLanes()
+	return mapping.Study(ctx, ks, l.Workers, l.Batch, l.PlacementBatchEvaluator(ctx, freq, events))
 }

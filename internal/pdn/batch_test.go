@@ -221,35 +221,51 @@ func TestBatchRejectsBadArgs(t *testing.T) {
 
 // TestBatchStepDoesNotAllocate pins the lockstep step loop as
 // allocation-free, alongside the single-lane guard: the batch engine
-// must run entirely on preallocated state whatever the width.
+// must run entirely on preallocated state whatever the width, on the
+// RLC network and on the production zEC12 network at width 1.
 func TestBatchStepDoesNotAllocate(t *testing.T) {
-	for _, lanes := range []int{1, 4, 8, 16} {
-		bt, _ := newBatchRLC(t, lanes, 0)
+	check := func(name string, bt *BatchTransient) {
+		t.Helper()
 		if allocs := testing.AllocsPerRun(100, func() {
 			if err := bt.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("lanes=%d: Step allocates %v objects per call, want 0", lanes, allocs)
+			t.Errorf("%s: Step allocates %v objects per call, want 0", name, allocs)
 		}
 	}
+	for _, lanes := range []int{1, 4, 8, 16} {
+		bt, _ := newBatchRLC(t, lanes, 0)
+		check(fmt.Sprintf("RLC lanes=%d", lanes), bt)
+	}
+	lane := 0
+	bt, err := NewBatchTransient(zec12WithLaneLoads(&lane), 2e-9, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("zEC12 lanes=1", bt)
 }
 
 // TestNewBatchTransientAllocs pins the cost of building a zEC12 engine.
-// Objects are pinned at today's 88 per engine at every width: the
+// Objects are pinned at today's 76 per engine at every width: the
 // factors' pattern slices are sized by a counting pass, one allocation
-// each, where growing them by append took 168. Bytes are pinned at or
-// below the figures from before the factor gained its forward row
-// list: 42,496, 48,727, 57,632 and 74,528 at widths 1, 4, 8 and 16.
-// Population studies build engines per bin on every run, so
-// construction allocation shows up end to end.
+// each, where growing them by append took 168, and each factor keeps
+// one nonzero pattern (a second, run-grouped plan took 12 more objects
+// and 1,728 B). Bytes are pinned at the measured 34,560, 40,736, 49,696
+// and 66,721 at widths 1, 4, 8 and 16, plus slack for what the runtime
+// allocates on its own while the builds run: the averaged reading moves
+// by up to ~130 B from run to run. Population studies build engines per
+// bin on every run, so construction allocation shows up end to end.
 func TestNewBatchTransientAllocs(t *testing.T) {
-	const maxAllocs = 88
+	const (
+		maxAllocs = 76
+		slack     = 256
+	)
 	ckt, _ := ZEC12(DefaultZEC12Config())
 	for _, c := range []struct {
 		lanes    int
 		maxBytes uint64
-	}{{1, 42496}, {NarrowBatchLanes, 48727}, {DefaultBatchLanes, 57632}, {WideBatchLanes, 74528}} {
+	}{{1, 34560}, {NarrowBatchLanes, 40736}, {DefaultBatchLanes, 49696}, {WideBatchLanes, 66721}} {
 		build := func() {
 			if _, err := NewBatchTransient(ckt, 2e-9, c.lanes, nil); err != nil {
 				t.Fatal(err)
@@ -265,20 +281,21 @@ func TestNewBatchTransientAllocs(t *testing.T) {
 			build()
 		}
 		runtime.ReadMemStats(&after)
-		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > c.maxBytes {
-			t.Errorf("lanes=%d: NewBatchTransient allocates %d bytes, want <= %d", c.lanes, bytes, c.maxBytes)
+		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > c.maxBytes+slack {
+			t.Errorf("lanes=%d: NewBatchTransient allocates %d bytes, want <= %d", c.lanes, bytes, c.maxBytes+slack)
 		}
 	}
 }
 
 // BenchmarkBatchStep measures the per-step cost of the multi-RHS
-// engine on the calibrated zEC12 network at the production widths. The
+// engine on the calibrated zEC12 network at the production widths, and
+// at width 3 for the generic solve walk every other width takes. The
 // interesting ratio is ns/op at width 8 versus 8x width 1: the shared
 // plan walk and the eight independent dependency chains in the solve
 // should make the batch substantially cheaper than eight single
 // steps. The AllocsPerRun guard above keeps the loop at 0 allocs/step.
 func BenchmarkBatchStep(b *testing.B) {
-	for _, lanes := range []int{1, 4, 8, 16} {
+	for _, lanes := range []int{1, 3, 4, 8, 16} {
 		b.Run(fmt.Sprintf("Lanes%d", lanes), func(b *testing.B) { benchBatchStep(b, lanes) })
 	}
 	// The same steps on the pure-Go solve bodies, the other input of

@@ -7,6 +7,31 @@ import (
 	"testing"
 )
 
+// zec12LU factors the calibrated zEC12 companion matrix — the factor
+// every transient step solves against in production.
+func zec12LU(t testing.TB) *realLU {
+	t.Helper()
+	ckt, _ := ZEC12(DefaultZEC12Config())
+	tr, err := NewTransient(ckt, 2e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.bt.lu
+}
+
+// byteIdentical fails unless a and b match bit for bit (NaNs included).
+func byteIdentical(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: value %d = %x, want %x", label, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
 // permuteRHS assembles b in permuted row order for the in-place solve
 // paths: slot i carries b[perm[i]] (equivalently, the contribution to
 // unknown u lands at slot invPerm[u]).
@@ -18,10 +43,11 @@ func permuteRHS(lu *realLU, b []float64, lanes int) []float64 {
 	return x
 }
 
-// TestSolveInPlaceMatchesSolveInto: the in-place permuted-RHS walks —
-// single-lane, widths 4, 8 and 16, and the generic widths — are
-// byte-identical to the two-buffer element-wise reference on both the
-// production zEC12 factor and randomized sparse factors.
+// TestSolveInPlaceMatchesSolveInto: the DC solve (solveInto) and the
+// in-place permuted-RHS walks — single-lane, widths 4, 8 and 16, and
+// the generic widths — are byte-identical to the two-buffer
+// element-wise reference on both the production zEC12 factor and
+// randomized sparse factors.
 func TestSolveInPlaceMatchesSolveInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	factors := []*realLU{zec12LU(t)}
@@ -43,7 +69,7 @@ func TestSolveInPlaceMatchesSolveInto(t *testing.T) {
 		}
 		factors = append(factors, lu)
 	}
-	for fi, lu := range factors {
+	for _, lu := range factors {
 		n := lu.n
 		b := make([]float64, n)
 		for i := range b {
@@ -54,6 +80,9 @@ func TestSolveInPlaceMatchesSolveInto(t *testing.T) {
 		x := permuteRHS(lu, b, 1)
 		lu.solveInPlace(x)
 		byteIdentical(t, "solveInPlace", x, want)
+		dc := make([]float64, n)
+		lu.solveInto(dc, b)
+		byteIdentical(t, "solveInto", dc, want)
 		for _, lanes := range []int{1, 3, 4, 5, 8, 16} {
 			bb := make([]float64, n*lanes)
 			for i := range bb {
@@ -64,7 +93,6 @@ func TestSolveInPlaceMatchesSolveInto(t *testing.T) {
 			xb := permuteRHS(lu, bb, lanes)
 			lu.solveBatchInPlace(xb, lanes)
 			byteIdentical(t, "solveBatchInPlace", xb, wantB)
-			_ = fi
 		}
 	}
 }
@@ -117,18 +145,20 @@ func TestSolveBatchInPlaceVectorMatchesGo(t *testing.T) {
 	}
 }
 
-// BenchmarkInPlaceSolve measures the in-place permuted-RHS
-// substitution kernels on the production factor — the per-step solve
-// cost at each specialized width (compare BenchmarkBlockedSolve for the
-// two-buffer walks they replaced). Go4/Go8/Go16 force the pure-Go
-// register blocks so the vector kernels' margin is visible on AVX2
-// hosts.
+// BenchmarkInPlaceSolve measures the substitution kernels on the
+// production factor: the in-place permuted-RHS solve at width 1, the
+// generic walk at width 3, the register-blocked kernels at widths 4, 8
+// and 16, and the DC operating-point solve (DC1, gather plus width-1
+// walk, which reads a fixed b and needs no refill). Go4/Go8/Go16 force
+// the pure-Go register blocks so the vector kernels' margin is visible
+// on AVX2 hosts.
 //
-// Every iteration refills the right-hand sides from a fixed source
-// before solving: a solve repeated on its own output shrinks toward
-// zero (on this factor max|x| is 1.9e-291 after 100 solves and exactly
-// 0 after 200), so timing that would time solves of zeros. The CopyN
-// entries time the refill alone; subtract them for the solve's cost.
+// Every in-place iteration refills the right-hand sides from a fixed
+// source before solving: a solve repeated on its own output shrinks
+// toward zero (on this factor max|x| is 1.9e-291 after 100 solves and
+// exactly 0 after 200), so timing that would time solves of zeros. The
+// CopyN entries time the refill alone; subtract them for the solve's
+// cost.
 func BenchmarkInPlaceSolve(b *testing.B) {
 	lu := zec12LU(b)
 	n := lu.n
@@ -144,10 +174,16 @@ func BenchmarkInPlaceSolve(b *testing.B) {
 		})
 	}
 	noSolve := func([]float64) {}
-	for _, lanes := range []int{1, 4, DefaultBatchLanes, WideBatchLanes} {
+	for _, lanes := range []int{1, 3, 4, DefaultBatchLanes, WideBatchLanes} {
 		solve(fmt.Sprintf("Copy%d", lanes), lanes, noSolve)
 	}
+	b.Run("DC1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lu.solveInto(x[:n], src[:n])
+		}
+	})
 	solve("InPlace1", 1, lu.solveInPlace)
+	solve("InPlace3", 3, func(xs []float64) { lu.solveBatchInPlace(xs, 3) })
 	solve("InPlace4", 4, lu.solveBatch4InPlace)
 	solve("InPlace8", DefaultBatchLanes, lu.solveBatch8InPlace)
 	solve("InPlace16", WideBatchLanes, lu.solveBatch16InPlace)

@@ -15,7 +15,8 @@ import (
 // recorded once, and the substitutions walk only the stored nonzeros.
 // Skipping an exactly-zero coefficient never changes a solution value
 // (x - 0*xj == x), so the sparse walk is bit-identical to the dense
-// one — and every solve path shares the same pattern, so each lane
+// one. The pattern is the factor's only plan: every solve path walks
+// it element by element in the same column order, so each lane
 // performs identical arithmetic at every lane width.
 type realLU struct {
 	n    int
@@ -43,25 +44,10 @@ type realLU struct {
 	// invDiag is 1/diag(U), computed once at factorization time: the
 	// substitutions scale each row by multiplying with the reciprocal
 	// instead of dividing, trading one division per row per solve for
-	// one per row per factorization. Every solve path (blocked,
-	// element-wise, single- and multi-RHS) uses the same reciprocal, so
-	// they all remain byte-identical to one another.
+	// one per row per factorization. Every solve path (single- and
+	// multi-RHS, Go and vector) uses the same reciprocal, so they all
+	// remain byte-identical to one another.
 	invDiag []float64
-
-	// Blocked (supernodal-style) substitution plan: each row's nonzeros
-	// are grouped into maximal runs of consecutive columns, recorded in
-	// elimination order. Row r's L runs sit at lRunPtr[r]:lRunPtr[r+1];
-	// run q starts at column lRunCol[q] and spans lRunLen[q] columns
-	// whose values are the next lRunLen[q] entries of lVal. Walking runs
-	// instead of single entries turns the inner substitution loops into
-	// contiguous streams (no per-element column indirection) while
-	// performing exactly the same multiplies and subtractions in the
-	// same order, so the blocked walk is bit-identical to the
-	// element-wise one. The tree-structured PDN matrices factor into
-	// long consecutive bands, which is what makes the runs worthwhile.
-	lRunCol, uRunCol []int32
-	lRunLen, uRunLen []int32
-	lRunPtr, uRunPtr []int32
 }
 
 // factorReal factors the n x n row-major matrix a. a is not modified.
@@ -166,95 +152,20 @@ func (f *realLU) indexNonzeros(lu []float64) {
 		}
 		f.uPtr[i+1] = int32(len(f.uVal))
 	}
-	f.lRunCol, f.lRunLen, f.lRunPtr = indexRuns(f.lCol, f.lPtr, n)
-	f.uRunCol, f.uRunLen, f.uRunPtr = indexRuns(f.uCol, f.uPtr, n)
-}
-
-// indexRuns groups each row's ascending nonzero columns into maximal
-// runs of consecutive columns, preserving order — the blocked
-// substitution plan. A counting pass sizes the run slices exactly.
-func indexRuns(cols []int32, ptr []int32, n int) (runCol, runLen, runPtr []int32) {
-	runs := 0
-	for i := 0; i < n; i++ {
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			if k == ptr[i] || cols[k] != cols[k-1]+1 {
-				runs++
-			}
-		}
-	}
-	runPtr = make([]int32, n+1)
-	runCol = make([]int32, 0, runs)
-	runLen = make([]int32, 0, runs)
-	for i := 0; i < n; i++ {
-		k := ptr[i]
-		for k < ptr[i+1] {
-			c0 := cols[k]
-			ln := int32(1)
-			for k+ln < ptr[i+1] && cols[k+ln] == c0+ln {
-				ln++
-			}
-			runCol = append(runCol, c0)
-			runLen = append(runLen, ln)
-			k += ln
-		}
-		runPtr[i+1] = int32(len(runCol))
-	}
-	return runCol, runLen, runPtr
 }
 
 // solveInto solves A*x = b, writing the solution into x. b is not
-// modified; x and b must both have length n and may not alias. It
-// walks the blocked run plan (see indexRuns) and is the DC
-// operating-point solve; the result is bit-identical to the
-// element-wise walk.
+// modified; x and b must both have length n and may not alias. It is
+// the DC operating-point solve: a gather of b into permuted row order,
+// then solveInPlace.
 func (f *realLU) solveInto(x, b []float64) {
-	n := f.n
-	if len(b) != n || len(x) != n {
-		panic(fmt.Sprintf("pdn: solveInto with len(x)=%d len(b)=%d n=%d", len(x), len(b), n))
+	if len(b) != f.n || len(x) != f.n {
+		panic(fmt.Sprintf("pdn: solveInto with len(x)=%d len(b)=%d n=%d", len(x), len(b), f.n))
 	}
-	for i := 0; i < n; i++ {
-		x[i] = b[f.perm[i]]
+	for i, p := range f.perm {
+		x[i] = b[p]
 	}
-	for i := 1; i < n; i++ {
-		sum := x[i]
-		kv := int(f.lPtr[i])
-		for r := f.lRunPtr[i]; r < f.lRunPtr[i+1]; r++ {
-			ln := int(f.lRunLen[r])
-			j0 := int(f.lRunCol[r])
-			if ln == 1 {
-				sum -= f.lVal[kv] * x[j0]
-				kv++
-				continue
-			}
-			vals := f.lVal[kv : kv+ln : kv+ln]
-			xs := x[j0 : j0+ln : j0+ln]
-			for k, v := range vals {
-				sum -= v * xs[k]
-			}
-			kv += ln
-		}
-		x[i] = sum
-	}
-	for i := n - 1; i >= 0; i-- {
-		sum := x[i]
-		kv := int(f.uPtr[i])
-		for r := f.uRunPtr[i]; r < f.uRunPtr[i+1]; r++ {
-			ln := int(f.uRunLen[r])
-			j0 := int(f.uRunCol[r])
-			if ln == 1 {
-				sum -= f.uVal[kv] * x[j0]
-				kv++
-				continue
-			}
-			vals := f.uVal[kv : kv+ln : kv+ln]
-			xs := x[j0 : j0+ln : j0+ln]
-			for k, v := range vals {
-				sum -= v * xs[k]
-			}
-			kv += ln
-		}
-		x[i] = sum * f.invDiag[i]
-	}
+	f.solveInPlace(x)
 }
 
 // solveInPlace solves A*x = b in place: on entry x holds the
@@ -273,10 +184,7 @@ func (f *realLU) solveInto(x, b []float64) {
 // empty-row test; back, it walks U's rows downward and carries each
 // row's start as the next row's bound. Each row still subtracts its
 // nonzeros in ascending column order, so the arithmetic is the
-// element-wise walk's. It is element-wise rather than blocked: with one
-// right-hand side the run bookkeeping costs more than the column loads
-// it avoids, since the fill-reducing ordering leaves almost every run
-// at length one.
+// element-wise walk's.
 func (f *realLU) solveInPlace(x []float64) {
 	n := f.n
 	if len(x) != n {
@@ -309,7 +217,8 @@ func (f *realLU) solveInPlace(x []float64) {
 // sides (row i, lane l at i*lanes+l), already assembled in permuted
 // row order. Widths 4, 8 and 16 dispatch to the register-blocked
 // kernels (hardware-vectorized where the host supports it); other
-// widths walk the blocked run plan in place. Per lane every path
+// widths walk the same nonzero pattern with a lane loop per nonzero,
+// forward over lRows only, as solveInPlace does. Per lane every path
 // performs the multiplies, subtractions and reciprocal scalings of
 // solveInPlace in the same order, so a lane's solution does not depend
 // on the width.
@@ -329,36 +238,26 @@ func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 		f.solveBatch16InPlace(x)
 		return
 	}
-	for i := 1; i < n; i++ {
-		xi := x[i*lanes : i*lanes+lanes : i*lanes+lanes]
-		kv := int(f.lPtr[i])
-		for r := f.lRunPtr[i]; r < f.lRunPtr[i+1]; r++ {
-			ln := int(f.lRunLen[r])
-			base := int(f.lRunCol[r]) * lanes
-			for k := 0; k < ln; k++ {
-				v := f.lVal[kv+k]
-				xj := x[base+k*lanes : base+(k+1)*lanes : base+(k+1)*lanes]
-				for l := range xi {
-					xi[l] -= v * xj[l]
-				}
+	for _, i := range f.lRows {
+		xi := x[int(i)*lanes : int(i)*lanes+lanes : int(i)*lanes+lanes]
+		for k := f.lPtr[i]; k < f.lPtr[i+1]; k++ {
+			v := f.lVal[k]
+			j := int(f.lCol[k]) * lanes
+			xj := x[j : j+lanes : j+lanes]
+			for l := range xi {
+				xi[l] -= v * xj[l]
 			}
-			kv += ln
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
 		xi := x[i*lanes : i*lanes+lanes : i*lanes+lanes]
-		kv := int(f.uPtr[i])
-		for r := f.uRunPtr[i]; r < f.uRunPtr[i+1]; r++ {
-			ln := int(f.uRunLen[r])
-			base := int(f.uRunCol[r]) * lanes
-			for k := 0; k < ln; k++ {
-				v := f.uVal[kv+k]
-				xj := x[base+k*lanes : base+(k+1)*lanes : base+(k+1)*lanes]
-				for l := range xi {
-					xi[l] -= v * xj[l]
-				}
+		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
+			v := f.uVal[k]
+			j := int(f.uCol[k]) * lanes
+			xj := x[j : j+lanes : j+lanes]
+			for l := range xi {
+				xi[l] -= v * xj[l]
 			}
-			kv += ln
 		}
 		d := f.invDiag[i]
 		for l := range xi {
@@ -447,13 +346,12 @@ func (f *realLU) solveBatch4InPlace(x []float64) {
 // and each row's eight lane accumulators are hoisted into locals, so
 // they live in registers across the row's nonzero walk (x rows never
 // self-alias — L touches only columns < i, U only columns > i). Like
-// solveInPlace it walks the element-wise pattern: under the
-// fill-reducing ordering almost every run has length one. On hosts with AVX2 the inner loops
-// run in a hand-written vector kernel performing the identical IEEE
-// multiplies and subtractions in the identical order (each 8-lane row
-// is two 4-lane vectors; lanes are independent, so vectorizing across
-// them reorders nothing within a lane) — results are bit-identical to
-// this Go walk, as the equivalence tests pin.
+// solveInPlace it walks the element-wise pattern. On hosts with AVX2
+// the inner loops run in a hand-written vector kernel performing the
+// identical IEEE multiplies and subtractions in the identical order
+// (each 8-lane row is two 4-lane vectors; lanes are independent, so
+// vectorizing across them reorders nothing within a lane) — results
+// are bit-identical to this Go walk, as the equivalence tests pin.
 func (f *realLU) solveBatch8InPlace(x []float64) {
 	if useSolveAVX2 {
 		fwdBack8AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n)

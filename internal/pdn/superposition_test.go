@@ -79,6 +79,12 @@ func dcCondition(t *testing.T, c *Circuit) (n int, kappa float64) {
 	return n, normG * normInv
 }
 
+// sineLoad drives every core with a 2 MHz sine of its own size and
+// phase, so no two cores draw alike.
+func sineLoad(i int, tm float64) float64 {
+	return (1 + 0.3*float64(i)) * (1 + math.Sin(2*math.Pi*2e6*tm+float64(i)))
+}
+
 // TestZEC12Superposition checks two invariants of a linear network
 // against the transient engine on zEC12. The network has no load but
 // the cores', so with every core idle all nodes sit at Vnom: that is
@@ -103,12 +109,9 @@ func TestZEC12Superposition(t *testing.T) {
 		steps = 3000 // 6 µs: a dozen periods of the 2 MHz drive
 		k     = 3.0  // not a power of two, so the scaling rounds
 	)
-	// a: a 2 MHz sine of its own size and phase on every core. b: a
-	// 0.7 µs square wave on the even cores over a constant draw on the
-	// odd ones.
-	a := func(i int, tm float64) float64 {
-		return (1 + 0.3*float64(i)) * (1 + math.Sin(2*math.Pi*2e6*tm+float64(i)))
-	}
+	// a: sineLoad. b: a 0.7 µs square wave on the even cores over a
+	// constant draw on the odd ones.
+	a := sineLoad
 	b := func(i int, tm float64) float64 {
 		if i%2 == 1 {
 			return 0.25
@@ -150,5 +153,68 @@ func TestZEC12Superposition(t *testing.T) {
 		for i := 0; i < NumCores; i++ {
 			check("droop(k·a) vs k·droop(a)", lanes[1][i], k*lanes[0][i], s, i)
 		}
+	}
+}
+
+// TestZEC12MirrorSymmetry checks that the engine respects the
+// automorphisms of the zEC12 netlist. Swapping the two rows (core i
+// with core i^1, domain A with domain B), reversing both rows (cores
+// 0↔4 and 1↔5), and doing both at once each map the network onto
+// itself. So a load a mirrored by such a permutation σ, core i drawing
+// a's core σ(i) draw, droops core i exactly as a droops core σ(i):
+// droop(σa)[i] = droop(a)[σ(i)] at every core and step.
+//
+// The lanes solve the same matrices against different right-hand
+// sides, so they agree only up to rounding. As in
+// TestZEC12Superposition each residual combines two lanes, so the
+// bound is 2·n·ε·κ·Vnom. Each mirrored lane has a control lane drawing
+// 1.01 times its load, and the test requires the control to break the
+// bound, so a check too loose to see a 1 % load error fails too.
+func TestZEC12MirrorSymmetry(t *testing.T) {
+	const (
+		dt    = 2e-9
+		steps = 3000
+	)
+	mirrors := []struct {
+		name  string
+		sigma [NumCores]int
+	}{
+		{"row swap", [NumCores]int{1, 0, 3, 2, 5, 4}},
+		{"row reversal", [NumCores]int{4, 5, 2, 3, 0, 1}},
+		{"both", [NumCores]int{5, 4, 3, 2, 1, 0}},
+	}
+	// Lane 0 draws a; lanes 1+2m and 2+2m draw σ_m·a and 1.01·σ_m·a.
+	loads := []coreLoad{sineLoad}
+	for _, m := range mirrors {
+		sigma := m.sigma
+		loads = append(loads,
+			func(i int, tm float64) float64 { return sineLoad(sigma[i], tm) },
+			func(i int, tm float64) float64 { return 1.01 * sineLoad(sigma[i], tm) })
+	}
+
+	cfg := DefaultZEC12Config()
+	ckt, _ := ZEC12(cfg)
+	n, kappa := dcCondition(t, ckt)
+	tol := 2 * float64(n) * 0x1p-52 * kappa * cfg.Vnom
+
+	droops := zec12LaneDroops(t, loads, dt, steps)
+	for mi, m := range mirrors {
+		worst, control := 0.0, 0.0
+		for s, lanes := range droops {
+			for i := 0; i < NumCores; i++ {
+				want := lanes[0][m.sigma[i]]
+				d := math.Abs(lanes[1+2*mi][i] - want)
+				if d > tol {
+					t.Fatalf("%s: step %d core %d: droop %.15g, want %.15g (|diff| %.3g > tol %.3g)",
+						m.name, s, i, lanes[1+2*mi][i], want, d, tol)
+				}
+				worst = math.Max(worst, d)
+				control = math.Max(control, math.Abs(lanes[2+2*mi][i]-want))
+			}
+		}
+		if control <= tol {
+			t.Errorf("%s: a 1.01-scaled mirrored load stays within tol %.3g (worst %.3g); the check cannot see a 1 %% error", m.name, tol, control)
+		}
+		t.Logf("%s: worst residual %.3g V, 1.01 control %.3g V, tol %.3g V", m.name, worst, control, tol)
 	}
 }

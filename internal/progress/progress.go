@@ -7,12 +7,12 @@
 // A Sink taps that ordered reduction; it never observes the racy
 // compute side.
 //
-// Studies accept a Sink through their existing options pattern
-// (noise.WithProgress, the Progress field of the vmin/epi/population
-// configs, stressmark.GeneticConfig.Progress). The service layer
-// additionally threads a Sink through the job context (NewContext /
-// FromContext) so a Runner implementation can forward study progress
-// into the per-job event hub without changing its interface.
+// Studies accept a Sink through a Progress field: noise.Lab's, the
+// vmin/epi/population configs' and stressmark.GeneticConfig's. The
+// service layer additionally threads a Sink through the job context
+// (NewContext / FromContext) so a Runner implementation can forward
+// study progress into the per-job event hub without changing its
+// interface.
 package progress
 
 import "context"

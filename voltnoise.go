@@ -62,21 +62,11 @@ type Platform = core.Platform
 // PlatformConfig assembles the platform model.
 type PlatformConfig = core.Config
 
-// Session is a reusable one-measurement-at-a-time engine: the width-1
-// view of a BatchSession, which owns the built PDN circuit, the
-// factored matrices and the skitter macros, so a campaign of
-// near-identical runs pays the setup once. Results are bit-identical
-// to one-shot Platform.Run calls. Not safe for concurrent use; draw one
-// per in-flight measurement from a SessionPool.
-type Session = core.Session
-
-// SessionPool recycles sessions for one platform configuration; safe
-// for concurrent use. Platform.Sessions returns the platform's pool.
+// SessionPool recycles batch sessions for one platform configuration,
+// keyed by lane width (GetBatch/PutBatch; width 1 for a lone
+// measurement); safe for concurrent use. Platform.Sessions returns the
+// platform's pool.
 type SessionPool = core.SessionPool
-
-// NewSession builds a standalone measurement session at nominal
-// voltage.
-func NewSession(cfg PlatformConfig) (*Session, error) { return core.NewSession(cfg) }
 
 // Measurement is what the platform's sensors report for one run.
 type Measurement = core.Measurement
