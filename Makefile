@@ -11,8 +11,8 @@
 #                    BENCHMARK.json on BASE and on the working tree in
 #                    10 alternating pairs, judged by paired ratios
 #   make fuzz-smoke  short fuzzing pass over the request validator,
-#                    the journal replayer and the client's SSE frame
-#                    parser (plus their seed corpora)
+#                    the stream assembler, the journal replayer and the
+#                    client's SSE frame parser (plus their seed corpora)
 #   make profile     CPU profiles of the FrequencySweep pair and of
 #                    ResonanceDiscovery into results/ for step-kernel
 #                    hot-spot digging
@@ -79,21 +79,26 @@ race:
 # noise resonance search batch {0,1,3,8,16} x workers {1,2,8}; the
 # service batch {1,3,8,16} x workers {1,4,8}; mapping batch
 # {0,3,8,16} x workers {1,2,8,64}; vmin, epi and population batch
-# {1,3,8} x workers {1,4,8}. Batch 0 is the auto width.
+# {1,3,8} x workers {1,4,8}. Batch 0 is the auto width. internal/noise
+# alone took 479 s under -race on a shared 2-vCPU host, close to go
+# test's default 600 s limit, so the timeout is set at 2.5x that.
 batch-determinism:
-	$(GO) test -race -run 'Batch|Determinism|Invariance' ./internal/noise/ ./internal/vmin/ ./internal/epi/ ./internal/core/ ./internal/population/ ./internal/service/ ./internal/mapping/ ./internal/scheduler/
+	$(GO) test -race -timeout 20m -run 'Batch|Determinism|Invariance' ./internal/noise/ ./internal/vmin/ ./internal/epi/ ./internal/core/ ./internal/population/ ./internal/service/ ./internal/mapping/ ./internal/scheduler/
 
 # fuzz-smoke runs each fuzz target for FUZZTIME on top of its committed
 # seed corpus: the request validator (decode -> normalize -> hash
-# pipeline), the write-ahead journal replayer (arbitrary on-disk
-# bytes), the client's SSE frame parser (arbitrary stream bytes), the
-# in-place batch substitution kernels (random sparse systems, every
-# lane width, vector and Go bodies vs the element-wise reference), and
-# the skitter sticky state machine (random configs x voltage walks,
-# certified table vs exact evaluation). Go allows one -fuzz pattern per
-# package invocation, so the targets run back to back.
+# pipeline), the stream assembler (arbitrary event streams, as a
+# watching client reads them off the network), the write-ahead journal
+# replayer (arbitrary on-disk bytes), the client's SSE frame parser
+# (arbitrary stream bytes), the in-place batch substitution kernels
+# (random sparse systems, every lane width, vector and Go bodies vs the
+# element-wise reference), and the skitter sticky state machine (random
+# configs x voltage walks, certified table vs exact evaluation). Go
+# allows one -fuzz pattern per package invocation, so the targets run
+# back to back.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRequestValidate -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzAssembleResult -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/service/journal
 	$(GO) test -run '^$$' -fuzz FuzzSSEParse -fuzztime $(FUZZTIME) ./internal/service/client
 	$(GO) test -run '^$$' -fuzz FuzzSolveBatchInPlace -fuzztime $(FUZZTIME) ./internal/pdn

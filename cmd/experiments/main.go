@@ -498,15 +498,7 @@ func runGuardband(e *env) error {
 	if err != nil {
 		return err
 	}
-	var worstDroop [voltnoise.NumCores + 1]float64
-	vnom := e.lab.Platform.NominalVoltage()
-	for _, r := range runs {
-		n := r.ActiveCores()
-		droopPct := (vnom - r.MinVoltage) / vnom * 100
-		if droopPct > worstDroop[n] {
-			worstDroop[n] = droopPct
-		}
-	}
+	worstDroop := voltnoise.WorstDroops(runs, e.lab.Platform.NominalVoltage())
 	table, err := voltnoise.GuardbandFromDroops(worstDroop, 1.0)
 	if err != nil {
 		return err

@@ -30,14 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var worstDroop [voltnoise.NumCores + 1]float64
-	vnom := plat.NominalVoltage()
-	for _, r := range runs {
-		n := r.ActiveCores()
-		if d := (vnom - r.MinVoltage) / vnom * 100; d > worstDroop[n] {
-			worstDroop[n] = d
-		}
-	}
+	worstDroop := voltnoise.WorstDroops(runs, plat.NominalVoltage())
 	table, err := voltnoise.GuardbandFromDroops(worstDroop, 1.0)
 	if err != nil {
 		log.Fatal(err)

@@ -203,13 +203,21 @@ func Generate(ctx context.Context, cfg Config) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Rank by descending power; stable to keep table order for ties.
+	return NewProfile(entries), nil
+}
+
+// NewProfile ranks measured entries, given in table order, into a
+// profile: a stable sort by descending power (ties keep table order),
+// then RelPower normalized to the lowest power. entries must not be
+// empty; NewProfile sorts them in place and keeps them as the
+// profile's Entries.
+func NewProfile(entries []Entry) *Profile {
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].PowerWatts > entries[j].PowerWatts })
 	min := entries[len(entries)-1].PowerWatts
 	for i := range entries {
 		entries[i].RelPower = entries[i].PowerWatts / min
 	}
-	return &Profile{Entries: entries}, nil
+	return &Profile{Entries: entries}
 }
 
 // Rank returns the 1-based rank of a mnemonic, or 0 if absent.

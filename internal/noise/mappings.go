@@ -214,6 +214,20 @@ type DeltaIPoint struct {
 	MinActiveCores int
 }
 
+// WorstDroops condenses a mapping study into the droop table of the
+// paper's Section VII-B: element n is the deepest droop, in percent of
+// vnom, of any run with n active cores (zero where no run has n).
+func WorstDroops(runs []MappingRun, vnom float64) [core.NumCores + 1]float64 {
+	var worst [core.NumCores + 1]float64
+	for _, r := range runs {
+		n := r.ActiveCores()
+		if pct := (vnom - r.MinVoltage) / vnom * 100; pct > worst[n] {
+			worst[n] = pct
+		}
+	}
+	return worst
+}
+
 // DeltaISensitivity condenses a mapping study into Figure 11a: noise
 // versus ΔI.
 func DeltaISensitivity(runs []MappingRun) []DeltaIPoint {

@@ -8,11 +8,12 @@ import (
 // coreLoad is a per-core load waveform: the current core i draws at t.
 type coreLoad func(i int, t float64) float64
 
-// zec12LaneDroops runs one lockstep batch on the zEC12 network, lane l
-// driving every core with loads[l], and returns the droop below the
-// VRM's set point, Vnom − V, at every core node of every lane after
-// each of steps steps: droops[step][lane][core].
-func zec12LaneDroops(t *testing.T, loads []coreLoad, dt float64, steps int) [][][NumCores]float64 {
+// zec12LaneDroops runs one lockstep batch on the zEC12 network from
+// simulation time start, lane l driving every core with loads[l], and
+// returns the droop below the VRM's set point, Vnom − V, at every core
+// node of every lane after each of steps steps:
+// droops[step][lane][core].
+func zec12LaneDroops(t *testing.T, loads []coreLoad, dt, start float64, steps int) [][][NumCores]float64 {
 	t.Helper()
 	cfg := DefaultZEC12Config()
 	ckt, nodes := ZEC12(cfg)
@@ -20,7 +21,7 @@ func zec12LaneDroops(t *testing.T, loads []coreLoad, dt float64, steps int) [][]
 	for i := range nodes.Core {
 		ckt.AddLoad("core", nodes.Core[i], func(tm float64) float64 { return loads[lane](i, tm) })
 	}
-	bt, err := NewBatchTransient(ckt, dt, len(loads), func(l int) { lane = l })
+	bt, err := NewBatchTransientAt(ckt, dt, start, len(loads), func(l int) { lane = l })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestZEC12Superposition(t *testing.T) {
 		}
 	}
 
-	sup := zec12LaneDroops(t, []coreLoad{a, b, sum}, dt, steps)
+	sup := zec12LaneDroops(t, []coreLoad{a, b, sum}, dt, 0, steps)
 	peak := 0.0
 	for s, lanes := range sup {
 		for i := 0; i < NumCores; i++ {
@@ -148,7 +149,7 @@ func TestZEC12Superposition(t *testing.T) {
 		t.Fatalf("peak droop of load a is %.3g V; the loads do not exercise the network", peak)
 	}
 
-	scale := zec12LaneDroops(t, []coreLoad{a, scaled}, dt, steps)
+	scale := zec12LaneDroops(t, []coreLoad{a, scaled}, dt, 0, steps)
 	for s, lanes := range scale {
 		for i := 0; i < NumCores; i++ {
 			check("droop(k·a) vs k·droop(a)", lanes[1][i], k*lanes[0][i], s, i)
@@ -197,7 +198,7 @@ func TestZEC12MirrorSymmetry(t *testing.T) {
 	n, kappa := dcCondition(t, ckt)
 	tol := 2 * float64(n) * 0x1p-52 * kappa * cfg.Vnom
 
-	droops := zec12LaneDroops(t, loads, dt, steps)
+	droops := zec12LaneDroops(t, loads, dt, 0, steps)
 	for mi, m := range mirrors {
 		worst, control := 0.0, 0.0
 		for s, lanes := range droops {
@@ -217,4 +218,91 @@ func TestZEC12MirrorSymmetry(t *testing.T) {
 		}
 		t.Logf("%s: worst residual %.3g V, 1.01 control %.3g V, tol %.3g V", m.name, worst, control, tol)
 	}
+}
+
+// TestZEC12TimeShift checks time-shift invariance: the network's
+// matrices do not depend on time, so an engine started at T and driven
+// by a(t−T) droops exactly as an engine started at 0 and driven by
+// a(t), step for step and core by core.
+//
+// Two sources of rounding separate them. The solves differ only in
+// their right-hand sides, so, as in TestZEC12MirrorSymmetry, two lanes
+// agree within 2·n·ε·κ·Vnom. The loads differ too: each engine adds Δt
+// to its clock every step and the shifted load subtracts T again, so
+// the two read a at times that differ by rounding. With u = 2⁻⁵³ and
+// t_end = S·Δt, S steps of clock additions plus the subtraction leave
+// the times at most δt = (2S+1)·u·(T+t_end) apart. sineLoad then
+// differs by at most its largest slope times δt, plus its own rounding
+// at each of the two evaluations: the phase is off by at most
+// 2u·|phase|, and the sine, the 1+ and the product add at most
+// 5u·amplitude. A load
+// difference D drives a droop difference no larger than D times the
+// ℓ1 norm of the network's discrete impulse response over the S steps,
+// summed over the cores that draw; the test measures that gain with
+// the engine, one unit impulse per lane. The bound is the sum of the
+// two terms. A lane drawing 1.01·a(t−T) must break it.
+func TestZEC12TimeShift(t *testing.T) {
+	const (
+		dt    = 2e-9
+		steps = 3000
+		u     = 0x1p-53
+		omega = 2 * math.Pi * 2e6    // sineLoad's angular frequency
+		amp   = 1 + 0.3*(NumCores-1) // sineLoad's largest core amplitude
+	)
+	shift := 1000 * dt
+	shifted := func(i int, tm float64) float64 { return sineLoad(i, tm-shift) }
+	control := func(i int, tm float64) float64 { return 1.01 * sineLoad(i, tm-shift) }
+
+	// Gain: lane j draws one ampere at core j at the first step only.
+	impulses := make([]coreLoad, NumCores)
+	for j := range impulses {
+		impulses[j] = func(i int, tm float64) float64 {
+			if i == j && tm == dt {
+				return 1
+			}
+			return 0
+		}
+	}
+	var gain float64
+	h := zec12LaneDroops(t, impulses, dt, 0, steps)
+	for i := 0; i < NumCores; i++ {
+		var sum float64
+		for _, lanes := range h {
+			for j := range impulses {
+				sum += math.Abs(lanes[j][i])
+			}
+		}
+		gain = math.Max(gain, sum)
+	}
+
+	cfg := DefaultZEC12Config()
+	ckt, _ := ZEC12(cfg)
+	n, kappa := dcCondition(t, ckt)
+	tEnd := steps * dt
+	clock := (2*steps + 1) * u * (shift + tEnd)
+	phase := omega*(shift+tEnd) + NumCores
+	load := amp*omega*clock + 2*amp*u*(2*phase+5)
+	solveTol := 2 * float64(n) * 0x1p-52 * kappa * cfg.Vnom
+	tol := solveTol + gain*load
+
+	base := zec12LaneDroops(t, []coreLoad{sineLoad}, dt, 0, steps)
+	moved := zec12LaneDroops(t, []coreLoad{shifted, control}, dt, shift, steps)
+	worst, miss := 0.0, 0.0
+	for s := range base {
+		for i := 0; i < NumCores; i++ {
+			want := base[s][0][i]
+			d := math.Abs(moved[s][0][i] - want)
+			if d > tol {
+				t.Fatalf("step %d core %d: shifted droop %.15g, want %.15g (|diff| %.3g > tol %.3g)",
+					s, i, moved[s][0][i], want, d, tol)
+			}
+			worst = math.Max(worst, d)
+			miss = math.Max(miss, math.Abs(moved[s][1][i]-want))
+		}
+	}
+	if miss <= tol {
+		t.Errorf("a 1.01-scaled shifted load stays within tol %.3g (worst %.3g); the check cannot see a 1 %% error", tol, miss)
+	}
+	t.Logf("worst residual %.3g V, 1.01 control %.3g V, tol %.3g V (solve %.3g V + gain %.3g V/A × load %.3g A)",
+		worst, miss, tol, solveTol, gain, load)
 }

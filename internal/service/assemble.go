@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
+	"voltnoise/internal/epi"
 	"voltnoise/internal/population"
 	"voltnoise/internal/vmin"
 )
@@ -16,33 +16,38 @@ import (
 var ErrNoAssembly = errors.New("service: study does not stream assemblable partials")
 
 // AssembleResult rebuilds the final result blob from a complete event
-// stream: the hello event supplies the normalized request, the partial
-// events supply the data, and the assembly performs exactly the
-// arithmetic the runner's final reduction does — so the returned bytes
-// are identical to the GET /v1/jobs/{id}/result body (and to the
-// ResultHash fingerprint of the done event) at every (workers, batch)
-// setting. Streams missing the hello or any partial return an error;
+// stream. It normalizes the hello event's request, collects and checks
+// the partials, and then calls the same library fold (epi.NewProfile,
+// vmin.Fold, population.Fold) and wire converter the runner's final
+// reduction calls — so the returned bytes are identical to the GET
+// /v1/jobs/{id}/result body (and to the ResultHash fingerprint of the
+// done event) at every (workers, batch) setting. A stream missing the
+// hello or any partial, or carrying a malformed one, returns an error;
 // studies without partials return ErrNoAssembly.
 func AssembleResult(events []*Event) ([]byte, error) {
-	var req *Request
+	var hello *Request
 	for _, e := range events {
-		if e.Type == EventHello && e.Request != nil {
-			req = e.Request
+		if e != nil && e.Type == EventHello && e.Request != nil {
+			hello = e.Request
 			break
 		}
 	}
-	if req == nil {
+	if hello == nil {
 		return nil, fmt.Errorf("service: assembling result: no hello event (replay the stream from seq 0)")
+	}
+	req, err := hello.Normalize()
+	if err != nil {
+		return nil, fmt.Errorf("service: assembling result: %w", err)
 	}
 	switch req.Study {
 	case StudyFreqSweep:
-		return assembleFreqSweep(req, events)
+		return assembleFreqSweep(req.FreqSweep, events)
 	case StudyVminWalk:
-		return assembleVminWalk(req, events)
+		return assembleVminWalk(req.VminWalk, events)
 	case StudyEPIProfile:
-		return assembleEPIProfile(req, events)
+		return assembleEPIProfile(req.EPIProfile, events)
 	case StudyPopulation:
-		return assemblePopulation(req, events)
+		return assemblePopulation(req.Population, events)
 	default:
 		return nil, ErrNoAssembly
 	}
@@ -54,7 +59,7 @@ func partials[P any](events []*Event) ([]P, []*Event, error) {
 	var out []P
 	var evs []*Event
 	for _, e := range events {
-		if e.Type != EventPartial {
+		if e == nil || e.Type != EventPartial {
 			continue
 		}
 		var p P
@@ -67,165 +72,109 @@ func partials[P any](events []*Event) ([]P, []*Event, error) {
 	return out, evs, nil
 }
 
-func assembleFreqSweep(req *Request, events []*Event) ([]byte, error) {
-	p := req.FreqSweep
-	parts, _, err := partials[FreqSweepPartial](events)
+// placed decodes the stream's partials of type P and puts each item
+// that items reports at its index in a slice of n. A repeated index
+// keeps the later copy; an index outside [0, n), or one that no
+// partial fills, is an error.
+func placed[P, T any](events []*Event, what string, n int, items func(part P, put func(index int, item T))) ([]T, error) {
+	parts, _, err := partials[P](events)
 	if err != nil {
 		return nil, err
 	}
-	res := &FreqSweepResult{Sync: p.Sync, Events: p.Events, Points: make([]FreqSweepPoint, p.Points)}
-	seen := make([]bool, p.Points)
-	n := 0
+	out := make([]T, n)
+	seen := make([]bool, n)
+	got := 0
+	put := func(i int, item T) {
+		if i < 0 || i >= n {
+			err = fmt.Errorf("service: assembling %s: index %d outside [0, %d)", what, i, n)
+			return
+		}
+		if !seen[i] {
+			seen[i] = true
+			got++
+		}
+		out[i] = item
+	}
 	for _, part := range parts {
-		for _, ip := range part.Points {
-			if ip.Index < 0 || ip.Index >= p.Points {
-				return nil, fmt.Errorf("service: assembling freq_sweep: point index %d outside [0, %d)", ip.Index, p.Points)
-			}
-			if !seen[ip.Index] {
-				seen[ip.Index] = true
-				n++
-			}
-			res.Points[ip.Index] = ip.Point
-		}
+		items(part, put)
 	}
-	if n != p.Points {
-		return nil, fmt.Errorf("service: assembling freq_sweep: stream carries %d of %d points", n, p.Points)
-	}
-	return json.Marshal(res)
-}
-
-func assembleVminWalk(req *Request, events []*Event) ([]byte, error) {
-	p := req.VminWalk
-	steps, evs, err := partials[VminStepPartial](events)
 	if err != nil {
 		return nil, err
 	}
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("service: assembling vmin_walk: no steps streamed")
+	if got != n {
+		return nil, fmt.Errorf("service: assembling %s: stream carries %d of %d", what, got, n)
 	}
-	// Replay the walk's reduction: steps arrive in descending-bias
-	// order, the failing step (if any) last. lastSafe starts at the
-	// walk's StartBias exactly as vmin.Run's does.
-	res := &VminWalkResult{FreqHz: p.FreqHz, Events: p.Events}
-	lastSafe := vmin.DefaultConfig().StartBias
-	for _, s := range steps {
-		if s.MinV < p.FailVoltage {
-			res.Failed = true
-			res.MarginPercent = (1 - lastSafe) * 100
-			break
-		}
-		lastSafe = s.Bias
-	}
-	last := evs[len(evs)-1]
-	if !res.Failed {
-		if last.ChunksDone != last.ChunksTotal {
-			return nil, fmt.Errorf("service: assembling vmin_walk: stream carries %d of %d steps", last.ChunksDone, last.ChunksTotal)
-		}
-		res.MarginPercent = (1 - p.MinBias) * 100
-	}
-	return json.Marshal(res)
+	return out, nil
 }
 
-func assembleEPIProfile(req *Request, events []*Event) ([]byte, error) {
-	p := req.EPIProfile
-	parts, evs, err := partials[EPIProfilePartial](events)
+func assembleFreqSweep(p *FreqSweepParams, events []*Event) ([]byte, error) {
+	pts, err := placed(events, "freq_sweep points", p.Points, func(part FreqSweepPartial, put func(int, FreqSweepPoint)) {
+		for _, ip := range part.Points {
+			put(ip.Index, ip.Point)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(&FreqSweepResult{Sync: p.Sync, Events: p.Events, Points: pts})
+}
+
+func assembleVminWalk(p *VminWalkParams, events []*Event) ([]byte, error) {
+	parts, evs, err := partials[VminStepPartial](events)
 	if err != nil {
 		return nil, err
 	}
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("service: assembling epi_profile: no entries streamed")
+		return nil, fmt.Errorf("service: assembling vmin_walk: no steps streamed")
 	}
-	last := evs[len(evs)-1]
-	if last.ChunksDone != last.ChunksTotal {
-		return nil, fmt.Errorf("service: assembling epi_profile: stream carries %d of %d chunks", last.ChunksDone, last.ChunksTotal)
-	}
-	// Place the entries back in table order, then rank exactly as the
-	// profiler does: stable sort by descending power (ties keep table
-	// order), relative power normalized to the profile minimum.
-	total := 0
-	for _, part := range parts {
-		if part.End > total {
-			total = part.End
+	steps := make([]vmin.StepEvent, len(parts))
+	for i, s := range parts {
+		if s.Step != i+1 {
+			return nil, fmt.Errorf("service: assembling vmin_walk: partial %d carries step %d", i+1, s.Step)
 		}
+		steps[i] = vmin.StepEvent{Bias: s.Bias, MinV: s.MinV}
 	}
-	entries := make([]EPIPartialEntry, total)
-	seen := make([]bool, total)
-	n := 0
-	for _, part := range parts {
-		if part.Start < 0 || part.End > total || part.Start+len(part.Entries) != part.End {
-			return nil, fmt.Errorf("service: assembling epi_profile: malformed chunk [%d, %d) with %d entries", part.Start, part.End, len(part.Entries))
-		}
-		for i, e := range part.Entries {
-			idx := part.Start + i
-			if !seen[idx] {
-				seen[idx] = true
-				n++
-			}
-			entries[idx] = e
-		}
+	// The walk streams every step down to the first failure, which is
+	// the last one streamed; a walk that never fails streams them all.
+	res := vmin.Fold(p.config(0, 0), steps)
+	if last := evs[len(evs)-1]; !res.Failed && last.ChunksDone != last.ChunksTotal {
+		return nil, fmt.Errorf("service: assembling vmin_walk: stream carries %d of %d steps", last.ChunksDone, last.ChunksTotal)
 	}
-	if n != total {
-		return nil, fmt.Errorf("service: assembling epi_profile: stream carries %d of %d entries", n, total)
-	}
-	order := make([]int, total)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return entries[order[a]].PowerWatts > entries[order[b]].PowerWatts
-	})
-	min := entries[order[total-1]].PowerWatts
-	entry := func(rank, idx int) EPIEntry {
-		e := entries[idx]
-		return EPIEntry{
-			Rank:       rank,
-			Mnemonic:   e.Mnemonic,
-			Unit:       e.Unit,
-			PowerWatts: e.PowerWatts,
-			RelPower:   e.PowerWatts / min,
-			IPC:        e.IPC,
-		}
-	}
-	topN := p.TopN
-	if topN > total {
-		topN = total
-	}
-	res := &EPIProfileResult{Total: total}
-	for i := 0; i < topN; i++ {
-		res.Top = append(res.Top, entry(i+1, order[i]))
-	}
-	for i := 0; i < topN; i++ {
-		res.Bottom = append(res.Bottom, entry(total-topN+i+1, order[total-topN+i]))
-	}
-	return json.Marshal(res)
+	return json.Marshal(vminWalkResult(p, res.Failed, res.MarginPercent))
 }
 
-func assemblePopulation(req *Request, events []*Event) ([]byte, error) {
-	p := req.Population
-	parts, _, err := partials[PopulationPartial](events)
+func assembleEPIProfile(p *EPIProfileParams, events []*Event) ([]byte, error) {
+	// The profile covers the whole table, and each partial entry names
+	// the instruction at its table position.
+	table := epi.DefaultConfig().Table.Instructions()
+	parts, err := placed(events, "epi_profile entries", len(table), func(part EPIProfilePartial, put func(int, EPIPartialEntry)) {
+		for k, e := range part.Entries {
+			put(part.Start+k, e)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	summaries := make([]population.ChipSummary, p.Chips)
-	seen := make([]bool, p.Chips)
-	n := 0
-	for _, part := range parts {
-		for _, cs := range part.Chips {
-			if cs.Chip < 0 || cs.Chip >= p.Chips {
-				return nil, fmt.Errorf("service: assembling population: chip %d outside [0, %d)", cs.Chip, p.Chips)
-			}
-			if !seen[cs.Chip] {
-				seen[cs.Chip] = true
-				n++
-			}
-			summaries[cs.Chip] = cs
+	entries := make([]epi.Entry, len(table))
+	for i, e := range parts {
+		if e.Mnemonic != table[i].Mnemonic {
+			return nil, fmt.Errorf("service: assembling epi_profile: entry %d is %q, the table has %q there", i, e.Mnemonic, table[i].Mnemonic)
 		}
+		entries[i] = epi.Entry{Instr: table[i], PowerWatts: e.PowerWatts, IPC: e.IPC}
 	}
-	if n != p.Chips {
-		return nil, fmt.Errorf("service: assembling population: stream carries %d of %d chips", n, p.Chips)
+	return json.Marshal(epiProfileResult(epi.NewProfile(entries), p.TopN))
+}
+
+func assemblePopulation(p *PopulationParams, events []*Event) ([]byte, error) {
+	chips, err := placed(events, "population chips", p.Chips, func(part PopulationPartial, put func(int, population.ChipSummary)) {
+		for _, cs := range part.Chips {
+			put(cs.Chip, cs)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	// The fold is the exported library fold on the same config the
-	// runner builds; BatchedChunks is schedule-dependent but excluded
-	// from the canonical JSON, so the bytes match.
-	return json.Marshal(population.Fold(p.config(0, 0), summaries))
+	// BatchedChunks is schedule-dependent but excluded from the
+	// canonical JSON, so the bytes match.
+	return json.Marshal(population.Fold(p.config(0, 0), chips))
 }

@@ -79,10 +79,12 @@ func resultSum(b []byte) string {
 
 // --- Partial payloads -------------------------------------------------
 //
-// One wire type per streaming study. Each partial carries exactly the
-// values the final result will — computed by the same arithmetic — so
-// a client that collects every partial can reassemble the final blob
-// byte for byte (see AssembleResult). The guardband study streams
+// One wire type per streaming study. Each partial carries the raw
+// values the final reduction consumes: finished sweep points, bias
+// steps, measured instructions, chip summaries. AssembleResult
+// collects them and calls the same library fold and wire converter
+// the runner calls, so a client that collects every partial can
+// reassemble the final blob byte for byte. The guardband study streams
 // lifecycle events only: its result is one indivisible table.
 
 // IndexedFreqPoint ties a sweep partial point to its position in the

@@ -91,3 +91,45 @@ func FuzzRequestValidate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAssembleResult throws arbitrary event streams, decoded from a
+// JSON array of events, at AssembleResult — the function `voltnoised
+// ctl watch` feeds with events read off the network — and checks that
+// it never panics and returns either a blob or an error, never both.
+func FuzzAssembleResult(f *testing.F) {
+	seeds := []string{
+		// A hello whose request has no params block for its study.
+		`[{"type":"hello","request":{"study":"freq_sweep"}}]`,
+		// A negative sweep point count.
+		`[{"type":"hello","request":{"study":"freq_sweep","freq_sweep":{"lo_hz":1e6,"hi_hz":2e6,"points":-1}}},` +
+			`{"type":"partial","partial":{"points":[]}}]`,
+		// An EPI profile stream whose one chunk is empty.
+		`[{"type":"hello","request":{"study":"epi_profile","epi_profile":{}}},` +
+			`{"type":"partial","partial":{"start":0,"end":0,"entries":[]}}]`,
+		`[{"type":"hello","request":{"study":"population","population":{"chips":1}}},` +
+			`{"type":"partial","partial":{"chips":[{"chip":0,"worst_droop_pct":1e308}]}}]`,
+		`[{"type":"hello","request":{"study":"guardband","guardband":{"droops":[0,1,2,3,4,5,6],"trace":[{"active_cores":2,"duration_s":1}]}}}]`,
+		`[{"type":"partial","partial":{}}]`,
+		`[null]`,
+	}
+	for _, evs := range [][]*Event{sweepStream(0, 1), vminStream(0.95, 0.8), vminStream(0.95, 0.95, 0.95), populationStream(0, 1)} {
+		b, err := json.Marshal(evs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, string(b))
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var events []*Event
+		if err := json.Unmarshal(data, &events); err != nil {
+			return
+		}
+		blob, err := AssembleResult(events)
+		if (err == nil) == (blob == nil) {
+			t.Fatalf("AssembleResult returned %d bytes and error %v", len(blob), err)
+		}
+	})
+}

@@ -170,6 +170,17 @@ func (p *VminWalkParams) normalize() error {
 	return nil
 }
 
+// config builds the walk's configuration with the request's scheduling
+// knobs. The runner walks with it and AssembleResult folds with it.
+func (p *VminWalkParams) config(workers, batch int) vmin.Config {
+	cfg := vmin.DefaultConfig()
+	cfg.FailVoltage = p.FailVoltage
+	cfg.MinBias = p.MinBias
+	cfg.Workers = workers
+	cfg.Batch = batch
+	return cfg
+}
+
 // EPIProfileParams parameterizes EPI profiling.
 type EPIProfileParams struct {
 	// TopN is how many entries to return from each end of the rank

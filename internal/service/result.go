@@ -2,14 +2,26 @@ package service
 
 import (
 	"voltnoise/internal/core"
+	"voltnoise/internal/epi"
+	"voltnoise/internal/noise"
 	"voltnoise/internal/population"
 )
+
+// The unexported converters in this file are the one path from a
+// study's library result to its wire form. The runner builds result
+// blobs through them, and AssembleResult builds the same values from a
+// stream's partials.
 
 // FreqSweepPoint is one stimulus frequency of a sweep result.
 type FreqSweepPoint struct {
 	FreqHz float64   `json:"freq_hz"`
 	P2P    []float64 `json:"p2p"`
 	Worst  float64   `json:"worst"`
+}
+
+// freqSweepPoint is the wire form of one swept frequency.
+func freqSweepPoint(pt noise.FreqPoint) FreqSweepPoint {
+	return FreqSweepPoint{FreqHz: pt.Freq, P2P: append([]float64(nil), pt.P2P[:]...), Worst: pt.Worst()}
 }
 
 // FreqSweepResult is the freq_sweep study payload.
@@ -25,6 +37,11 @@ type VminWalkResult struct {
 	Events        int     `json:"events"`
 	Failed        bool    `json:"failed"`
 	MarginPercent float64 `json:"margin_percent"`
+}
+
+// vminWalkResult is the wire form of a Vmin walk's outcome.
+func vminWalkResult(p *VminWalkParams, failed bool, marginPercent float64) *VminWalkResult {
+	return &VminWalkResult{FreqHz: p.FreqHz, Events: p.Events, Failed: failed, MarginPercent: marginPercent}
 }
 
 // EPIEntry is one ranked instruction of an EPI profile result.
@@ -43,6 +60,30 @@ type EPIProfileResult struct {
 	Total  int        `json:"total"`
 	Top    []EPIEntry `json:"top"`
 	Bottom []EPIEntry `json:"bottom"`
+}
+
+// epiProfileResult is the wire form of a ranked profile: its first and
+// last topN entries with their ranks.
+func epiProfileResult(prof *epi.Profile, topN int) *EPIProfileResult {
+	entry := func(rank int, e epi.Entry) EPIEntry {
+		return EPIEntry{
+			Rank:       rank,
+			Mnemonic:   e.Instr.Mnemonic,
+			Unit:       e.Instr.Unit.String(),
+			PowerWatts: e.PowerWatts,
+			RelPower:   e.RelPower,
+			IPC:        e.IPC,
+		}
+	}
+	res := &EPIProfileResult{Total: len(prof.Entries)}
+	for i, e := range prof.Top(topN) {
+		res.Top = append(res.Top, entry(i+1, e))
+	}
+	bottom := prof.Bottom(topN)
+	for i, e := range bottom {
+		res.Bottom = append(res.Bottom, entry(len(prof.Entries)-len(bottom)+i+1, e))
+	}
+	return res
 }
 
 // PopulationResult is the population study payload: fleet-wide droop,

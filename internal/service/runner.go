@@ -113,11 +113,13 @@ func (r *LabRunner) Run(ctx context.Context, req *Request) (any, error) {
 // The per-study sink adapters below bridge the two progress layers:
 // the studies emit their own partial types (noise.ChunkResult,
 // vmin.StepEvent, …) from the ordered reduction, and the adapters
-// convert each into the wire partial the stream documents — computing
-// any derived values (Worst, FreqHz) with exactly the arithmetic the
-// final reduction uses, so stream-assembled results stay byte-identical
-// to the blob. A nil context sink leaves the study's Progress nil and
-// costs nothing.
+// convert each into the wire partial the stream documents. A sweep
+// point goes through freqSweepPoint on both the stream and the blob
+// path; the other partials carry raw measurements, and AssembleResult
+// reduces them with the same library fold and converter the runner
+// uses, so stream-assembled results stay byte-identical to the blob.
+// A nil context sink leaves the study's Progress nil and costs
+// nothing.
 
 // freqSweepSink converts raw measurement chunks into FreqSweepPartial
 // events carrying finished sweep points at their original indices.
@@ -130,11 +132,7 @@ func freqSweepSink(sink progress.Sink, freqs []float64) progress.Sink {
 		p := FreqSweepPartial{Points: make([]IndexedFreqPoint, len(cr.Jobs))}
 		for k, ji := range cr.Jobs {
 			pt := noise.FreqPoint{Freq: freqs[ji], P2P: cr.Measurements[k].P2P}
-			p.Points[k] = IndexedFreqPoint{Index: ji, Point: FreqSweepPoint{
-				FreqHz: pt.Freq,
-				P2P:    append([]float64(nil), pt.P2P[:]...),
-				Worst:  pt.Worst(),
-			}}
+			p.Points[k] = IndexedFreqPoint{Index: ji, Point: freqSweepPoint(pt)}
 		}
 		e.Payload = p
 		sink.Emit(e)
@@ -204,11 +202,7 @@ func (r *LabRunner) runFreqSweep(ctx context.Context, req *Request) (any, error)
 	}
 	res := &FreqSweepResult{Sync: p.Sync, Events: p.Events, Points: make([]FreqSweepPoint, len(pts))}
 	for i, pt := range pts {
-		res.Points[i] = FreqSweepPoint{
-			FreqHz: pt.Freq,
-			P2P:    append([]float64(nil), pt.P2P[:]...),
-			Worst:  pt.Worst(),
-		}
+		res.Points[i] = freqSweepPoint(pt)
 	}
 	return res, nil
 }
@@ -219,11 +213,7 @@ func (r *LabRunner) runVminWalk(ctx context.Context, req *Request) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	vcfg := vmin.DefaultConfig()
-	vcfg.FailVoltage = p.FailVoltage
-	vcfg.MinBias = p.MinBias
-	vcfg.Workers = req.Workers
-	vcfg.Batch = req.Batch
+	vcfg := p.config(req.Workers, req.Batch)
 	if sink := progress.FromContext(ctx); sink != nil {
 		vcfg.Progress = vminSink(sink)
 	}
@@ -231,13 +221,7 @@ func (r *LabRunner) runVminWalk(ctx context.Context, req *Request) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	pt := pts[0]
-	return &VminWalkResult{
-		FreqHz:        pt.Freq,
-		Events:        pt.Events,
-		Failed:        pt.Failed,
-		MarginPercent: pt.MarginPercent,
-	}, nil
+	return vminWalkResult(p, pts[0].Failed, pts[0].MarginPercent), nil
 }
 
 func runEPIProfile(ctx context.Context, req *Request) (any, error) {
@@ -254,25 +238,7 @@ func runEPIProfile(ctx context.Context, req *Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	entry := func(rank int, e epi.Entry) EPIEntry {
-		return EPIEntry{
-			Rank:       rank,
-			Mnemonic:   e.Instr.Mnemonic,
-			Unit:       e.Instr.Unit.String(),
-			PowerWatts: e.PowerWatts,
-			RelPower:   e.RelPower,
-			IPC:        e.IPC,
-		}
-	}
-	res := &EPIProfileResult{Total: len(prof.Entries)}
-	for i, e := range prof.Top(p.TopN) {
-		res.Top = append(res.Top, entry(i+1, e))
-	}
-	bottom := prof.Bottom(p.TopN)
-	for i, e := range bottom {
-		res.Bottom = append(res.Bottom, entry(len(prof.Entries)-len(bottom)+i+1, e))
-	}
-	return res, nil
+	return epiProfileResult(prof, p.TopN), nil
 }
 
 // runPopulation needs no lab (there is no stressmark search — the ΔI
@@ -306,13 +272,7 @@ func (r *LabRunner) runGuardband(ctx context.Context, req *Request) (any, error)
 		if err != nil {
 			return nil, err
 		}
-		vnom := l.Platform.NominalVoltage()
-		for _, run := range runs {
-			n := run.ActiveCores()
-			if pct := (vnom - run.MinVoltage) / vnom * 100; pct > droops[n] {
-				droops[n] = pct
-			}
-		}
+		droops = noise.WorstDroops(runs, l.Platform.NominalVoltage())
 	}
 	table, err := guardband.FromDroops(droops, p.SafetyPercent)
 	if err != nil {

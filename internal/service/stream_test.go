@@ -117,15 +117,12 @@ func TestStreamDeterminismGrid(t *testing.T) {
 }
 
 // TestStreamAssembleAllStudies covers the remaining streaming studies
-// at one parallel grid point each: vmin walk, EPI profile, population.
+// at one parallel grid point each: EPI profile, population, and two
+// vmin walks, one that fails above its MinBias and one that does not.
 func TestStreamAssembleAllStudies(t *testing.T) {
 	ctx := testCtx(t)
 	_, c := startServer(t, service.Config{Runner: labRunner, PoolSize: 1})
 	reqs := []*service.Request{
-		{
-			Study: service.StudyVminWalk, Quick: true, Workers: 4, Batch: 3,
-			VminWalk: &service.VminWalkParams{FreqHz: 2.5e6, Events: 10, MinBias: 0.92},
-		},
 		{
 			Study: service.StudyEPIProfile, Workers: 4, Batch: 3,
 			EPIProfile: &service.EPIProfileParams{TopN: 3, MeasureCycles: 1024},
@@ -134,6 +131,22 @@ func TestStreamAssembleAllStudies(t *testing.T) {
 	}
 	for _, req := range reqs {
 		watchAndAssemble(t, ctx, c, req)
+	}
+	for _, w := range []struct {
+		minBias float64
+		failed  bool
+	}{{0.92, true}, {0.98, false}} {
+		blob := watchAndAssemble(t, ctx, c, &service.Request{
+			Study: service.StudyVminWalk, Quick: true, Workers: 4, Batch: 3,
+			VminWalk: &service.VminWalkParams{FreqHz: 2.5e6, Events: 10, MinBias: w.minBias},
+		})
+		var res service.VminWalkResult
+		if err := json.Unmarshal(blob, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed != w.failed {
+			t.Errorf("vmin walk down to %g: failed %v, want %v (%s)", w.minBias, res.Failed, w.failed, blob)
+		}
 	}
 }
 

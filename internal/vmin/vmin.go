@@ -139,10 +139,10 @@ type Result struct {
 // platform's pool — the circuit and its factored matrices are built
 // once and reused across the whole descending walk (the nodal matrices
 // do not depend on the bias). The reduction walks the steps in
-// descending-bias order and stops at the first failure — exactly the
-// serial schedule — so Steps, FailBias and MarginPercent never depend
-// on the worker count. Canceling ctx interrupts the walk mid-window.
-// Run only reads p: every bias is probed on a pooled session's lanes,
+// descending-bias order, stops at the first failure — exactly the
+// serial schedule — and hands the steps to Fold, so Steps, FailBias
+// and MarginPercent never depend on the worker count. Canceling ctx
+// interrupts the walk mid-window. Run only reads p: every bias is probed on a pooled session's lanes,
 // so p's own voltage bias stays wherever the caller set it.
 func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Workload, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -154,37 +154,16 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 	for bias := cfg.StartBias; bias >= cfg.MinBias-1e-9; bias -= core.BiasStep {
 		biases = append(biases, bias)
 	}
-	type step struct {
-		bias float64 // quantized bias actually applied
-		minV float64 // deepest droop across the windows
-	}
-	res := &Result{}
-	lastSafe := cfg.StartBias
-	reduce := func(s step) error {
-		res.Steps++
-		cfg.Progress.Emit(progress.Event{
-			Chunk: res.Steps - 1, Done: res.Steps, Total: len(biases),
-			Payload: StepEvent{Bias: s.bias, MinV: s.minV},
-		})
-		if s.minV < cfg.FailVoltage {
-			res.Failed = true
-			res.FailBias = s.bias
-			res.MarginPercent = (1 - lastSafe) * 100
-			return exec.ErrStop
-		}
-		lastSafe = s.bias
-		res.MinVoltageSeen = s.minV
-		return nil
-	}
 	// Pack consecutive bias steps into lockstep lanes: per-lane fixed
 	// supplies probe several biases through one factored circuit, one
 	// window walk per chunk. Workers contend for whole chunks by work
 	// stealing; the reduction stays in descending-bias order. The width
 	// is resolved as for one worker, so it is never split for workers
 	// (see Config.Batch).
+	var steps []StepEvent
 	width := exec.BatchWidthAuto(cfg.Batch, len(biases), 1, pdn.AutoBatchLanes())
 	err := exec.MapStolen(ctx, len(biases), width, cfg.Workers,
-		func(ctx context.Context, start, end int) ([]step, error) {
+		func(ctx context.Context, start, end int) ([]StepEvent, error) {
 			lanes := end - start
 			bs, err := sessions.GetBatch(biases[start], lanes)
 			if err != nil {
@@ -196,9 +175,9 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 					return nil, err
 				}
 			}
-			out := make([]step, lanes)
+			out := make([]StepEvent, lanes)
 			for l := range out {
-				out[l].minV = 2.0
+				out[l].MinV = 2.0
 			}
 			specs := make([]core.RunSpec, lanes)
 			for _, w := range cfg.Windows {
@@ -210,20 +189,25 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 					return nil, err
 				}
 				for l, m := range ms {
-					if v := m.MinVoltage(); v < out[l].minV {
-						out[l].minV = v
+					if v := m.MinVoltage(); v < out[l].MinV {
+						out[l].MinV = v
 					}
 				}
 			}
 			for l := range out {
-				out[l].bias = bs.LaneBias(l)
+				out[l].Bias = bs.LaneBias(l)
 			}
 			return out, nil
 		},
-		func(_, _, _ int, steps []step) error {
-			for _, s := range steps {
-				if err := reduce(s); err != nil {
-					return err
+		func(_, _, _ int, chunk []StepEvent) error {
+			for _, s := range chunk {
+				steps = append(steps, s)
+				cfg.Progress.Emit(progress.Event{
+					Chunk: len(steps) - 1, Done: len(steps), Total: len(biases),
+					Payload: s,
+				})
+				if s.MinV < cfg.FailVoltage {
+					return exec.ErrStop
 				}
 			}
 			return nil
@@ -231,9 +215,30 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 	if err != nil {
 		return nil, err
 	}
-	if !res.Failed {
-		// No failure down to MinBias: report the margin as the full range.
-		res.MarginPercent = (1 - cfg.MinBias) * 100
+	return Fold(cfg, steps), nil
+}
+
+// Fold reduces the probed bias steps, given in descending-bias order,
+// to the experiment's result. The walk ends at the first step whose
+// deepest supply crosses cfg.FailVoltage; steps after it are ignored.
+// The margin is how far below nominal the last safe bias sat
+// (cfg.StartBias when the first step fails), or the full range down to
+// cfg.MinBias when no step fails. Run folds its walk with it, and so
+// does anything that rebuilds the result from streamed StepEvents.
+func Fold(cfg Config, steps []StepEvent) *Result {
+	res := &Result{}
+	lastSafe := cfg.StartBias
+	for _, s := range steps {
+		res.Steps++
+		if s.MinV < cfg.FailVoltage {
+			res.Failed = true
+			res.FailBias = s.Bias
+			res.MarginPercent = (1 - lastSafe) * 100
+			return res
+		}
+		lastSafe = s.Bias
+		res.MinVoltageSeen = s.MinV
 	}
-	return res, nil
+	res.MarginPercent = (1 - cfg.MinBias) * 100
+	return res
 }

@@ -136,3 +136,33 @@ func TestMarginQuantizedToBiasSteps(t *testing.T) {
 		t.Errorf("margin %g%% is not step-quantized", res.MarginPercent)
 	}
 }
+
+// TestFold pins the walk's reduction on hand-made steps: the margin is
+// the last safe bias below nominal (StartBias when the first step
+// fails), steps after the failing one are ignored, and a walk that
+// never fails reports the full range down to MinBias.
+func TestFold(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FailVoltage = 0.9
+	cfg.MinBias = 0.985
+	safe := func(bias float64) StepEvent { return StepEvent{Bias: bias, MinV: 0.95} }
+	fail := func(bias float64) StepEvent { return StepEvent{Bias: bias, MinV: 0.85} }
+	margin := func(bias float64) float64 { return (1 - bias) * 100 }
+	cases := []struct {
+		name  string
+		steps []StepEvent
+		want  Result
+	}{
+		{"first step fails", []StepEvent{fail(1.0), safe(0.995)},
+			Result{Failed: true, FailBias: 1.0, MarginPercent: 0, Steps: 1}},
+		{"later step fails", []StepEvent{safe(1.0), {Bias: 0.995, MinV: 0.91}, fail(0.99), fail(0.985)},
+			Result{Failed: true, FailBias: 0.99, MarginPercent: margin(0.995), Steps: 3, MinVoltageSeen: 0.91}},
+		{"no step fails", []StepEvent{safe(1.0), safe(0.995), safe(0.99), {Bias: 0.985, MinV: 0.92}},
+			Result{MarginPercent: margin(0.985), Steps: 4, MinVoltageSeen: 0.92}},
+	}
+	for _, c := range cases {
+		if got := Fold(cfg, c.steps); *got != c.want {
+			t.Errorf("%s: Fold = %+v, want %+v", c.name, *got, c.want)
+		}
+	}
+}

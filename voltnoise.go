@@ -349,6 +349,13 @@ const (
 // points (the paper's Figure 11a).
 func DeltaISensitivity(runs []MappingRun) []DeltaIPoint { return noise.DeltaISensitivity(runs) }
 
+// WorstDroops condenses a mapping study into the worst droop, in
+// percent of vnom, for each active-core count: the input of
+// GuardbandFromDroops (the paper's Section VII-B).
+func WorstDroops(runs []MappingRun, vnom float64) [NumCores + 1]float64 {
+	return noise.WorstDroops(runs, vnom)
+}
+
 // DistributionAnalysis condenses a mapping study into noise by
 // workload distribution (the paper's Figure 11b).
 func DistributionAnalysis(runs []MappingRun) []DistributionPoint {
