@@ -92,8 +92,10 @@ batch-determinism:
 # replayer (arbitrary on-disk bytes), the client's SSE frame parser
 # (arbitrary stream bytes), the in-place batch substitution kernels
 # (random sparse systems, every lane width, vector and Go bodies vs the
-# element-wise reference), and the skitter sticky state machine (random
-# configs x voltage walks, certified table vs exact evaluation). Go
+# element-wise reference), the batch engine's load fill (random
+# per-lane loads at widths 1-17 vs per-lane width-1 engines), and the
+# skitter sticky state machine (random configs x voltage walks,
+# certified table vs exact evaluation). Go
 # allows one -fuzz pattern per package invocation, so the targets run
 # back to back.
 fuzz-smoke:
@@ -102,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/service/journal
 	$(GO) test -run '^$$' -fuzz FuzzSSEParse -fuzztime $(FUZZTIME) ./internal/service/client
 	$(GO) test -run '^$$' -fuzz FuzzSolveBatchInPlace -fuzztime $(FUZZTIME) ./internal/pdn
+	$(GO) test -run '^$$' -fuzz FuzzBatchLoadFill -fuzztime $(FUZZTIME) ./internal/pdn
 	$(GO) test -run '^$$' -fuzz FuzzSkitterSticky -fuzztime $(FUZZTIME) ./internal/skitter
 
 # bench compares the serial (Workers=1, Batch=1: the lane-per-run

@@ -89,13 +89,16 @@ func (e *env) csv(id string, header string, rows [][]float64) {
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string, out io.Writer) error {
+// run parses args and runs the selected experiments, writing the report
+// to out and the wall-clock timing lines to timing, so the report is
+// byte-identical from run to run.
+func run(ctx context.Context, args []string, out, timing io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	runList := fs.String("run", "", "comma-separated experiment ids (default: all)")
 	quick := fs.Bool("quick", false, "reduced sweep sizes")
@@ -162,9 +165,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	lab.Workers = *workers
 	lab.Batch = *batch
 	e.lab = lab
-	e.printf("platform ready in %v (max-power sequence: %s, %.1f W)\n\n",
-		time.Since(start).Round(time.Millisecond), lab.MaxSeq.Mnemonics(),
-		lab.Search.Core.Power(lab.MaxSeq))
+	fmt.Fprintf(timing, "platform ready in %v\n", time.Since(start).Round(time.Millisecond))
+	e.printf("max-power sequence: %s, %.1f W\n\n", lab.MaxSeq.Mnemonics(), lab.Search.Core.Power(lab.MaxSeq))
 
 	for _, exp := range experiments {
 		if len(selected) > 0 && !selected[exp.id] {
@@ -175,7 +177,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err := exp.run(e); err != nil {
 			return fmt.Errorf("%s: %w", exp.id, err)
 		}
-		e.printf("(%s in %v)\n\n", exp.id, time.Since(t0).Round(time.Millisecond))
+		e.printf("\n")
+		fmt.Fprintf(timing, "(%s in %v)\n", exp.id, time.Since(t0).Round(time.Millisecond))
 	}
 	return nil
 }

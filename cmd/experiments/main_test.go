@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,15 +10,16 @@ import (
 )
 
 // TestFunnelSmoke runs the cheapest experiment through the real CLI
-// entry point.
+// entry point: the report goes to out, the wall-clock timing lines to
+// the timing writer only.
 func TestFunnelSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := run(context.Background(), []string{"-quick", "-run", "Funnel"}, &out); err != nil {
+	var out, timing strings.Builder
+	if err := run(context.Background(), []string{"-quick", "-run", "Funnel"}, &out, &timing); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
 	for _, want := range []string{
-		"platform ready",
+		"max-power sequence:",
 		"=== Funnel:",
 		"candidates:",
 		"winner:",
@@ -26,13 +28,21 @@ func TestFunnelSmoke(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
+	for _, want := range []string{"platform ready in ", "(Funnel in "} {
+		if !strings.Contains(timing.String(), want) {
+			t.Errorf("timing lines missing %q:\n%s", want, timing.String())
+		}
+		if strings.Contains(got, want) {
+			t.Errorf("report carries timing line %q:\n%s", want, got)
+		}
+	}
 }
 
 // TestGuardbandCSV: the -csv flag materializes data series on disk.
 func TestGuardbandCSV(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-quick", "-run", "Fig7a", "-csv", dir}, &out); err != nil {
+	if err := run(context.Background(), []string{"-quick", "-run", "Fig7a", "-csv", dir}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig7a.csv"))
@@ -49,27 +59,16 @@ func TestGuardbandCSV(t *testing.T) {
 }
 
 // TestBatchFlagDeterminism: the -batch flag changes scheduling only —
-// the experiment output (banner timing aside) is byte-identical at
-// every lane width.
+// the report is byte-identical at every lane width. Fig14 exercises
+// the batched placement evaluator; the timing lines go to their own
+// writer, so the reports compare whole.
 func TestBatchFlagDeterminism(t *testing.T) {
-	// Fig14 exercises the batched placement evaluator; drop the timing
-	// lines ("platform ready in ..."/"(Fig14 in ...)") before comparing.
-	strip := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "platform ready in ") || strings.HasPrefix(line, "(Fig14 in ") {
-				continue
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
 	run1 := func(batch string) string {
 		var out strings.Builder
-		if err := run(context.Background(), []string{"-quick", "-run", "Fig14", "-batch", batch}, &out); err != nil {
+		if err := run(context.Background(), []string{"-quick", "-run", "Fig14", "-batch", batch}, &out, io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		return strip(out.String())
+		return out.String()
 	}
 	ref := run1("1")
 	for _, batch := range []string{"0", "3", "8"} {
@@ -83,7 +82,7 @@ func TestBatchFlagDeterminism(t *testing.T) {
 // the known ids.
 func TestUnknownExperimentErrors(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(), []string{"-quick", "-run", "Fig99"}, &out)
+	err := run(context.Background(), []string{"-quick", "-run", "Fig99"}, &out, io.Discard)
 	if err == nil {
 		t.Fatal("no error for unknown experiment id")
 	}
@@ -95,7 +94,7 @@ func TestUnknownExperimentErrors(t *testing.T) {
 // TestBadFlagErrors: an unknown flag is a clean error.
 func TestBadFlagErrors(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-bogus"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-bogus"}, &out, io.Discard); err == nil {
 		t.Fatal("no error for unknown flag")
 	}
 }

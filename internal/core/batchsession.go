@@ -20,12 +20,14 @@ import (
 // the (latency-bound) LU substitution once per step for all B lanes.
 // Width 1 is the one-measurement-at-a-time shape.
 //
-// Between runs only the cheap state moves: load closures re-read the
-// lanes' workload slots, the engine re-derives each lane's DC operating
-// point with the cached factorization, and the macros clear their
-// sticky registers. A lane's Measurement depends only on its RunSpec,
-// bias and gains — never on the width, the other lanes or the runs
-// before it: per lane the engine performs the same floating-point
+// Each step the engine asks the session once for every lane's load
+// currents (fillLoads), which evaluates the lanes' workload slots into
+// the engine's load slab. Between runs only the cheap state moves: the
+// workload slots are swapped, the engine re-derives each lane's DC
+// operating point with the cached factorization, and the macros clear
+// their sticky registers. A lane's Measurement depends only on its
+// RunSpec, bias and gains — never on the width, the other lanes or the
+// runs before it: per lane the engine performs the same floating-point
 // operations in the same order, batching only interleaves lanes.
 //
 // A BatchSession is NOT safe for concurrent use; parallel studies draw
@@ -34,13 +36,9 @@ type BatchSession struct {
 	cfg   Config
 	lanes []laneState
 
-	circuit *pdn.Circuit
-	nodes   pdn.ZEC12Nodes
-	bt      *pdn.BatchTransient
-	idle    Workload
-	// cur is the lane whose loads the circuit is evaluating right now,
-	// kept current by the engine's onLane hook (always lane 0 at width 1).
-	cur *laneState
+	nodes pdn.ZEC12Nodes
+	bt    *pdn.BatchTransient
+	idle  Workload
 	// coreV[i] is the live view of core i's potential in every lane.
 	coreV [NumCores][]float64
 }
@@ -58,23 +56,22 @@ type laneState struct {
 	gains  [NumCores]float64
 	macros [NumCores]*skitter.Macro
 
-	// wl holds the current run's workloads; the shared load closures
-	// read them through BatchSession.cur.
+	// wl holds the current run's workloads, which fillLoads evaluates.
 	wl [NumCores]Workload
-	// pw is the power scratch the load closures fill each step, reused
-	// by the chip-power accumulator.
+	// pw is the power scratch fillLoads writes each step, reused by the
+	// chip-power accumulator.
 	pw [NumCores]float64
-	// iq is the current scratch: the quotient p/vnom each core's
-	// closure computed (or copied from its alias source), so the
-	// division runs once per distinct workload at each distinct supply.
+	// iq is the current scratch: the quotient p/vnom fillLoads computed
+	// for each core (or copied from its alias source), so the division
+	// runs once per distinct workload at each distinct supply.
 	iq [NumCores]float64
 	// src[i], when non-nil, is the lane whose core srcCore[i] holds the
 	// identical (pure) workload value as this lane's core i, in the
-	// first such slot in lane-major order. Lockstep lanes evaluate their
-	// loads at the same instants in ascending lane order, core order
-	// within a lane, so the source slot's closure has always run first
-	// this step: core i copies its bit-identical power sample and pays
-	// at most the p/vnom division (only when the supplies differ).
+	// first such slot in lane-major order. fillLoads visits the slots in
+	// ascending lane order, core order within a lane, so the source slot
+	// has always been evaluated first at the same instant: core i copies
+	// its bit-identical power sample and pays at most the p/vnom
+	// division (only when the supplies differ).
 	src     [NumCores]*laneState
 	srcCore [NumCores]int
 
@@ -108,48 +105,20 @@ func NewBatchSession(cfg Config, lanes int) (*BatchSession, error) {
 			return nil, err
 		}
 	}
-	s.cur = &s.lanes[0]
 
-	s.circuit, s.nodes = pdn.ZEC12(cfg.PDN)
+	// The loads only place the sinks: the engine takes their currents
+	// from fillLoads, in this order (cores, then uncore).
+	circuit, nodes := pdn.ZEC12(cfg.PDN)
+	s.nodes = nodes
 	for i := 0; i < NumCores; i++ {
-		// Loads model devices as nominal-voltage current sinks:
-		// I(t) = P(t)/Vnom at the active lane's effective supply (the
-		// standard linearization for PDN noise analysis), with the power
-		// sample parked in the lane's scratch slot.
-		i := i
-		s.circuit.AddLoad(fmt.Sprintf("core%d", i), s.nodes.Core[i],
-			func(t float64) float64 {
-				c := s.cur
-				if r := c.src[i]; r != nil {
-					// The source slot ran first this step at the same
-					// instant, so its power sample is bit-identical to what
-					// this core's workload would produce.
-					j := c.srcCore[i]
-					p, q := r.pw[j], r.iq[j]
-					if c.vnom != r.vnom {
-						q = p / c.vnom
-					}
-					c.pw[i], c.iq[i] = p, q
-					return q
-				}
-				p := c.wl[i].Power(t)
-				c.pw[i] = p
-				q := p / c.vnom
-				c.iq[i] = q
-				return q
-			})
+		circuit.AddLoad(fmt.Sprintf("core%d", i), nodes.Core[i], filledLoad)
 	}
-	s.circuit.AddLoad("uncore", s.nodes.L3, func(float64) float64 { return s.cur.uncoreI })
+	circuit.AddLoad("uncore", nodes.L3, filledLoad)
 	// Every lane starts idle on every core, so the construction-time DC
 	// solve already dedupes down to one Power evaluation per step.
 	s.refreshAliases()
 
-	// cur starts at lane 0, so a width-1 engine needs no lane hook.
-	var onLane func(int)
-	if lanes > 1 {
-		onLane = func(l int) { s.cur = &s.lanes[l] }
-	}
-	bt, err := pdn.NewBatchTransientAt(s.circuit, cfg.Dt, 0, lanes, onLane)
+	bt, err := pdn.NewBatchTransientAt(circuit, cfg.Dt, 0, lanes, s.fillLoads)
 	if err != nil {
 		return nil, err
 	}
@@ -217,13 +186,11 @@ func (s *BatchSession) SetVoltageBias(bias float64) error {
 // refreshAliases recomputes the whole-batch alias map from every
 // lane's workload slots. A core's alias source may be any earlier slot
 // in lane-major order — an earlier core of its own lane, or any core
-// of an earlier lane — because the first matching slot's closure has
-// always run by the time the aliased core's is evaluated, within the
-// same step at the same instant. The first match is never itself an
-// alias (its own scan found nothing earlier), so alias chains are
-// depth one and every copy reads a freshly computed sample. A core
-// whose node is fixed is never a source: the engine skips its load, so
-// no sample would be parked to reuse.
+// of an earlier lane — because fillLoads has always evaluated the
+// first matching slot by the time it reaches the aliased core, within
+// the same step at the same instant. The first match is never itself
+// an alias (its own scan found nothing earlier), so alias chains are
+// depth one and every copy reads a freshly computed sample.
 func (s *BatchSession) refreshAliases() {
 	for l := range s.lanes {
 		c := &s.lanes[l]
@@ -231,18 +198,52 @@ func (s *BatchSession) refreshAliases() {
 			c.src[i] = nil
 			for g := 0; g < l*NumCores+i; g++ {
 				r, j := &s.lanes[g/NumCores], g%NumCores
-				if !sameWorkload(r.wl[j], c.wl[i]) {
-					continue
+				if sameWorkload(r.wl[j], c.wl[i]) {
+					c.src[i], c.srcCore[i] = r, j
+					break
 				}
-				if _, fixed := s.circuit.FixedVoltage(s.nodes.Core[j]); fixed {
-					continue
-				}
-				c.src[i], c.srcCore[i] = r, j
-				break
 			}
 		}
 	}
 }
+
+// fillLoads is the engine's load fill: it writes every lane's core and
+// uncore currents at time t into cur, load k of lane l at
+// cur[k*lanes+l]. Loads model devices as nominal-voltage current sinks,
+// I(t) = P(t)/Vnom at the lane's effective supply (the standard
+// linearization for PDN noise analysis), and each core's power sample
+// and current are parked in the lane's scratch slots for the chip-power
+// accumulator and for the cores aliased to it.
+func (s *BatchSession) fillLoads(t float64, cur []float64) {
+	B := len(s.lanes)
+	for l := range s.lanes {
+		c := &s.lanes[l]
+		for i := range c.wl {
+			var p, q float64
+			if r := c.src[i]; r != nil {
+				// The source slot was evaluated first at the same instant,
+				// so its power sample is bit-identical to what this core's
+				// workload would produce.
+				j := c.srcCore[i]
+				p, q = r.pw[j], r.iq[j]
+				if c.vnom != r.vnom {
+					q = p / c.vnom
+				}
+			} else {
+				p = c.wl[i].Power(t)
+				q = p / c.vnom
+			}
+			c.pw[i], c.iq[i] = p, q
+			cur[i*B+l] = q
+		}
+		cur[NumCores*B+l] = c.uncoreI
+	}
+}
+
+// filledLoad stands in for the Current function of the session
+// circuit's loads, which the engine never calls: it takes every load
+// current from fillLoads.
+func filledLoad(float64) float64 { panic("core: session load evaluated outside fillLoads") }
 
 // LaneGains returns one lane's effective per-core skitter gain
 // multipliers.
@@ -426,9 +427,9 @@ func (s *BatchSession) run(ctx context.Context, specs []RunSpec, out []*Measurem
 
 // observe feeds every lane still inside its window the core potentials
 // after the given step: skitter samples, voltage extremes, traces, and
-// (past the initial point) the chip power the load closures just
-// sampled. Lanes and cores are independent, so only each macro's
-// sample order matters.
+// (past the initial point) the chip power fillLoads just sampled.
+// Lanes and cores are independent, so only each macro's sample order
+// matters.
 func (s *BatchSession) observe(step int) {
 	for l := range s.lanes {
 		c := &s.lanes[l]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -491,5 +492,77 @@ func TestSessionPoolBatch(t *testing.T) {
 		t.Fatal(err)
 	} else if other.Lanes() != 3 {
 		t.Errorf("GetBatch(3) returned width %d", other.Lanes())
+	}
+}
+
+// batchRunSpecs returns one spec per lane over a short window. With
+// distinct set, every core of every lane runs its own uncomparable
+// square wave, so fillLoads evaluates each slot; otherwise every slot
+// shares one comparable workload, evaluated once per step.
+func batchRunSpecs(lanes int, distinct bool) []RunSpec {
+	shared := Steady("shared", 30)
+	specs := make([]RunSpec, lanes)
+	for l := range specs {
+		var wl [NumCores]Workload
+		for i := range wl {
+			wl[i] = shared
+			if distinct {
+				wl[i] = laneWorkload(l*NumCores + i)
+			}
+		}
+		specs[l] = RunSpec{Workloads: wl, Warmup: 1e-6, Duration: 2e-6}
+	}
+	return specs
+}
+
+// TestBatchSessionSteadyStateAllocs extends the width-1 guard
+// (TestSessionSteadyStateAllocs) to reused batch sessions at widths 4
+// and 16 with a distinct workload on every core: the load fill, the
+// steps and the observation allocate nothing, leaving the returned
+// slice and one Measurement per lane.
+func TestBatchSessionSteadyStateAllocs(t *testing.T) {
+	for _, lanes := range []int{pdn.NarrowBatchLanes, pdn.WideBatchLanes} {
+		bs, err := NewBatchSession(DefaultConfig(), lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := batchRunSpecs(lanes, true)
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := bs.RunBatch(specs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := float64(lanes + 1); allocs > want {
+			t.Errorf("lanes=%d: RunBatch allocates %v objects per run, want <= %v", lanes, allocs, want)
+		}
+	}
+}
+
+// BenchmarkBatchSessionRun times a reused batch session's runs at
+// widths 1, 4 and 16, with every core sharing one workload (aliased:
+// one Power call per step) and with a distinct workload per core (one
+// per core and lane), and reports the price of one lane-step: the pdn
+// step plus the load fill, observation and accounting.
+func BenchmarkBatchSessionRun(b *testing.B) {
+	for _, lanes := range []int{1, pdn.NarrowBatchLanes, pdn.WideBatchLanes} {
+		for _, loads := range []string{"aliased", "distinct"} {
+			b.Run(fmt.Sprintf("Lanes%d/%s", lanes, loads), func(b *testing.B) {
+				cfg := DefaultConfig()
+				bs, err := NewBatchSession(cfg, lanes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				specs := batchRunSpecs(lanes, loads == "distinct")
+				steps := math.Round((specs[0].Warmup + specs[0].Duration) / cfg.Dt)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := bs.RunBatch(specs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(lanes)*steps), "ns/lane-step")
+			})
+		}
 	}
 }

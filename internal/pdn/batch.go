@@ -15,8 +15,8 @@ import (
 //
 // Every lane sees the same topology and element values — the companion
 // and DC matrices are stamped and factored exactly once — but each lane
-// evaluates the circuit's loads against its own state (selected through
-// the onLane hook) and may pin fixed supplies to lane-specific
+// draws its own load currents (written for every lane at once by the
+// engine's fill) and may pin fixed supplies to lane-specific
 // potentials. The per-step solve becomes a multi-RHS substitution over
 // a contiguous n×B block, and the step-plan walk is amortized across
 // all lanes, so a width-8 batch costs far less than eight width-1 runs.
@@ -45,16 +45,20 @@ type BatchTransient struct {
 	idxP    []int
 	unkNode []int32
 
-	// onLane selects a lane before its loads are evaluated, so the
-	// owner can swap the workload state the load closures read.
-	onLane func(lane int)
+	// fill writes every load's current for every lane at a given time
+	// into cur (load k, lane l at k*lanes+l); nil evaluates each
+	// Load.Current once per lane. loadP[k] is load k's RHS slot in
+	// permuted row order, or -1 for a load at a fixed node, whose
+	// current never enters the solve.
+	fill  func(t float64, cur []float64)
+	cur   []float64
+	loadP []int
 
 	// Per-element companion state; the lane dimension is innermost.
-	// vab/ibr hold the DC operating point only: past the first step,
+	// ibr holds the DC operating point only: past the first step,
 	// branch state lives in hist (the trapezoidal history source) and
 	// BranchCurrent derives currents on demand from the node potentials.
 	geq  []float64 // companion conductance per element (shared by lanes)
-	vab  []float64 // branch voltage per element x lane (DC point)
 	ibr  []float64 // branch current per element x lane (a -> b, DC point)
 	hist []float64 // companion history source per element x lane
 	pots []float64 // node potentials per node x lane
@@ -102,20 +106,27 @@ type stepElem struct {
 
 // NewBatchTransient prepares a lockstep batch simulation of c with
 // fixed timestep dt, starting at time zero. See NewBatchTransientAt.
-func NewBatchTransient(c *Circuit, dt float64, lanes int, onLane func(lane int)) (*BatchTransient, error) {
-	return NewBatchTransientAt(c, dt, 0, lanes, onLane)
+func NewBatchTransient(c *Circuit, dt float64, lanes int, fill func(t float64, cur []float64)) (*BatchTransient, error) {
+	return NewBatchTransientAt(c, dt, 0, lanes, fill)
 }
 
 // NewBatchTransientAt prepares a lockstep batch simulation of c with
 // fixed timestep dt and the given lane count, starting at simulation
-// time start. onLane (may be nil) is invoked with the lane index
-// immediately before that lane's loads are evaluated — during
-// construction, Reset, and every Step — so load closures shared by all
-// lanes can read lane-local workload state. Each lane starts at its own
-// DC operating point (inductors shorted, capacitors open, loads
-// evaluated at the start time), so a well-formed circuit starts in
-// steady state and shows no artificial start-up transient.
-func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, onLane func(lane int)) (*BatchTransient, error) {
+// time start.
+//
+// fill supplies the load currents: called once at the start time
+// during construction and Reset, and once per Step at the new time, it
+// writes the current of every load of c (in insertion order) for every
+// lane into cur, load k of lane l at cur[k*lanes+l]. Entries of loads
+// at fixed nodes are ignored. With a nil fill the engine calls each
+// Load.Current once per lane instead, skipping loads at fixed nodes;
+// Load.Current is consulted only then.
+//
+// Each lane starts at its own DC operating point (inductors shorted,
+// capacitors open, loads evaluated at the start time), so a
+// well-formed circuit starts in steady state and shows no artificial
+// start-up transient.
+func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, fill func(t float64, cur []float64)) (*BatchTransient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("pdn: non-positive timestep %g", dt)
 	}
@@ -126,15 +137,17 @@ func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, onLane func(l
 	if n == 0 {
 		return nil, fmt.Errorf("pdn: circuit has no unknown nodes")
 	}
+	// The load slab shares the RHS block's allocation.
+	rhs := make([]float64, (n+len(c.loads))*lanes)
 	t := &BatchTransient{
 		c: c, dt: dt, lanes: lanes, idx: idx, n: n, time: start,
-		onLane:   onLane,
-		vab:      make([]float64, len(c.elements)*lanes),
+		fill:     fill,
 		ibr:      make([]float64, len(c.elements)*lanes),
 		hist:     make([]float64, len(c.elements)*lanes),
 		pots:     make([]float64, c.NumNodes()*lanes),
 		fixedPot: make([]float64, c.NumNodes()*lanes),
-		rhs:      make([]float64, n*lanes),
+		rhs:      rhs[: n*lanes : n*lanes],
+		cur:      rhs[n*lanes:],
 		laneRHS:  make([]float64, n),
 		laneSol:  make([]float64, n),
 	}
@@ -144,7 +157,7 @@ func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, onLane func(l
 		return nil, err
 	}
 	t.geq, t.lu = geq, lu
-	t.idxP, t.unkNode = permutedIndex(idx, lu)
+	t.idxP, t.loadP, t.unkNode = permutedIndex(idx, c.loads, lu)
 	dcLU, err := factorDCMatrix(c, idx, n)
 	if err != nil {
 		return nil, err
@@ -240,9 +253,9 @@ func (t *BatchTransient) BranchCurrent(lane, i int) float64 {
 // Reset rewinds all lanes to the given start time and re-derives each
 // lane's DC operating point from the circuit's current loads and the
 // lane's fixed potentials. Neither nodal matrix is re-stamped or
-// re-factored, so a session can retune lane supplies, swap what the
-// load closures compute, and restart from here at the cost of one
-// linear solve per lane.
+// re-factored, so a session can retune lane supplies, swap what its
+// fill computes, and restart from here at the cost of one linear solve
+// per lane.
 func (t *BatchTransient) Reset(start float64) error {
 	t.time = start
 	t.step = 0
@@ -256,6 +269,15 @@ func (t *BatchTransient) Reset(start float64) error {
 // the accumulation order per lane) depends only on topology, never on
 // lane state.
 func (t *BatchTransient) buildPlan() {
+	entries := 0
+	for _, e := range t.c.elements {
+		if e.kind != kindResistor || (t.idx[e.a] >= 0) != (t.idx[e.b] >= 0) {
+			entries++
+		}
+	}
+	if cap(t.plan) < entries {
+		t.plan = make([]stepElem, 0, entries)
+	}
 	t.plan = t.plan[:0]
 	for ei, e := range t.c.elements {
 		ia, ib := t.idx[e.a], t.idx[e.b]
@@ -296,12 +318,31 @@ func (t *BatchTransient) buildPlan() {
 	}
 }
 
+// loadCurrents fills the load slab at time at: through the engine's
+// fill, or with each Load.Current once per lane, lane by lane, for the
+// loads that enter the solve.
+func (t *BatchTransient) loadCurrents(at float64) {
+	if t.fill != nil {
+		t.fill(at, t.cur)
+		return
+	}
+	B := t.lanes
+	for l := 0; l < B; l++ {
+		for k, i := range t.loadP {
+			if i >= 0 {
+				t.cur[k*B+l] = t.c.loads[k].Current(at)
+			}
+		}
+	}
+}
+
 // initState derives each lane's initial condition from its DC
-// operating point: loads evaluated at the current simulation time (for
-// that lane, via onLane) against the cached DC factorization.
+// operating point: loads evaluated at the current simulation time
+// against the cached DC factorization.
 func (t *BatchTransient) initState() {
 	c := t.c
 	B := t.lanes
+	t.loadCurrents(t.time)
 	for l := 0; l < B; l++ {
 		rhs, sol := t.laneRHS, t.laneSol
 		clear(rhs)
@@ -319,12 +360,9 @@ func (t *BatchTransient) initState() {
 				rhs[ib] += ge * t.fixedPot[int(e.a)*B+l]
 			}
 		}
-		if t.onLane != nil {
-			t.onLane(l)
-		}
-		for _, ld := range c.loads {
+		for k, ld := range c.loads[:len(t.loadP)] {
 			if i := t.idx[ld.Node]; i >= 0 {
-				rhs[i] -= ld.Current(t.time)
+				rhs[i] -= t.cur[k*B+l]
 			}
 		}
 		t.dcLU.solveInto(sol, rhs)
@@ -335,28 +373,25 @@ func (t *BatchTransient) initState() {
 				t.pots[node*B+l] = t.fixedPot[node*B+l]
 			}
 		}
-		// Branch states from the DC solution.
+		// Branch states from the DC solution, and the history sources
+		// the first Step will consume, seeded with the exact expressions
+		// the step walk uses thereafter.
 		for ei, e := range c.elements {
-			va, vb := t.pots[int(e.a)*B+l], t.pots[int(e.b)*B+l]
-			t.vab[ei*B+l] = va - vb
+			v := t.pots[int(e.a)*B+l] - t.pots[int(e.b)*B+l]
+			var i float64
 			switch e.kind {
 			case kindResistor:
-				t.ibr[ei*B+l] = (va - vb) / e.value
+				i = v / e.value
 			case kindInductor:
-				t.ibr[ei*B+l] = (va - vb) / dcShortOhms
-				t.vab[ei*B+l] = 0 // an ideal inductor carries no DC voltage
-			case kindCapacitor:
-				t.ibr[ei*B+l] = 0
+				i = v / dcShortOhms
+				v = 0 // an ideal inductor carries no DC voltage
 			}
-		}
-		// Seed the history sources the first Step will consume, with
-		// the exact expressions the step walk uses thereafter.
-		for ei, e := range c.elements {
+			t.ibr[ei*B+l] = i
 			switch e.kind {
 			case kindCapacitor:
-				t.hist[ei*B+l] = t.geq[ei]*t.vab[ei*B+l] + t.ibr[ei*B+l]
+				t.hist[ei*B+l] = t.geq[ei]*v + i
 			case kindInductor:
-				t.hist[ei*B+l] = t.ibr[ei*B+l] + t.geq[ei]*t.vab[ei*B+l]
+				t.hist[ei*B+l] = i + t.geq[ei]*v
 			}
 		}
 	}
@@ -447,12 +482,11 @@ func (t *BatchTransient) stepScalar(next float64) (bad int) {
 	}
 	// Loads evaluated at the new time (backward-looking sources keep the
 	// trapezoidal solve linear).
-	if t.onLane != nil {
-		t.onLane(0)
-	}
-	for _, ld := range t.c.loads {
-		if i := t.idxP[ld.Node]; i >= 0 {
-			rhs[i] -= ld.Current(next)
+	t.loadCurrents(next)
+	cur := t.cur
+	for k, i := range t.loadP {
+		if i >= 0 {
+			rhs[i] -= cur[k]
 		}
 	}
 	t.lu.solveInPlace(rhs)
@@ -545,16 +579,17 @@ func stepBlocks[P laneBlock](t *BatchTransient, next float64) (bad int) {
 			}
 		}
 	}
-	// Loads evaluated at the new time, lane by lane (backward-looking
-	// sources keep the trapezoidal solve linear).
-	for l := 0; l < B; l++ {
-		if t.onLane != nil {
-			t.onLane(l)
+	// Loads evaluated at the new time (backward-looking sources keep the
+	// trapezoidal solve linear), subtracted in load order as stepScalar
+	// does lane by lane.
+	t.loadCurrents(next)
+	for k, i := range t.loadP {
+		if i < 0 {
+			continue
 		}
-		for _, ld := range t.c.loads {
-			if i := t.idxP[ld.Node]; i >= 0 {
-				rhs[i*B+l] -= ld.Current(next)
-			}
+		cu, r := blk[P](t.cur, k, B), blk[P](rhs, i, B)
+		for l := 0; l < B; l++ {
+			r[l] -= cu[l]
 		}
 	}
 	t.lu.solveBatchInPlace(rhs, B)

@@ -33,15 +33,30 @@ func rlcWithLoad(load func(float64) float64) (*Circuit, NodeID) {
 	return ckt, out
 }
 
+// laneFill is the fill of an engine over c whose load closures read
+// the lane they serve from *lane: lane by lane it points *lane at the
+// lane and evaluates every load of c at t into cur.
+func laneFill(c *Circuit, lane *int) func(t float64, cur []float64) {
+	return func(t float64, cur []float64) {
+		B := len(cur) / len(c.loads)
+		for l := 0; l < B; l++ {
+			*lane = l
+			for k, ld := range c.loads {
+				cur[k*B+l] = ld.Current(t)
+			}
+		}
+	}
+}
+
 // newBatchRLC builds a batch engine over the RLC network whose single
-// load closure reads the active lane's waveform through onLane.
+// load closure reads the lane's waveform through laneFill.
 func newBatchRLC(t *testing.T, lanes int, start float64) (*BatchTransient, NodeID) {
 	t.Helper()
 	cur := 0
 	ckt, out := rlcWithLoad(func(tm float64) float64 {
 		return batchWave(cur)(tm)
 	})
-	bt, err := NewBatchTransientAt(ckt, 1e-9, start, lanes, func(l int) { cur = l })
+	bt, err := NewBatchTransientAt(ckt, 1e-9, start, lanes, laneFill(ckt, &cur))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,25 +262,30 @@ func TestBatchStepDoesNotAllocate(t *testing.T) {
 }
 
 // TestNewBatchTransientAllocs pins the cost of building a zEC12 engine.
-// Objects are pinned at today's 76 per engine at every width: the
+// Objects are pinned at today's 70 per engine at every width: the
 // factors' pattern slices are sized by a counting pass, one allocation
-// each, where growing them by append took 168, and each factor keeps
-// one nonzero pattern (a second, run-grouped plan took 12 more objects
-// and 1,728 B). Bytes are pinned at the measured 34,560, 40,736, 49,696
-// and 66,721 at widths 1, 4, 8 and 16, plus slack for what the runtime
-// allocates on its own while the builds run: the averaged reading moves
-// by up to ~130 B from run to run. Population studies build engines per
-// bin on every run, so construction allocation shows up end to end.
+// each, where growing them by append took 168; each factor keeps one
+// nonzero pattern (a second, run-grouped plan took 12 more objects and
+// 1,728 B); the step plan is sized by a counting pass too (growing it
+// by append took 5 more objects); the DC seeding keeps each branch
+// voltage in a local, not in a per-element block (one more object,
+// 6,144 B at width 16); and the load slab and the load slots share the
+// RHS block's and the node slots' allocations. Bytes are pinned at the
+// measured 30,864, 35,984, 43,280 and 57,104 at widths 1, 4, 8 and 16,
+// plus slack for what the runtime allocates on its own while the
+// builds run: the averaged reading moves by up to ~130 B from run to
+// run. Population studies build engines per bin on every run, so
+// construction allocation shows up end to end.
 func TestNewBatchTransientAllocs(t *testing.T) {
 	const (
-		maxAllocs = 76
+		maxAllocs = 70
 		slack     = 256
 	)
 	ckt, _ := ZEC12(DefaultZEC12Config())
 	for _, c := range []struct {
 		lanes    int
 		maxBytes uint64
-	}{{1, 34560}, {NarrowBatchLanes, 40736}, {DefaultBatchLanes, 49696}, {WideBatchLanes, 66721}} {
+	}{{1, 30864}, {NarrowBatchLanes, 35984}, {DefaultBatchLanes, 43280}, {WideBatchLanes, 57104}} {
 		build := func() {
 			if _, err := NewBatchTransient(ckt, 2e-9, c.lanes, nil); err != nil {
 				t.Fatal(err)
@@ -313,7 +333,8 @@ func BenchmarkBatchStep(b *testing.B) {
 // given width, each lane driving its six cores with its own waveform.
 func benchBatchStep(b *testing.B, lanes int) {
 	cur := 0
-	bt, err := NewBatchTransient(zec12WithLaneLoads(&cur), 2e-9, lanes, func(l int) { cur = l })
+	ckt := zec12WithLaneLoads(&cur)
+	bt, err := NewBatchTransient(ckt, 2e-9, lanes, laneFill(ckt, &cur))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -327,8 +348,8 @@ func benchBatchStep(b *testing.B, lanes int) {
 }
 
 // zec12WithLaneLoads builds the calibrated zEC12 network with core i
-// drawing batchWave(*lane) scaled by i+1: a batch points lane at the
-// active lane through onLane, a single-lane run at a fixed value.
+// drawing batchWave(*lane) scaled by i+1: a batch points lane at each
+// lane in turn through laneFill, a single-lane run at a fixed value.
 func zec12WithLaneLoads(lane *int) *Circuit {
 	ckt, nodes := ZEC12(DefaultZEC12Config())
 	for i := range nodes.Core {

@@ -49,7 +49,10 @@ type element struct {
 type Load struct {
 	Name string
 	Node NodeID
-	// Current returns the drawn current at time t (seconds).
+	// Current returns the drawn current at time t (seconds). A transient
+	// engine consults it only when it was built without a fill (see
+	// NewBatchTransientAt); an engine with a fill takes every lane's
+	// current from the fill instead.
 	Current func(t float64) float64
 }
 

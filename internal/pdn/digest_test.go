@@ -72,7 +72,7 @@ func batchDigest(t *testing.T, lanes int) string {
 	t.Helper()
 	lane := 0
 	c := digestCircuit(&lane)
-	bt, err := NewBatchTransientAt(c, 2e-9, 0, lanes, func(l int) { lane = l })
+	bt, err := NewBatchTransientAt(c, 2e-9, 0, lanes, laneFill(c, &lane))
 	if err != nil {
 		t.Fatal(err)
 	}

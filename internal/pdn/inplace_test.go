@@ -278,7 +278,8 @@ func TestBatch16LanesMatchSingleLane(t *testing.T) {
 func checkZEC12LanesMatchSingle(t *testing.T, lanes int, vec bool) {
 	t.Helper()
 	cur := 0
-	bt, err := NewBatchTransient(zec12WithLaneLoads(&cur), 2e-9, lanes, func(l int) { cur = l })
+	ckt := zec12WithLaneLoads(&cur)
+	bt, err := NewBatchTransient(ckt, 2e-9, lanes, laneFill(ckt, &cur))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func zec12LaneDroops(t *testing.T, loads []coreLoad, dt, start float64, steps in
 	for i := range nodes.Core {
 		ckt.AddLoad("core", nodes.Core[i], func(tm float64) float64 { return loads[lane](i, tm) })
 	}
-	bt, err := NewBatchTransientAt(ckt, dt, start, len(loads), func(l int) { lane = l })
+	bt, err := NewBatchTransientAt(ckt, dt, start, len(loads), laneFill(ckt, &lane))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,10 +88,13 @@ func (t *Transient) Run(duration float64, probes []NodeID) ([]*signal.Trace, err
 
 // permutedIndex derives the permuted-RHS maps for an engine solving in
 // place against lu: nodeP[node] is the RHS slot of the node's unknown
-// (invPerm[idx[node]], -1 for grounded/fixed nodes) and unkNode[i] is
-// the node whose solution the substitutions leave at slot i.
-func permutedIndex(idx []int, lu *realLU) (nodeP []int, unkNode []int32) {
-	nodeP = make([]int, len(idx))
+// (invPerm[idx[node]], -1 for grounded/fixed nodes), loadP[k] the slot
+// load k draws from (its node's nodeP), and unkNode[i] the node whose
+// solution the substitutions leave at slot i. nodeP and loadP share
+// one allocation.
+func permutedIndex(idx []int, loads []*Load, lu *realLU) (nodeP, loadP []int, unkNode []int32) {
+	buf := make([]int, len(idx)+len(loads))
+	nodeP, loadP = buf[:len(idx):len(idx)], buf[len(idx):]
 	unkNode = make([]int32, lu.n)
 	for node, i := range idx {
 		if i >= 0 {
@@ -101,7 +104,10 @@ func permutedIndex(idx []int, lu *realLU) (nodeP []int, unkNode []int32) {
 			nodeP[node] = -1
 		}
 	}
-	return nodeP, unkNode
+	for k, ld := range loads {
+		loadP[k] = nodeP[ld.Node]
+	}
+	return nodeP, loadP, unkNode
 }
 
 // stampCompanion computes the trapezoidal companion conductance of
