@@ -13,9 +13,9 @@
 #   make fuzz-smoke  short fuzzing pass over the request validator,
 #                    the stream assembler, the journal replayer and the
 #                    client's SSE frame parser (plus their seed corpora)
-#   make profile     CPU profiles of the FrequencySweep pair and of
-#                    ResonanceDiscovery into results/ for step-kernel
-#                    hot-spot digging
+#   make profile     CPU profiles of the FrequencySweep pair, of
+#                    ResonanceDiscovery and of a 16-lane batch session
+#                    into results/ for step-kernel hot-spot digging
 #   make run-service start the voltnoised HTTP service on :8080
 #   make fault       fault-injection suite: store failures, corruption,
 #                    crash recovery, journaled shutdown
@@ -135,12 +135,15 @@ bench-ab:
 	$(GO) run ./cmd/benchab $(BASE)
 
 # profile captures CPU profiles of the FrequencySweep pair — the
-# serial lane-per-run path and the parallel lockstep-lane path — and
-# of ResonanceDiscovery, whose coarse round runs 4-lane batches and
-# whose refinement rounds run width-1 steps (pprof's stepBlocks vs
-# stepScalar split), into results/, along with the test binary pprof
-# needs to symbolize them.
+# serial lane-per-run path and the parallel lockstep-lane path, whose
+# eight points split into batches of ceil(8/workers) lanes — of
+# ResonanceDiscovery, whose coarse round runs 4-lane batches and whose
+# refinement rounds run width-1 steps (pprof's stepBlocks vs
+# stepScalar split), and of a 16-lane core.BatchSession with a
+# distinct workload per core, the shape the sweep workload runs, into
+# results/, along with the test binaries pprof needs to symbolize them.
 # Inspect with: go tool pprof results/profile.test results/freqsweep_parallel.pprof
+#          and: go tool pprof results/core.test results/session16.pprof
 profile:
 	mkdir -p results
 	$(GO) test -run NONE -bench 'FrequencySweepSerial$$' -benchtime 3x \
@@ -149,7 +152,9 @@ profile:
 		-cpuprofile results/freqsweep_parallel.pprof -o results/profile.test .
 	$(GO) test -run NONE -bench 'ResonanceDiscovery$$' -benchtime 5x \
 		-cpuprofile results/resonance.pprof -o results/profile.test .
-	@echo "profiles in results/: freqsweep_serial.pprof freqsweep_parallel.pprof resonance.pprof"
+	$(GO) test -run NONE -bench 'BatchSessionRun/Lanes16/distinct$$' -benchtime 3s \
+		-cpuprofile results/session16.pprof -o results/core.test ./internal/core
+	@echo "profiles in results/: freqsweep_serial.pprof freqsweep_parallel.pprof resonance.pprof session16.pprof"
 
 # run-service starts the voltnoised characterization service; stop it
 # with SIGINT/SIGTERM for a graceful queue drain.

@@ -355,9 +355,13 @@ func benchFrequencySweep(b *testing.B, workers, batch int) {
 // measure the scheduler speedup on the noise sweep. Serial pins one
 // worker and lane-per-run batches (eight independent single-lane
 // transients, the shape every pre-batching release ran); Parallel lets
-// the stolen-chunk scheduler pick the worker count and lane width
-// (one 8-lane lockstep batch per chunk). Results are bit-identical
-// between the two; compare ns/op.
+// the stolen-chunk scheduler pick the worker count and lane width. Its
+// eight points fit one auto-width batch, which exec.BatchWidthAuto
+// splits to ceil(8/workers) lanes so that no worker idles: one 8-lane
+// batch on one CPU, two 4-lane batches on two, so neither reaches the
+// 16-lane shape the sweep workload runs (make profile covers that with
+// BenchmarkBatchSessionRun/Lanes16/distinct). Results are
+// bit-identical between the two; compare ns/op.
 func BenchmarkFrequencySweepSerial(b *testing.B)   { benchFrequencySweep(b, 1, 1) }
 func BenchmarkFrequencySweepParallel(b *testing.B) { benchFrequencySweep(b, 0, 0) }
 

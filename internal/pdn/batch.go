@@ -17,9 +17,10 @@ import (
 // and DC matrices are stamped and factored exactly once — but each lane
 // draws its own load currents (written for every lane at once by the
 // engine's fill) and may pin fixed supplies to lane-specific
-// potentials. The per-step solve becomes a multi-RHS substitution over
-// a contiguous n×B block, and the step-plan walk is amortized across
-// all lanes, so a width-8 batch costs far less than eight width-1 runs.
+// potentials. The per-step work is three passes over contiguous n×B
+// blocks — history update, right-hand-side gather, in-place
+// substitution — whose index walks are paid once for all lanes, so a
+// width-8 batch costs far less than eight width-1 runs.
 //
 // Lane state is laid out lane-innermost (row i, lane l at i*B+l): the
 // hot loops stream contiguous lane-width runs and carry B independent
@@ -36,32 +37,31 @@ type BatchTransient struct {
 	idx   []int   // NodeID -> unknown index or -1
 	n     int     // number of unknowns
 
-	// idxP maps NodeID to the unknown's slot in lu's permuted row order
-	// (invPerm[idx[node]], or -1): Step assembles the right-hand sides
-	// directly in that order so the solve runs in place, skipping a
-	// per-step gather copy. unkNode is the inverse scatter map —
-	// unkNode[i] is the node whose solved potential sits at slot i after
-	// the in-place substitutions.
-	idxP    []int
-	unkNode []int32
+	// x is the solve block and the node state in one. Rows 0..n-1 carry
+	// each step's right-hand sides in lu's permuted row order, and the
+	// in-place substitutions leave unknown i's potential at row i; the
+	// rows after them hold the ground and fixed-node potentials, written
+	// by initState. xRow[node] is the node's row, so every potential is
+	// read where the solve left it and nothing is scattered.
+	x    []float64
+	xRow []int32
 
 	// fill writes every load's current for every lane at a given time
 	// into cur (load k, lane l at k*lanes+l); nil evaluates each
-	// Load.Current once per lane. loadP[k] is load k's RHS slot in
-	// permuted row order, or -1 for a load at a fixed node, whose
-	// current never enters the solve.
-	fill  func(t float64, cur []float64)
-	cur   []float64
-	loadP []int
+	// Load.Current once per lane, for the loads at unknown nodes.
+	fill func(t float64, cur []float64)
+
+	// src is the gather's source block: the history sources (hist), the
+	// fixed-node contributions (fixc) and the load slab (cur), in that
+	// order, one row per source.
+	src, hist, fixc, cur []float64
 
 	// Per-element companion state; the lane dimension is innermost.
 	// ibr holds the DC operating point only: past the first step,
 	// branch state lives in hist (the trapezoidal history source) and
 	// BranchCurrent derives currents on demand from the node potentials.
-	geq  []float64 // companion conductance per element (shared by lanes)
-	ibr  []float64 // branch current per element x lane (a -> b, DC point)
-	hist []float64 // companion history source per element x lane
-	pots []float64 // node potentials per node x lane
+	geq []float64 // companion conductance per element (shared by lanes)
+	ibr []float64 // branch current per element x lane (a -> b, DC point)
 
 	// fixedPot holds the per-lane potential of every fixed node
 	// (node x lane), seeded from the circuit at construction. It is
@@ -69,39 +69,33 @@ type BatchTransient struct {
 	// Circuit.FixNode — later FixNode calls are not observed here.
 	fixedPot []float64
 
-	plan   []stepElem // per-step RHS contributors, in element order
-	planFA []float64  // fixed-node contributions per plan entry x lane
-	planFB []float64
+	// The history pass: reactive element e (capacitors first, then
+	// inductors, each in element order; caps of them are capacitors)
+	// owns hist row e and reads the x rows histA[e] and histB[e] of its
+	// terminals with conductance histG[e]. histRow maps an element to
+	// its hist row, or -1 for a resistor.
+	histA, histB []int32
+	histG        []float64
+	caps         int
+	histRow      []int32
 
-	// rhs holds the n x lanes right-hand sides, assembled directly in
-	// permuted row order; the substitutions run in place in this buffer,
-	// so no separate solution block exists.
-	rhs []float64
+	// Fixed-node contribution f is fixG[f] times the lane's potential of
+	// node fixNode[f]; fixedContributions refreshes fixc from them.
+	fixG    []float64
+	fixNode []int32
+
+	// The gather, one CSR row per permuted right-hand-side row r:
+	// entries gPtr[r]..gPtr[r+1] name a src row gCol[k] and a sign
+	// gCoef[k] = ±1, in the order an element-order walk adds into r.
+	gPtr, gCol []int32
+	gCoef      []float64
+	gRow       []int32 // entry k's row, for the Go bodies' flat walk
 
 	laneRHS []float64 // n-vector scratch for the per-lane DC init
 	laneSol []float64
 
 	time float64
 	step int
-}
-
-// stepElem is one element's per-step RHS work, precomputed so Step
-// walks a compact list instead of re-deriving index lookups every
-// timestep. Resistors touching no fixed node contribute nothing to the
-// RHS and are dropped from the plan; the remaining contributions keep
-// element insertion order, so the floating-point accumulation follows
-// the naive element loop exactly.
-type stepElem struct {
-	kind         elementKind
-	ei           int     // element index (companion state slot)
-	geq          float64 // companion conductance
-	na, nb       int     // node indices (for potential lookups)
-	iaP, ibP     int     // unknown RHS slots in permuted row order (-1: grounded or fixed)
-	hasFA, hasFB bool    // a fixed-node contribution lands at iaP (FA) or ibP (FB)
-	// hp and hm are the RHS slots the history source is added to and
-	// subtracted from (-1: none). A capacitor's history current flows
-	// a -> b in the RHS, an inductor's b -> a.
-	hp, hm int
 }
 
 // NewBatchTransient prepares a lockstep batch simulation of c with
@@ -137,17 +131,11 @@ func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, fill func(t f
 	if n == 0 {
 		return nil, fmt.Errorf("pdn: circuit has no unknown nodes")
 	}
-	// The load slab shares the RHS block's allocation.
-	rhs := make([]float64, (n+len(c.loads))*lanes)
 	t := &BatchTransient{
 		c: c, dt: dt, lanes: lanes, idx: idx, n: n, time: start,
 		fill:     fill,
 		ibr:      make([]float64, len(c.elements)*lanes),
-		hist:     make([]float64, len(c.elements)*lanes),
-		pots:     make([]float64, c.NumNodes()*lanes),
 		fixedPot: make([]float64, c.NumNodes()*lanes),
-		rhs:      rhs[: n*lanes : n*lanes],
-		cur:      rhs[n*lanes:],
 		laneRHS:  make([]float64, n),
 		laneSol:  make([]float64, n),
 	}
@@ -157,13 +145,13 @@ func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, fill func(t f
 		return nil, err
 	}
 	t.geq, t.lu = geq, lu
-	t.idxP, t.loadP, t.unkNode = permutedIndex(idx, c.loads, lu)
 	dcLU, err := factorDCMatrix(c, idx, n)
 	if err != nil {
 		return nil, err
 	}
 	t.dcLU = dcLU
 	t.buildPlan()
+	t.fixedContributions()
 	t.initState()
 	return t, nil
 }
@@ -212,7 +200,7 @@ func (t *BatchTransient) SetLaneFixed(lane int, n NodeID, volts float64) error {
 // current time.
 func (t *BatchTransient) Voltage(lane int, n NodeID) float64 {
 	t.c.checkNode(n)
-	return t.pots[int(n)*t.lanes+lane]
+	return t.x[int(t.xRow[n])*t.lanes+lane]
 }
 
 // LaneVoltages returns the potentials of node n for every lane, lane l
@@ -221,7 +209,8 @@ func (t *BatchTransient) Voltage(lane int, n NodeID) float64 {
 // can fetch a node's row once and read it after each step.
 func (t *BatchTransient) LaneVoltages(n NodeID) []float64 {
 	t.c.checkNode(n)
-	return t.pots[int(n)*t.lanes : (int(n)+1)*t.lanes]
+	r := int(t.xRow[n])
+	return t.x[r*t.lanes : (r+1)*t.lanes]
 }
 
 // BranchCurrent returns the current (a -> b) through element i in
@@ -238,13 +227,13 @@ func (t *BatchTransient) BranchCurrent(lane, i int) float64 {
 	if t.step == 0 {
 		return t.ibr[i*t.lanes+lane]
 	}
-	e := t.c.elements[i]
-	v := t.pots[int(e.a)*t.lanes+lane] - t.pots[int(e.b)*t.lanes+lane]
+	e, B := t.c.elements[i], t.lanes
+	v := t.x[int(t.xRow[e.a])*B+lane] - t.x[int(t.xRow[e.b])*B+lane]
 	switch e.kind {
 	case kindCapacitor:
-		return t.geq[i]*v - t.hist[i*t.lanes+lane]
+		return t.geq[i]*v - t.hist[int(t.histRow[i])*B+lane]
 	case kindInductor:
-		return t.geq[i]*v + t.hist[i*t.lanes+lane]
+		return t.geq[i]*v + t.hist[int(t.histRow[i])*B+lane]
 	default: // resistor
 		return v * t.geq[i]
 	}
@@ -259,78 +248,188 @@ func (t *BatchTransient) BranchCurrent(lane, i int) float64 {
 func (t *BatchTransient) Reset(start float64) error {
 	t.time = start
 	t.step = 0
-	t.buildPlan()
+	t.fixedContributions()
 	t.initState()
 	return nil
 }
 
-// buildPlan captures the per-step RHS contributions, snapshotting each
-// lane's fixed-node potentials in effect now. The entry list (and so
-// the accumulation order per lane) depends only on topology, never on
-// lane state.
+// buildPlan lays out the node rows of x, the source rows of src and
+// the lists of the history and gather passes. Everything it derives
+// depends only on topology, never on lane state, so it runs once per
+// engine.
+//
+// The gather reproduces the element-order walk of the trapezoidal
+// right-hand side: per element, its fixed-node conductance
+// contribution (geq times the fixed potential, added at the unknown
+// terminal's row), then its history source (a capacitor's added at a
+// and subtracted at b, an inductor's the other way round); then the
+// loads, each subtracted at its node's row, in load order. Row r's
+// entries keep the order in which that walk touches r, so the gather's
+// accumulation per row is the walk's.
 func (t *BatchTransient) buildPlan() {
-	entries := 0
-	for _, e := range t.c.elements {
-		if e.kind != kindResistor || (t.idx[e.a] >= 0) != (t.idx[e.b] >= 0) {
+	c, idx, n := t.c, t.idx, t.n
+	nodes, elems, loads := c.NumNodes(), len(c.elements), len(c.loads)
+	reactive, fixes, entries := 0, 0, 0
+	for _, e := range c.elements {
+		ua, ub := idx[e.a] >= 0, idx[e.b] >= 0
+		if ua != ub {
+			fixes++
+		}
+		if e.kind == kindResistor {
+			continue
+		}
+		if e.kind == kindCapacitor {
+			t.caps++
+		}
+		reactive++
+		if ua {
+			entries++
+		}
+		if ub {
 			entries++
 		}
 	}
-	if cap(t.plan) < entries {
-		t.plan = make([]stepElem, 0, entries)
-	}
-	t.plan = t.plan[:0]
-	for ei, e := range t.c.elements {
-		ia, ib := t.idx[e.a], t.idx[e.b]
-		pe := stepElem{kind: e.kind, ei: ei, geq: t.geq[ei], na: int(e.a), nb: int(e.b), hp: -1, hm: -1}
-		pe.iaP, pe.ibP = t.idxP[e.a], t.idxP[e.b]
-		pe.hasFA = ia >= 0 && ib < 0
-		pe.hasFB = ib >= 0 && ia < 0
-		switch e.kind {
-		case kindResistor:
-			if !pe.hasFA && !pe.hasFB {
-				continue // no history source, no fixed contribution
-			}
-		case kindCapacitor:
-			pe.hp, pe.hm = pe.iaP, pe.ibP
-		case kindInductor:
-			pe.hp, pe.hm = pe.ibP, pe.iaP
+	entries += fixes
+	for _, ld := range c.loads {
+		if idx[ld.Node] >= 0 {
+			entries++
 		}
-		t.plan = append(t.plan, pe)
 	}
+
+	ints := make([]int32, nodes+elems+2*reactive+fixes+n+1+2*entries)
+	cut := func(m int) []int32 {
+		s := ints[:m:m]
+		ints = ints[m:]
+		return s
+	}
+	t.xRow, t.histRow = cut(nodes), cut(elems)
+	t.histA, t.histB, t.fixNode = cut(reactive), cut(reactive), cut(fixes)
+	t.gPtr, t.gCol, t.gRow = cut(n+1), cut(entries), cut(entries)
+	floats := make([]float64, reactive+fixes+entries)
+	t.histG, t.fixG, t.gCoef = floats[:reactive:reactive], floats[reactive:reactive+fixes:reactive+fixes], floats[reactive+fixes:]
+
 	B := t.lanes
-	if need := len(t.plan) * B; cap(t.planFA) < need {
-		t.planFA = make([]float64, need)
-		t.planFB = make([]float64, need)
-	} else {
-		t.planFA = t.planFA[:need]
-		t.planFB = t.planFB[:need]
+	buf := make([]float64, (nodes+reactive+fixes+loads)*B)
+	t.x, t.src = buf[:nodes*B:nodes*B], buf[nodes*B:]
+	t.hist = t.src[: reactive*B : reactive*B]
+	t.fixc = t.src[reactive*B : (reactive+fixes)*B : (reactive+fixes)*B]
+	t.cur = t.src[(reactive+fixes)*B:]
+
+	// Unknown u sits at row u; ground and the fixed nodes follow.
+	next := n
+	for node, i := range idx {
+		if i < 0 {
+			i, next = next, next+1
+		}
+		t.xRow[node] = int32(i)
 	}
-	for pi := range t.plan {
-		pe := &t.plan[pi]
+	capRow, indRow, f := 0, t.caps, 0
+	for ei, e := range c.elements {
+		h := -1
+		switch e.kind {
+		case kindCapacitor:
+			h, capRow = capRow, capRow+1
+		case kindInductor:
+			h, indRow = indRow, indRow+1
+		}
+		t.histRow[ei] = int32(h)
+		if h >= 0 {
+			t.histA[h], t.histB[h], t.histG[h] = t.xRow[e.a], t.xRow[e.b], t.geq[ei]
+		}
+		if ua, ub := idx[e.a] >= 0, idx[e.b] >= 0; ua != ub {
+			fixed := e.b
+			if ub {
+				fixed = e.a
+			}
+			t.fixG[f], t.fixNode[f] = t.geq[ei], int32(fixed)
+			f++
+		}
+	}
+
+	// Count each row's entries, then fill them, advancing gPtr[r] as
+	// row r's cursor, and shift the cursors back into row starts.
+	t.walkRHS(func(r, _ int, _ float64) { t.gPtr[r+1]++ })
+	for r := 1; r <= n; r++ {
+		t.gPtr[r] += t.gPtr[r-1]
+	}
+	t.walkRHS(func(r, s int, coef float64) {
+		k := t.gPtr[r]
+		t.gCol[k], t.gCoef[k], t.gRow[k] = int32(s), coef, int32(r)
+		t.gPtr[r]++
+	})
+	copy(t.gPtr[1:], t.gPtr[:n])
+	t.gPtr[0] = 0
+}
+
+// walkRHS visits, in the element-order walk's order, every
+// right-hand-side contribution: the permuted row r it lands at, its
+// src row s, and the sign c of the gather's acc -= c*src (-1 for an
+// add, +1 for a subtraction). Fixed-node contributions are numbered
+// in element order, as buildPlan lists them.
+func (t *BatchTransient) walkRHS(visit func(r, s int, c float64)) {
+	idx, inv := t.idx, t.lu.invPerm
+	slot := func(node NodeID) int {
+		if i := idx[node]; i >= 0 {
+			return inv[i]
+		}
+		return -1
+	}
+	reactive, fixes := len(t.histG), len(t.fixG)
+	f := 0
+	for ei, e := range t.c.elements {
+		pa, pb := slot(e.a), slot(e.b)
+		if (pa >= 0) != (pb >= 0) {
+			visit(max(pa, pb), reactive+f, -1)
+			f++
+		}
+		if e.kind == kindResistor {
+			continue
+		}
+		hp, hm := pa, pb
+		if e.kind == kindInductor {
+			hp, hm = pb, pa
+		}
+		h := int(t.histRow[ei])
+		if hp >= 0 {
+			visit(hp, h, -1)
+		}
+		if hm >= 0 {
+			visit(hm, h, 1)
+		}
+	}
+	for k, ld := range t.c.loads[:len(t.cur)/t.lanes] {
+		if r := slot(ld.Node); r >= 0 {
+			visit(r, reactive+fixes+k, 1)
+		}
+	}
+}
+
+// fixedContributions snapshots each lane's fixed-node conductance
+// contributions from the fixed potentials in effect now.
+func (t *BatchTransient) fixedContributions() {
+	B := t.lanes
+	for f, g := range t.fixG {
+		node := int(t.fixNode[f])
 		for l := 0; l < B; l++ {
-			if pe.hasFA {
-				t.planFA[pi*B+l] = pe.geq * t.fixedPot[pe.nb*B+l]
-			}
-			if pe.hasFB {
-				t.planFB[pi*B+l] = pe.geq * t.fixedPot[pe.na*B+l]
-			}
+			t.fixc[f*B+l] = g * t.fixedPot[node*B+l]
 		}
 	}
 }
 
 // loadCurrents fills the load slab at time at: through the engine's
 // fill, or with each Load.Current once per lane, lane by lane, for the
-// loads that enter the solve.
+// loads at unknown nodes.
 func (t *BatchTransient) loadCurrents(at float64) {
 	if t.fill != nil {
 		t.fill(at, t.cur)
 		return
 	}
 	B := t.lanes
+	loads := t.c.loads[:len(t.cur)/B]
 	for l := 0; l < B; l++ {
-		for k, i := range t.loadP {
-			if i >= 0 {
-				t.cur[k*B+l] = t.c.loads[k].Current(at)
+		for k, ld := range loads {
+			if t.idx[ld.Node] >= 0 {
+				t.cur[k*B+l] = ld.Current(at)
 			}
 		}
 	}
@@ -340,7 +439,7 @@ func (t *BatchTransient) loadCurrents(at float64) {
 // operating point: loads evaluated at the current simulation time
 // against the cached DC factorization.
 func (t *BatchTransient) initState() {
-	c := t.c
+	c, x := t.c, t.x
 	B := t.lanes
 	t.loadCurrents(t.time)
 	for l := 0; l < B; l++ {
@@ -360,7 +459,7 @@ func (t *BatchTransient) initState() {
 				rhs[ib] += ge * t.fixedPot[int(e.a)*B+l]
 			}
 		}
-		for k, ld := range c.loads[:len(t.loadP)] {
+		for k, ld := range c.loads[:len(t.cur)/B] {
 			if i := t.idx[ld.Node]; i >= 0 {
 				rhs[i] -= t.cur[k*B+l]
 			}
@@ -368,16 +467,16 @@ func (t *BatchTransient) initState() {
 		t.dcLU.solveInto(sol, rhs)
 		for node, i := range t.idx {
 			if i >= 0 {
-				t.pots[node*B+l] = sol[i]
+				x[i*B+l] = sol[i]
 			} else {
-				t.pots[node*B+l] = t.fixedPot[node*B+l]
+				x[int(t.xRow[node])*B+l] = t.fixedPot[node*B+l]
 			}
 		}
 		// Branch states from the DC solution, and the history sources
 		// the first Step will consume, seeded with the exact expressions
-		// the step walk uses thereafter.
+		// the history pass uses thereafter.
 		for ei, e := range c.elements {
-			v := t.pots[int(e.a)*B+l] - t.pots[int(e.b)*B+l]
+			v := x[int(t.xRow[e.a])*B+l] - x[int(t.xRow[e.b])*B+l]
 			var i float64
 			switch e.kind {
 			case kindResistor:
@@ -387,11 +486,12 @@ func (t *BatchTransient) initState() {
 				v = 0 // an ideal inductor carries no DC voltage
 			}
 			t.ibr[ei*B+l] = i
+			h := int(t.histRow[ei])*B + l
 			switch e.kind {
 			case kindCapacitor:
-				t.hist[ei*B+l] = t.geq[ei]*v + i
+				t.hist[h] = t.geq[ei]*v + i
 			case kindInductor:
-				t.hist[ei*B+l] = i + t.geq[ei]*v
+				t.hist[h] = i + t.geq[ei]*v
 			}
 		}
 	}
@@ -399,12 +499,23 @@ func (t *BatchTransient) initState() {
 
 // Step advances every lane by one timestep. It allocates nothing.
 //
-// Width 1 walks the plan with scalar state; every other width walks it
-// over lane blocks (stepBlocks), instantiated for the three widths the
-// register-blocked substitution kernels serve (4, 8 and 16) and once
-// for the rest. Both bodies perform the same per-lane arithmetic in the
-// same order. On divergence the engine state is abandoned with the
-// error.
+// A step is three passes, in the same order at every width: the
+// history pass rolls each reactive element's companion source forward
+// from the potentials the last solve left in x (skipped on the first
+// step, whose sources initState seeded); the gather assembles every
+// right-hand-side row from the history sources, the fixed-node
+// contributions and the load slab the fill just wrote; and the
+// in-place substitution solves the block, leaving the new potentials
+// where the next step and every reader find them, and reports the
+// lanes holding a non-finite potential.
+//
+// Width 1 runs the passes with scalar state (stepScalar); every other
+// width runs them over lane blocks (stepBlocks), instantiated for the
+// three register-blocked widths (4, 8 and 16), whose passes run in
+// AVX2 kernels where the host has them, and once for the rest. Every
+// body performs the same per-lane arithmetic in the same order. On
+// divergence the engine state is abandoned with an error naming the
+// highest lane that diverged.
 func (t *BatchTransient) Step() error {
 	next := t.time + t.dt
 	var bad int
@@ -430,79 +541,37 @@ func (t *BatchTransient) Step() error {
 
 // stepScalar is the width-1 step. It returns -1, or 0 if the lane
 // diverged.
-//
-// The walk adds the history sources and fixed-node conductance
-// contributions from the precomputed plan. On every step after the
-// first it also rolls each reactive element's companion state forward
-// from the potentials the last solve produced — the arithmetic of a
-// separate end-of-step update pass, fused so each element's state
-// streams through the cache once per step. RHS writes land at permuted
-// slots so the solve runs in place: per unknown the accumulation order
-// is untouched (one unknown, one slot), only the slot's address moves.
-func (t *BatchTransient) stepScalar(next float64) (bad int) {
-	rhs, hist, pots := t.rhs, t.hist, t.pots
-	plan, planFA, planFB := t.plan, t.planFA, t.planFB
-	clear(rhs)
-	first := t.step == 0
-	for pi := range plan {
-		pe := &plan[pi]
-		if pe.hasFA {
-			rhs[pe.iaP] += planFA[pi]
-		}
-		if pe.hasFB {
-			rhs[pe.ibP] += planFB[pi]
-		}
-		var h float64
-		switch pe.kind {
-		case kindCapacitor:
-			// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
-			h = hist[pe.ei]
-			if !first {
-				gv := pe.geq * (pots[pe.na] - pots[pe.nb])
-				h = gv + (gv - h)
-				hist[pe.ei] = h
-			}
-		case kindInductor:
-			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
-			h = hist[pe.ei]
-			if !first {
-				gv := pe.geq * (pots[pe.na] - pots[pe.nb])
-				h = (gv + h) + gv
-				hist[pe.ei] = h
-			}
-		default:
-			continue // a resistor carries no history source
-		}
-		if pe.hp >= 0 {
-			rhs[pe.hp] += h
-		}
-		if pe.hm >= 0 {
-			rhs[pe.hm] -= h
-		}
-	}
-	// Loads evaluated at the new time (backward-looking sources keep the
-	// trapezoidal solve linear).
+func (t *BatchTransient) stepScalar(next float64) int {
+	x, hist := t.x, t.hist
 	t.loadCurrents(next)
-	cur := t.cur
-	for k, i := range t.loadP {
-		if i >= 0 {
-			rhs[i] -= cur[k]
+	if t.step > 0 {
+		a, b, g := t.histA, t.histB[:len(t.histA)], t.histG[:len(t.histA)]
+		caps := t.caps
+		for e := 0; e < caps; e++ {
+			// i(t+dt) = geq*v(t+dt) - hist, hist = geq*v(t) + i(t).
+			gv := g[e] * (x[a[e]] - x[b[e]])
+			hist[e] = gv + (gv - hist[e])
+		}
+		for e := caps; e < len(a); e++ {
+			// i(t+dt) = geq*v(t+dt) + hist, hist = i(t) + geq*v(t).
+			gv := g[e] * (x[a[e]] - x[b[e]])
+			hist[e] = (gv + hist[e]) + gv
 		}
 	}
-	t.lu.solveInPlace(rhs)
-	// Scatter the solved unknowns, checking for divergence in the same
-	// pass (v-v is 0 for every finite v and NaN for NaN and ±Inf).
-	// Fixed-node potentials are not rewritten here: they change only
-	// through Reset, which re-scatters them via initState.
-	bad = -1
-	for i, node := range t.unkNode {
-		v := rhs[i]
-		if v-v != 0 {
-			bad = 0
-		}
-		pots[node] = v
+	// The gather walks the entries flat, accumulating into the cleared
+	// rows in place: the entries are grouped by row in walk order, so
+	// each row sees +0 then its own contributions in order, as a
+	// register accumulator would, without a per-row loop.
+	src, col, coef, row := t.src, t.gCol, t.gCoef[:len(t.gCol)], t.gRow[:len(t.gCol)]
+	rhs := x[:t.n]
+	clear(rhs)
+	for k, s := range col {
+		rhs[row[k]] -= coef[k] * src[s]
 	}
-	return bad
+	if t.lu.solveInPlace(rhs) {
+		return 0
+	}
+	return -1
 }
 
 // laneBlock is the set of lane-block shapes: an array pointer for each
@@ -511,102 +580,55 @@ type laneBlock interface {
 	*[NarrowBatchLanes]float64 | *[DefaultBatchLanes]float64 | *[WideBatchLanes]float64 | []float64
 }
 
-// stepBlocks is the step at widths other than 1: stepScalar's walk with
-// every scalar replaced by a block of lane values. P is the block
-// shape: a fixed-size array pointer at the register-blocked widths, so
-// the width is a compile-time constant and the lane loops run without
-// bounds checks, or a slice for every other width. It returns -1, or
-// the last lane that diverged.
-func stepBlocks[P laneBlock](t *BatchTransient, next float64) (bad int) {
+// stepBlocks is the step at widths other than 1: stepScalar's passes
+// with every scalar replaced by a block of lane values. P is the block
+// shape: a fixed-size array pointer at the register-blocked widths,
+// whose passes run in the AVX2 kernels when useSolveAVX2 is set, or a
+// slice for every other width. It returns -1, or the highest lane that
+// diverged.
+func stepBlocks[P laneBlock](t *BatchTransient, next float64) int {
 	var zero P
 	B := len(zero)
+	vec := useSolveAVX2 && B != 0
 	if B == 0 {
 		B = t.lanes
 	}
-	rhs, hist, pots := t.rhs, t.hist, t.pots
-	plan, planFA, planFB := t.plan, t.planFA, t.planFB
-	clear(rhs)
-	first := t.step == 0
-	for pi := range plan {
-		pe := &plan[pi]
-		if pe.hasFA {
-			fa, ra := blk[P](planFA, pi, B), blk[P](rhs, pe.iaP, B)
-			for l := 0; l < B; l++ {
-				ra[l] += fa[l]
-			}
-		}
-		if pe.hasFB {
-			fb, rb := blk[P](planFB, pi, B), blk[P](rhs, pe.ibP, B)
-			for l := 0; l < B; l++ {
-				rb[l] += fb[l]
-			}
-		}
-		if pe.kind == kindResistor {
-			continue
-		}
-		geq := pe.geq
-		h := blk[P](hist, pe.ei, B)
-		if !first {
-			pa, pb := blk[P](pots, pe.na, B), blk[P](pots, pe.nb, B)
-			if pe.kind == kindCapacitor {
-				for l := 0; l < B; l++ {
-					gv := geq * (pa[l] - pb[l])
-					h[l] = gv + (gv - h[l])
-				}
-			} else {
-				for l := 0; l < B; l++ {
-					gv := geq * (pa[l] - pb[l])
-					h[l] = (gv + h[l]) + gv
-				}
-			}
-		}
-		switch hp, hm := pe.hp, pe.hm; {
-		case hp >= 0 && hm >= 0:
-			rp, rm := blk[P](rhs, hp, B), blk[P](rhs, hm, B)
-			for l := 0; l < B; l++ {
-				rp[l] += h[l]
-				rm[l] -= h[l]
-			}
-		case hp >= 0:
-			rp := blk[P](rhs, hp, B)
-			for l := 0; l < B; l++ {
-				rp[l] += h[l]
-			}
-		case hm >= 0:
-			rm := blk[P](rhs, hm, B)
-			for l := 0; l < B; l++ {
-				rm[l] -= h[l]
-			}
-		}
-	}
-	// Loads evaluated at the new time (backward-looking sources keep the
-	// trapezoidal solve linear), subtracted in load order as stepScalar
-	// does lane by lane.
+	x, hist := t.x, t.hist
 	t.loadCurrents(next)
-	for k, i := range t.loadP {
-		if i < 0 {
-			continue
-		}
-		cu, r := blk[P](t.cur, k, B), blk[P](rhs, i, B)
-		for l := 0; l < B; l++ {
-			r[l] -= cu[l]
-		}
-	}
-	t.lu.solveBatchInPlace(rhs, B)
-	// Scatter and divergence check, as in stepScalar (element-wise: a
-	// whole-block array assignment lowers to a runtime.memmove call).
-	bad = -1
-	for i, node := range t.unkNode {
-		po, so := blk[P](pots, int(node), B), blk[P](rhs, i, B)
-		for l := 0; l < B; l++ {
-			v := so[l]
-			if v-v != 0 {
-				bad = l
+	switch {
+	case t.step == 0:
+	case vec:
+		historyAVX2(B, t.histA, t.histB, t.histG, x, hist, t.caps)
+	default:
+		for e, g := range t.histG[:t.caps] {
+			pa, pb, h := blk[P](x, int(t.histA[e]), B), blk[P](x, int(t.histB[e]), B), blk[P](hist, e, B)
+			for l := 0; l < B; l++ {
+				gv := g * (pa[l] - pb[l])
+				h[l] = gv + (gv - h[l])
 			}
-			po[l] = v
+		}
+		for e := t.caps; e < len(t.histG); e++ {
+			g := t.histG[e]
+			pa, pb, h := blk[P](x, int(t.histA[e]), B), blk[P](x, int(t.histB[e]), B), blk[P](hist, e, B)
+			for l := 0; l < B; l++ {
+				gv := g * (pa[l] - pb[l])
+				h[l] = (gv + h[l]) + gv
+			}
 		}
 	}
-	return bad
+	if vec {
+		gatherAVX2(B, t.gCoef, t.gCol, t.gPtr, t.src, x, t.n)
+	} else { // stepScalar's flat gather, lane blocks for scalars
+		src, col, coef, row := t.src, t.gCol, t.gCoef[:len(t.gCol)], t.gRow[:len(t.gCol)]
+		clear(x[:t.n*B])
+		for k, sk := range col {
+			c, xr, s := coef[k], blk[P](x, int(row[k]), B), blk[P](src, int(sk), B)
+			for l := 0; l < B; l++ {
+				xr[l] -= c * s[l]
+			}
+		}
+	}
+	return t.lu.solveBatchInPlace(x[:t.n*B], B)
 }
 
 // blk returns row i of the lane-innermost block s (lanes i*B..i*B+B)
@@ -625,4 +647,30 @@ func (t *BatchTransient) RunUntil(until float64) error {
 		}
 	}
 	return nil
+}
+
+// historyAVX2 runs the history pass of register-blocked width B in its
+// AVX2 kernel.
+func historyAVX2(B int, a, b []int32, geq, x, hist []float64, caps int) {
+	switch B {
+	case NarrowBatchLanes:
+		history4AVX2(a, b, geq, x, hist, caps)
+	case DefaultBatchLanes:
+		history8AVX2(a, b, geq, x, hist, caps)
+	case WideBatchLanes:
+		history16AVX2(a, b, geq, x, hist, caps)
+	}
+}
+
+// gatherAVX2 runs the gather of register-blocked width B in its AVX2
+// kernel.
+func gatherAVX2(B int, coef []float64, col, ptr []int32, src, x []float64, n int) {
+	switch B {
+	case NarrowBatchLanes:
+		gather4AVX2(coef, col, ptr, src, x, n)
+	case DefaultBatchLanes:
+		gather8AVX2(coef, col, ptr, src, x, n)
+	case WideBatchLanes:
+		gather16AVX2(coef, col, ptr, src, x, n)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -261,31 +262,114 @@ func TestBatchStepDoesNotAllocate(t *testing.T) {
 	check("zEC12 lanes=1", bt)
 }
 
+// TestBatchDivergenceLane pins how a step reports divergence, at the
+// scalar width, the generic widths 3 and 5 and the register-blocked
+// widths, on the AVX2 and on the pure-Go bodies: a fill that writes
+// NaN or +Inf into one lane's load at step k fails exactly that step,
+// at the time the fill was asked for, naming that lane, and no step
+// before it fails. With two lanes poisoned the error names the higher
+// one: the solve reports the highest lane holding a non-finite
+// potential anywhere in the block.
+func TestBatchDivergenceLane(t *testing.T) {
+	const k = 5
+	modes := []bool{false}
+	if useSolveAVX2 {
+		modes = append(modes, true)
+	}
+	defer func(v bool) { useSolveAVX2 = v }(useSolveAVX2)
+	for _, vec := range modes {
+		useSolveAVX2 = vec
+		for _, lanes := range []int{1, 3, 4, 5, 8, 16} {
+			sets := [][]int{{0}, {lanes - 1}, {lanes / 2}}
+			if lanes > 1 {
+				sets = append(sets, []int{0, lanes - 1}, []int{lanes / 2, lanes - 1}, []int{0, lanes / 2})
+			}
+			for _, poison := range []float64{math.NaN(), math.Inf(1)} {
+				for _, bad := range sets {
+					label := fmt.Sprintf("vector=%v lanes=%d poison=%v lanes %v", vec, lanes, poison, bad)
+					checkDivergenceLane(t, label, lanes, k, poison, bad)
+				}
+			}
+		}
+	}
+}
+
+// checkDivergenceLane steps a zEC12 batch whose fill poisons one core
+// load of each lane in bad at step k and checks the failure report.
+func checkDivergenceLane(t *testing.T, label string, lanes, k int, poison float64, bad []int) {
+	t.Helper()
+	const dt = 2e-9
+	ckt, nodes := ZEC12(DefaultZEC12Config())
+	for i := range nodes.Core {
+		ckt.AddLoad(fmt.Sprintf("core%d", i), nodes.Core[i], filledLoad)
+	}
+	calls, tk := 0, 0.0
+	fill := func(tm float64, cur []float64) {
+		for i := 0; i < NumCores; i++ {
+			for l := 0; l < lanes; l++ {
+				cur[i*lanes+l] = 20 + 5*math.Sin(2*math.Pi*2e6*tm+float64(i+l))
+			}
+		}
+		if calls == k { // call 0 is the DC point, call s is step s
+			tk = tm
+			for j, l := range bad {
+				cur[(2*j%NumCores)*lanes+l] = poison
+			}
+		}
+		calls++
+	}
+	bt, err := NewBatchTransient(ckt, dt, lanes, fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 1; s < k; s++ {
+		if err := bt.Step(); err != nil {
+			t.Fatalf("%s: step %d failed before the poisoned step: %v", label, s, err)
+		}
+	}
+	err = bt.Step()
+	if err == nil {
+		t.Fatalf("%s: poisoned step %d did not fail", label, k)
+	}
+	want := fmt.Sprintf("pdn: integration diverged at t=%g (lane %d)", tk, slices.Max(bad))
+	if err.Error() != want {
+		t.Errorf("%s: error %q, want %q", label, err, want)
+	}
+	if math.Abs(tk-float64(k)*dt) > 1e-6*dt {
+		t.Errorf("%s: poisoned at t=%g, want %g", label, tk, float64(k)*dt)
+	}
+}
+
+// filledLoad is the Current of a load whose current an engine fill
+// supplies; an engine with a fill never calls it.
+func filledLoad(float64) float64 { panic("pdn: load evaluated by an engine with a fill") }
+
 // TestNewBatchTransientAllocs pins the cost of building a zEC12 engine.
-// Objects are pinned at today's 70 per engine at every width: the
+// Objects are pinned at today's 65 per engine at every width: the
 // factors' pattern slices are sized by a counting pass, one allocation
 // each, where growing them by append took 168; each factor keeps one
 // nonzero pattern (a second, run-grouped plan took 12 more objects and
-// 1,728 B); the step plan is sized by a counting pass too (growing it
-// by append took 5 more objects); the DC seeding keeps each branch
-// voltage in a local, not in a per-element block (one more object,
-// 6,144 B at width 16); and the load slab and the load slots share the
-// RHS block's and the node slots' allocations. Bytes are pinned at the
-// measured 30,864, 35,984, 43,280 and 57,104 at widths 1, 4, 8 and 16,
-// plus slack for what the runtime allocates on its own while the
-// builds run: the averaged reading moves by up to ~130 B from run to
-// run. Population studies build engines per bin on every run, so
-// construction allocation shows up end to end.
+// 1,728 B); the step's index lists share one int32 and one float64
+// allocation, and the solve block, the history sources, the fixed-node
+// contributions and the load slab share one more (a separate node
+// potential block, scatter map and per-plan-entry fixed-contribution
+// blocks took 5 more objects and 11 KB at width 16); the DC seeding
+// keeps each branch voltage in a local, not in a per-element block.
+// Bytes are pinned at the measured 29,968, 33,292, 37,888 and 46,464
+// at widths 1, 4, 8 and 16, plus slack for what the runtime allocates
+// on its own while the builds run: the averaged reading moves by up
+// to ~130 B from run to run. Population studies build engines per bin
+// on every run, so construction allocation shows up end to end.
 func TestNewBatchTransientAllocs(t *testing.T) {
 	const (
-		maxAllocs = 70
+		maxAllocs = 65
 		slack     = 256
 	)
 	ckt, _ := ZEC12(DefaultZEC12Config())
 	for _, c := range []struct {
 		lanes    int
 		maxBytes uint64
-	}{{1, 30864}, {NarrowBatchLanes, 35984}, {DefaultBatchLanes, 43280}, {WideBatchLanes, 57104}} {
+	}{{1, 29968}, {NarrowBatchLanes, 33292}, {DefaultBatchLanes, 37888}, {WideBatchLanes, 46464}} {
 		build := func() {
 			if _, err := NewBatchTransient(ckt, 2e-9, c.lanes, nil); err != nil {
 				t.Fatal(err)
@@ -309,17 +393,20 @@ func TestNewBatchTransientAllocs(t *testing.T) {
 
 // BenchmarkBatchStep measures the per-step cost of the multi-RHS
 // engine on the calibrated zEC12 network at the production widths, and
-// at width 3 for the generic solve walk every other width takes. The
-// interesting ratio is ns/op at width 8 versus 8x width 1: the shared
-// plan walk and the eight independent dependency chains in the solve
-// should make the batch substantially cheaper than eight single
-// steps. The AllocsPerRun guard above keeps the loop at 0 allocs/step.
+// at width 3 for the generic body every other width takes. The loads
+// come from one fill that writes the whole slab per step, as
+// core.BatchSession's does, so the rows time the engine rather than
+// one closure call per lane and load. The interesting ratio is ns/op
+// at width 8 versus 8x width 1: the shared index walks and the eight
+// independent dependency chains should make the batch substantially
+// cheaper than eight single steps. The AllocsPerRun guard above keeps
+// the loop at 0 allocs/step.
 func BenchmarkBatchStep(b *testing.B) {
 	for _, lanes := range []int{1, 3, 4, 8, 16} {
 		b.Run(fmt.Sprintf("Lanes%d", lanes), func(b *testing.B) { benchBatchStep(b, lanes) })
 	}
-	// The same steps on the pure-Go solve bodies, the other input of
-	// AutoBatchLanes.
+	// The same steps on the pure-Go step and solve bodies, the other
+	// input of AutoBatchLanes.
 	if useSolveAVX2 {
 		defer func() { useSolveAVX2 = true }()
 		useSolveAVX2 = false
@@ -330,11 +417,11 @@ func BenchmarkBatchStep(b *testing.B) {
 }
 
 // benchBatchStep times one lockstep step of the zEC12 network at the
-// given width, each lane driving its six cores with its own waveform.
+// given width. The loads are zec12WithLaneLoads' — core i of lane l
+// draws batchWave(l) scaled by i+1 — written by slabFill.
 func benchBatchStep(b *testing.B, lanes int) {
-	cur := 0
-	ckt := zec12WithLaneLoads(&cur)
-	bt, err := NewBatchTransient(ckt, 2e-9, lanes, laneFill(ckt, &cur))
+	lane := 0
+	bt, err := NewBatchTransient(zec12WithLaneLoads(&lane), 2e-9, lanes, slabFill(lanes))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,6 +430,28 @@ func benchBatchStep(b *testing.B, lanes int) {
 	for i := 0; i < b.N; i++ {
 		if err := bt.Step(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// slabFill is the one-call fill of zec12WithLaneLoads' loads at the
+// given width: per lane it evaluates the lane's waveform once and
+// writes each core's scaled current into the slab.
+func slabFill(lanes int) func(t float64, cur []float64) {
+	period, hi := make([]float64, lanes), make([]float64, lanes)
+	for l := range period {
+		period[l] = (0.8 + 0.2*float64(l)) * 1e-6
+		hi[l] = 2 + 0.5*float64(l)
+	}
+	return func(t float64, cur []float64) {
+		for l := 0; l < lanes; l++ {
+			w := 0.5
+			if math.Mod(t, period[l]) < period[l]/2 {
+				w = hi[l]
+			}
+			for i := 0; i < NumCores; i++ {
+				cur[i*lanes+l] = w * float64(i+1)
+			}
 		}
 	}
 }

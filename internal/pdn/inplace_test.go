@@ -182,17 +182,18 @@ func BenchmarkInPlaceSolve(b *testing.B) {
 			lu.solveInto(x[:n], src[:n])
 		}
 	})
-	solve("InPlace1", 1, lu.solveInPlace)
-	solve("InPlace3", 3, func(xs []float64) { lu.solveBatchInPlace(xs, 3) })
-	solve("InPlace4", 4, lu.solveBatch4InPlace)
-	solve("InPlace8", DefaultBatchLanes, lu.solveBatch8InPlace)
-	solve("InPlace16", WideBatchLanes, lu.solveBatch16InPlace)
+	solve("InPlace1", 1, func(xs []float64) { lu.solveInPlace(xs) })
+	batch := func(xs []float64) { lu.solveBatchInPlace(xs, len(xs)/n) }
+	solve("InPlace3", 3, batch)
+	solve("InPlace4", 4, batch)
+	solve("InPlace8", DefaultBatchLanes, batch)
+	solve("InPlace16", WideBatchLanes, batch)
 	if useSolveAVX2 {
 		defer func() { useSolveAVX2 = true }()
 		useSolveAVX2 = false
-		solve("Go4", 4, lu.solveBatch4InPlace)
-		solve("Go8", DefaultBatchLanes, lu.solveBatch8InPlace)
-		solve("Go16", WideBatchLanes, lu.solveBatch16InPlace)
+		solve("Go4", 4, batch)
+		solve("Go8", DefaultBatchLanes, batch)
+		solve("Go16", WideBatchLanes, batch)
 		useSolveAVX2 = true
 	}
 }

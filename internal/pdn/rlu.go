@@ -3,6 +3,7 @@ package pdn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // realLU is a real LU factorization with partial pivoting, used by the
@@ -157,7 +158,8 @@ func (f *realLU) indexNonzeros(lu []float64) {
 // solveInto solves A*x = b, writing the solution into x. b is not
 // modified; x and b must both have length n and may not alias. It is
 // the DC operating-point solve: a gather of b into permuted row order,
-// then solveInPlace.
+// then solveInPlace (a non-finite solution surfaces at the first
+// Step, which checks every potential it solves).
 func (f *realLU) solveInto(x, b []float64) {
 	if len(b) != f.n || len(x) != f.n {
 		panic(fmt.Sprintf("pdn: solveInto with len(x)=%d len(b)=%d n=%d", len(x), len(b), f.n))
@@ -185,7 +187,12 @@ func (f *realLU) solveInto(x, b []float64) {
 // row's start as the next row's bound. Each row still subtracts its
 // nonzeros in ascending column order, so the arithmetic is the
 // element-wise walk's.
-func (f *realLU) solveInPlace(x []float64) {
+//
+// The back pass also checks every finished row for divergence: v-v is
+// +0 for every finite v and NaN for NaN and ±Inf, so the sum of v-v
+// over the rows is NaN exactly when some solution value is non-finite.
+// solveInPlace reports whether one is.
+func (f *realLU) solveInPlace(x []float64) (diverged bool) {
 	n := f.n
 	if len(x) != n {
 		panic(fmt.Sprintf("pdn: solveInPlace with len(x)=%d n=%d", len(x), n))
@@ -202,15 +209,19 @@ func (f *realLU) solveInPlace(x []float64) {
 	}
 	uVal, uCol, uPtr, invDiag := f.uVal, f.uCol[:len(f.uVal)], f.uPtr[:n+1], f.invDiag[:n]
 	end := len(uVal)
+	chk := 0.0
 	for i := n - 1; i >= 0; i-- {
 		start := int(uPtr[i])
 		sum := x[i]
 		for k := start; k < end; k++ {
 			sum -= uVal[k] * x[uCol[k]]
 		}
-		x[i] = sum * invDiag[i]
+		v := sum * invDiag[i]
+		x[i] = v
+		chk += v - v
 		end = start
 	}
+	return chk != 0
 }
 
 // solveBatchInPlace is solveInPlace for `lanes` lockstep right-hand
@@ -221,22 +232,21 @@ func (f *realLU) solveInPlace(x []float64) {
 // forward over lRows only, as solveInPlace does. Per lane every path
 // performs the multiplies, subtractions and reciprocal scalings of
 // solveInPlace in the same order, so a lane's solution does not depend
-// on the width.
-func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
+// on the width. Like solveInPlace, every path checks each row its back
+// pass finishes; it returns the highest lane holding a non-finite
+// solution value, or -1.
+func (f *realLU) solveBatchInPlace(x []float64, lanes int) (bad int) {
 	n := f.n
 	if lanes < 1 || len(x) != n*lanes {
 		panic(fmt.Sprintf("pdn: solveBatchInPlace with len(x)=%d n=%d lanes=%d", len(x), n, lanes))
 	}
 	switch lanes {
 	case NarrowBatchLanes:
-		f.solveBatch4InPlace(x)
-		return
+		return f.solveBatch4InPlace(x)
 	case DefaultBatchLanes:
-		f.solveBatch8InPlace(x)
-		return
+		return f.solveBatch8InPlace(x)
 	case WideBatchLanes:
-		f.solveBatch16InPlace(x)
-		return
+		return f.solveBatch16InPlace(x)
 	}
 	for _, i := range f.lRows {
 		xi := x[int(i)*lanes : int(i)*lanes+lanes : int(i)*lanes+lanes]
@@ -249,6 +259,7 @@ func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 			}
 		}
 	}
+	bad = -1
 	for i := n - 1; i >= 0; i-- {
 		xi := x[i*lanes : i*lanes+lanes : i*lanes+lanes]
 		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
@@ -260,11 +271,35 @@ func (f *realLU) solveBatchInPlace(x []float64, lanes int) {
 			}
 		}
 		d := f.invDiag[i]
+		chk := 0.0
 		for l := range xi {
-			xi[l] *= d
+			v := xi[l] * d
+			xi[l] = v
+			chk += v - v
+		}
+		for l := lanes - 1; chk != 0 && l > bad; l-- {
+			if xi[l]-xi[l] != 0 {
+				bad = l
+			}
 		}
 	}
+	return bad
 }
+
+// highestLane returns the highest lane whose divergence word in chk is
+// non-zero, or -1.
+func highestLane(chk []uint64) int {
+	for l := len(chk) - 1; l >= 0; l-- {
+		if chk[l] != 0 {
+			return l
+		}
+	}
+	return -1
+}
+
+// maskLane returns the highest lane set in a vector kernel's
+// divergence mask (bit l for lane l), or -1.
+func maskLane(m uint64) int { return bits.Len64(m) - 1 }
 
 // NarrowBatchLanes is the narrowest register-blocked lane width: one
 // 4-lane vector per row. Small studies split across idle workers reach
@@ -302,13 +337,13 @@ func AutoBatchLanes() int {
 // the element-wise walk of solveBatch8InPlace with four lane
 // accumulators (one 4-lane vector per row under AVX2). Per lane the
 // arithmetic order is identical to every other width.
-func (f *realLU) solveBatch4InPlace(x []float64) {
+func (f *realLU) solveBatch4InPlace(x []float64) (bad int) {
 	if useSolveAVX2 {
-		fwdBack4AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n)
-		return
+		return maskLane(fwdBack4AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n))
 	}
 	const B = NarrowBatchLanes
 	n := f.n
+	var chk [B]uint64 // per lane, the OR of v-v over the finished rows
 	for i := 1; i < n; i++ {
 		xi := (*[B]float64)(x[i*B : i*B+B])
 		x0, x1, x2, x3 := xi[0], xi[1], xi[2], xi[3]
@@ -336,8 +371,14 @@ func (f *realLU) solveBatch4InPlace(x []float64) {
 			x3 -= v * xj[3]
 		}
 		d := f.invDiag[i]
-		xi[0], xi[1], xi[2], xi[3] = x0*d, x1*d, x2*d, x3*d
+		x0, x1, x2, x3 = x0*d, x1*d, x2*d, x3*d
+		xi[0], xi[1], xi[2], xi[3] = x0, x1, x2, x3
+		chk[0] |= math.Float64bits(x0 - x0)
+		chk[1] |= math.Float64bits(x1 - x1)
+		chk[2] |= math.Float64bits(x2 - x2)
+		chk[3] |= math.Float64bits(x3 - x3)
 	}
+	return highestLane(chk[:])
 }
 
 // solveBatch8InPlace is the width-8 register-blocked substitution,
@@ -352,13 +393,13 @@ func (f *realLU) solveBatch4InPlace(x []float64) {
 // (each 8-lane row is two 4-lane vectors; lanes are independent, so
 // vectorizing across them reorders nothing within a lane) — results
 // are bit-identical to this Go walk, as the equivalence tests pin.
-func (f *realLU) solveBatch8InPlace(x []float64) {
+func (f *realLU) solveBatch8InPlace(x []float64) (bad int) {
 	if useSolveAVX2 {
-		fwdBack8AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n)
-		return
+		return maskLane(fwdBack8AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n))
 	}
 	const B = DefaultBatchLanes
 	n := f.n
+	var chk [B]uint64 // per lane, the OR of v-v over the finished rows
 	for i := 1; i < n; i++ {
 		xi := (*[B]float64)(x[i*B : i*B+B])
 		x0, x1, x2, x3, x4, x5, x6, x7 := xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7]
@@ -394,21 +435,31 @@ func (f *realLU) solveBatch8InPlace(x []float64) {
 			x7 -= v * xj[7]
 		}
 		d := f.invDiag[i]
-		xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7] = x0*d, x1*d, x2*d, x3*d, x4*d, x5*d, x6*d, x7*d
+		x0, x1, x2, x3, x4, x5, x6, x7 = x0*d, x1*d, x2*d, x3*d, x4*d, x5*d, x6*d, x7*d
+		xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7] = x0, x1, x2, x3, x4, x5, x6, x7
+		chk[0] |= math.Float64bits(x0 - x0)
+		chk[1] |= math.Float64bits(x1 - x1)
+		chk[2] |= math.Float64bits(x2 - x2)
+		chk[3] |= math.Float64bits(x3 - x3)
+		chk[4] |= math.Float64bits(x4 - x4)
+		chk[5] |= math.Float64bits(x5 - x5)
+		chk[6] |= math.Float64bits(x6 - x6)
+		chk[7] |= math.Float64bits(x7 - x7)
 	}
+	return highestLane(chk[:])
 }
 
 // solveBatch16InPlace is the width-16 register-blocked substitution:
 // the same element-wise walk as solveBatch8InPlace with sixteen lane
 // accumulators (four 4-lane vectors per row under AVX2). Per lane the
 // arithmetic order is identical to every other width.
-func (f *realLU) solveBatch16InPlace(x []float64) {
+func (f *realLU) solveBatch16InPlace(x []float64) (bad int) {
 	if useSolveAVX2 {
-		fwdBack16AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n)
-		return
+		return maskLane(fwdBack16AVX2(f.lVal, f.lCol, f.lPtr, f.uVal, f.uCol, f.uPtr, f.invDiag, x, f.n))
 	}
 	const B = WideBatchLanes
 	n := f.n
+	var chk [B]uint64 // per lane, the OR of v-v over the finished rows
 	// acc is the row's sixteen lane accumulators: a local block, so the
 	// compiler knows the column loads cannot alias it (x rows never
 	// self-alias — L touches only columns < i, U only columns > i).
@@ -442,7 +493,10 @@ func (f *realLU) solveBatch16InPlace(x []float64) {
 		}
 		d := f.invDiag[i]
 		for l := 0; l < B; l++ {
-			xi[l] = acc[l] * d
+			v := acc[l] * d
+			xi[l] = v
+			chk[l] |= math.Float64bits(v - v)
 		}
 	}
+	return highestLane(chk[:])
 }

@@ -86,30 +86,6 @@ func (t *Transient) Run(duration float64, probes []NodeID) ([]*signal.Trace, err
 	return traces, nil
 }
 
-// permutedIndex derives the permuted-RHS maps for an engine solving in
-// place against lu: nodeP[node] is the RHS slot of the node's unknown
-// (invPerm[idx[node]], -1 for grounded/fixed nodes), loadP[k] the slot
-// load k draws from (its node's nodeP), and unkNode[i] the node whose
-// solution the substitutions leave at slot i. nodeP and loadP share
-// one allocation.
-func permutedIndex(idx []int, loads []*Load, lu *realLU) (nodeP, loadP []int, unkNode []int32) {
-	buf := make([]int, len(idx)+len(loads))
-	nodeP, loadP = buf[:len(idx):len(idx)], buf[len(idx):]
-	unkNode = make([]int32, lu.n)
-	for node, i := range idx {
-		if i >= 0 {
-			nodeP[node] = lu.invPerm[i]
-			unkNode[i] = int32(node)
-		} else {
-			nodeP[node] = -1
-		}
-	}
-	for k, ld := range loads {
-		loadP[k] = nodeP[ld.Node]
-	}
-	return nodeP, loadP, unkNode
-}
-
 // stampCompanion computes the trapezoidal companion conductance of
 // every element and folds the set into a freshly factored nodal
 // matrix. The matrix depends only on element values and the timestep,
