@@ -77,13 +77,12 @@ race:
 # sweeps and mappings batch {0,1,3,4,8,16} x workers {1,4,8} (the
 # frequency sweep has 16 runs, so it reaches a full 16-lane batch);
 # noise resonance search batch {0,1,3,8,16} x workers {1,2,8}; the
-# service batch {1,3,8,16} x workers {1,4,8}; mapping batch
-# {0,3,8,16} x workers {1,2,8,64}; vmin, epi and population batch
-# {1,3,8} x workers {1,4,8}. Batch 0 is the auto width. internal/noise
+# service batch {1,3,8,16} x workers {1,4,8}; vmin, epi and
+# population batch {1,3,8} x workers {1,4,8}. Batch 0 is the auto width. internal/noise
 # alone took 479 s under -race on a shared 2-vCPU host, close to go
 # test's default 600 s limit, so the timeout is set at 2.5x that.
 batch-determinism:
-	$(GO) test -race -timeout 20m -run 'Batch|Determinism|Invariance' ./internal/noise/ ./internal/vmin/ ./internal/epi/ ./internal/core/ ./internal/population/ ./internal/service/ ./internal/mapping/ ./internal/scheduler/
+	$(GO) test -race -timeout 20m -run 'Batch|Determinism|Invariance' ./internal/noise/ ./internal/vmin/ ./internal/epi/ ./internal/core/ ./internal/population/ ./internal/service/ ./internal/scheduler/
 
 # fuzz-smoke runs each fuzz target for FUZZTIME on top of its committed
 # seed corpus: the request validator (decode -> normalize -> hash

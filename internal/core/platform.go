@@ -209,47 +209,3 @@ func (p *Platform) RunContext(ctx context.Context, spec RunSpec) (*Measurement, 
 	}
 	return s.RunContext(ctx, spec)
 }
-
-// Combine merges measurements taken over different windows of the same
-// workload into one sticky-mode result, as if the skitters had stayed
-// armed across all windows. Power is the duration-weighted mean.
-func Combine(ms ...*Measurement) *Measurement {
-	if len(ms) == 0 {
-		panic("core: Combine of no measurements")
-	}
-	out := &Measurement{Start: ms[0].Start}
-	for i := range out.VMin {
-		out.VMin[i] = math.Inf(1)
-		out.VMax[i] = math.Inf(-1)
-		out.PosMin[i] = 1 << 30
-		out.PosMax[i] = -1
-	}
-	var energy float64
-	for _, m := range ms {
-		if m.NominalPos != ms[0].NominalPos {
-			panic("core: Combine across different skitter calibrations")
-		}
-		for i := 0; i < NumCores; i++ {
-			out.VMin[i] = math.Min(out.VMin[i], m.VMin[i])
-			out.VMax[i] = math.Max(out.VMax[i], m.VMax[i])
-			if m.PosMin[i] < out.PosMin[i] {
-				out.PosMin[i] = m.PosMin[i]
-			}
-			if m.PosMax[i] > out.PosMax[i] {
-				out.PosMax[i] = m.PosMax[i]
-			}
-		}
-		energy += float64(m.ChipPowerMilliwatts) * m.Duration
-		out.Duration += m.Duration
-	}
-	out.NominalPos = ms[0].NominalPos
-	for i := 0; i < NumCores; i++ {
-		if out.NominalPos > 0 {
-			out.P2P[i] = float64(out.PosMax[i]-out.PosMin[i]) / float64(out.NominalPos) * 100
-		}
-	}
-	if out.Duration > 0 {
-		out.ChipPowerMilliwatts = int64(math.Round(energy / out.Duration))
-	}
-	return out
-}

@@ -167,49 +167,6 @@ func TestLowerBiasLowersVoltages(t *testing.T) {
 	}
 }
 
-func TestCombine(t *testing.T) {
-	p, _ := New(DefaultConfig())
-	var wl [NumCores]Workload
-	for i := range wl {
-		wl[i] = FuncWorkload{Label: "burst", Fn: func(t float64) float64 {
-			if t > 10e-6 && math.Mod(t, 0.5e-6) < 0.25e-6 {
-				return 50
-			}
-			return 16
-		}}
-	}
-	quiet, err := p.Run(RunSpec{Workloads: wl, Start: 0, Duration: 8e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy, err := p.Run(RunSpec{Workloads: wl, Start: 15e-6, Duration: 20e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined := Combine(quiet, noisy)
-	wq, _ := quiet.WorstP2P()
-	wn, _ := noisy.WorstP2P()
-	wc, _ := combined.WorstP2P()
-	if wc < wn || wc < wq {
-		t.Errorf("combined %g below parts %g/%g", wc, wq, wn)
-	}
-	if combined.Duration != quiet.Duration+noisy.Duration {
-		t.Errorf("combined duration %g", combined.Duration)
-	}
-	if combined.MinVoltage() > noisy.MinVoltage() {
-		t.Error("combined lost the deeper droop")
-	}
-}
-
-func TestCombinePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Combine()
-}
-
 func TestWorstP2PAndMinVoltage(t *testing.T) {
 	m := &Measurement{P2P: [NumCores]float64{1, 5, 3, 2, 4, 0}}
 	w, c := m.WorstP2P()
@@ -273,17 +230,6 @@ func TestSteadyProgramMatchesAnalyze(t *testing.T) {
 	if math.Abs(w.Power(0)-cfg.Power(prog)) > 1e-12 {
 		t.Error("SteadyProgram power mismatch")
 	}
-}
-
-func TestCombineMismatchedCalibrationPanics(t *testing.T) {
-	a := &Measurement{NominalPos: 30, Duration: 1}
-	b := &Measurement{NominalPos: 40, Duration: 1}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for mixed calibrations")
-		}
-	}()
-	Combine(a, b)
 }
 
 func TestChipPowerTracksWorkload(t *testing.T) {

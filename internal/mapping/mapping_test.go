@@ -1,37 +1,18 @@
 package mapping
 
 import (
-	"context"
-	"errors"
-	"strings"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"voltnoise/internal/analysis"
 	"voltnoise/internal/core"
 )
 
-// perPlacement lifts a one-placement scoring rule to an Evaluator
-// that scores each placement of a group in turn.
-func perPlacement(score func(cores []int) (float64, int, error)) Evaluator {
-	return func(placements [][]int) ([]Eval, error) {
-		out := make([]Eval, len(placements))
-		for i, cores := range placements {
-			w, wc, err := score(cores)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = Eval{WorstP2P: w, WorstCore: wc}
-		}
-		return out, nil
-	}
-}
-
-// fakeEval scores placements by a synthetic rule: placements
+// fakeScore scores placements by a synthetic rule: placements
 // concentrated in one layout cluster (all same parity) are noisiest,
 // mirroring the paper's finding.
-var fakeEval = perPlacement(fakeScore)
-
-func fakeScore(cores []int) (float64, int, error) {
+func fakeScore(cores []int) (float64, int) {
 	sameParity := true
 	for _, c := range cores[1:] {
 		if c%2 != cores[0]%2 {
@@ -42,14 +23,30 @@ func fakeScore(cores []int) (float64, int, error) {
 	if sameParity {
 		score += 4
 	}
-	return score, cores[0], nil
+	return score, cores[0]
 }
 
-func TestBestWorst(t *testing.T) {
-	best, worst, err := BestWorst(context.Background(), 3, 1, 1, fakeEval)
+// measure scores every placement of k workloads with score, in
+// Placements' order.
+func measure(t *testing.T, k int, score func([]int) (float64, int)) []Placement {
+	t.Helper()
+	ps, err := Placements(k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([]Placement, len(ps))
+	for i, cores := range ps {
+		w, wc := score(cores)
+		out[i] = Placement{Cores: cores, WorstP2P: w, WorstCore: wc}
+	}
+	return out
+}
+
+// TestBestWorst: the fold of the k=3 placements picks a single-cluster
+// trio as the noisiest and a mixed one as the quietest.
+func TestBestWorst(t *testing.T) {
+	op := Fold(3, measure(t, 3, fakeScore))
+	best, worst := op.Best, op.Worst
 	if worst.WorstP2P <= best.WorstP2P {
 		t.Errorf("worst %g <= best %g", worst.WorstP2P, best.WorstP2P)
 	}
@@ -75,66 +72,85 @@ func TestBestWorst(t *testing.T) {
 	}
 }
 
+// TestFoldTieBreak: among equally noisy placements the earliest in
+// enumeration order wins, for the best and for the worst.
+func TestFoldTieBreak(t *testing.T) {
+	op := Fold(3, measure(t, 3, fakeScore))
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(op.Best.Cores, want) {
+		t.Errorf("best %v, want the first mixed trio %v", op.Best.Cores, want)
+	}
+	if want := []int{0, 2, 4}; !reflect.DeepEqual(op.Worst.Cores, want) {
+		t.Errorf("worst %v, want the first single-cluster trio %v", op.Worst.Cores, want)
+	}
+	flat := Fold(2, measure(t, 2, func([]int) (float64, int) { return 7, 0 }))
+	if want := []int{0, 1}; !reflect.DeepEqual(flat.Best.Cores, want) || !reflect.DeepEqual(flat.Worst.Cores, want) {
+		t.Errorf("all tied: best %v worst %v, want both %v", flat.Best.Cores, flat.Worst.Cores, want)
+	}
+	if empty := Fold(2, nil); !reflect.DeepEqual(empty, Opportunity{Workloads: 2}) {
+		t.Errorf("no placements: %+v", empty)
+	}
+}
+
+// TestBestWorstValidation: a workload count outside 1..NumCores has
+// no placements.
 func TestBestWorstValidation(t *testing.T) {
-	if _, _, err := BestWorst(context.Background(), 0, 1, 1, fakeEval); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, _, err := BestWorst(context.Background(), core.NumCores+1, 1, 1, fakeEval); err == nil {
-		t.Error("k>n accepted")
-	}
-	if _, _, err := BestWorst(context.Background(), 2, 1, 1, nil); err == nil {
-		t.Error("nil evaluator accepted")
-	}
-}
-
-func TestBestWorstPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	n := 0
-	eval := func(cores []int) (float64, int, error) {
-		n++
-		if n == 3 {
-			return 0, 0, boom
+	for _, k := range []int{0, -1, core.NumCores + 1} {
+		ps, err := Placements(k)
+		if err == nil || ps != nil {
+			t.Errorf("k=%d accepted: %v", k, ps)
+			continue
 		}
-		return 1, 0, nil
-	}
-	if _, _, err := BestWorst(context.Background(), 2, 1, 1, perPlacement(eval)); !errors.Is(err, boom) {
-		t.Errorf("error not propagated: %v", err)
-	}
-}
-
-// TestBestWorstShortEvaluator: an evaluator that returns fewer Evals
-// than it was handed placements is an error, not a silent skip.
-func TestBestWorstShortEvaluator(t *testing.T) {
-	short := func(placements [][]int) ([]Eval, error) {
-		return make([]Eval, len(placements)-1), nil
-	}
-	_, _, err := BestWorst(context.Background(), 2, 1, 3, short)
-	if err == nil || !strings.Contains(err.Error(), "returned 2 results for 3 placements") {
-		t.Errorf("short evaluator: err = %v", err)
+		if want := fmt.Sprintf("mapping: %d workloads on 6 cores", k); err.Error() != want {
+			t.Errorf("k=%d: error %q, want %q", k, err, want)
+		}
 	}
 }
 
+// TestBestWorstEnumeratesAllPlacements: Placements(k) lists all
+// C(NumCores, k) placements, each ascending, in lexicographic order.
 func TestBestWorstEnumeratesAllPlacements(t *testing.T) {
-	count := 0
-	eval := func(cores []int) (float64, int, error) {
-		count++
-		return float64(count), 0, nil
+	for k := 1; k <= core.NumCores; k++ {
+		ps, err := Placements(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := analysis.Binomial(core.NumCores, k); len(ps) != want {
+			t.Errorf("k=%d: %d placements, want %d", k, len(ps), want)
+		}
+		for i, cores := range ps {
+			if len(cores) != k {
+				t.Errorf("k=%d: placement %v has %d cores", k, cores, len(cores))
+			}
+			for j := 1; j < len(cores); j++ {
+				if cores[j] <= cores[j-1] {
+					t.Errorf("k=%d: placement %v not ascending", k, cores)
+				}
+			}
+			if i > 0 && !lexLess(ps[i-1], cores) {
+				t.Errorf("k=%d: %v listed before %v", k, ps[i-1], cores)
+			}
+		}
 	}
-	if _, _, err := BestWorst(context.Background(), 3, 1, 1, perPlacement(eval)); err != nil {
-		t.Fatal(err)
-	}
-	if want := analysis.Binomial(core.NumCores, 3); count != want {
-		t.Errorf("evaluated %d placements, want %d", count, want)
+	if first, _ := Placements(3); !reflect.DeepEqual(first[0], []int{0, 1, 2}) || !reflect.DeepEqual(first[len(first)-1], []int{3, 4, 5}) {
+		t.Errorf("k=3 runs %v .. %v, want [0 1 2] .. [3 4 5]", first[0], first[len(first)-1])
 	}
 }
 
-func TestStudy(t *testing.T) {
-	ops, err := Study(context.Background(), []int{1, 3, 6}, 1, 1, fakeEval)
-	if err != nil {
-		t.Fatal(err)
+func lexLess(a, b []int) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
 	}
-	if len(ops) != 3 {
-		t.Fatalf("%d opportunities", len(ops))
+	return false
+}
+
+// TestStudy folds each workload count's placements, as the Figure 15
+// study does over its counts.
+func TestStudy(t *testing.T) {
+	var ops []Opportunity
+	for _, k := range []int{1, 3, 6} {
+		ops = append(ops, Fold(k, measure(t, k, fakeScore)))
 	}
 	// k=6: only one placement -> zero gain.
 	if ops[2].GainP2P != 0 {
@@ -144,22 +160,17 @@ func TestStudy(t *testing.T) {
 	if ops[1].GainP2P <= 0 {
 		t.Errorf("k=3 gain = %g, want > 0", ops[1].GainP2P)
 	}
-	// k=1: all single placements score equally (no parity bonus
-	// applies to... single cores are trivially same-parity) -> gain 0.
+	// k=1: single cores are trivially same-parity, so every placement
+	// scores alike -> gain 0.
 	if ops[0].GainP2P != 0 {
 		t.Errorf("k=1 gain = %g", ops[0].GainP2P)
 	}
-	for _, op := range ops {
+	for i, op := range ops {
+		if op.Workloads != []int{1, 3, 6}[i] {
+			t.Errorf("opportunity %d for %d workloads", i, op.Workloads)
+		}
 		if op.GainP2P != op.Worst.WorstP2P-op.Best.WorstP2P {
 			t.Error("gain inconsistent with placements")
 		}
-	}
-}
-
-func TestStudyPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	eval := perPlacement(func([]int) (float64, int, error) { return 0, 0, boom })
-	if _, err := Study(context.Background(), []int{2}, 1, 1, eval); !errors.Is(err, boom) {
-		t.Errorf("error not propagated: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package noise
 import (
 	"context"
 
+	"voltnoise/internal/core"
 	"voltnoise/internal/stressmark"
 	"voltnoise/internal/vmin"
 )
@@ -77,61 +78,41 @@ func (s SensitivitySummary) Primary() bool {
 }
 
 // Sensitivity runs the four comparisons at the given resonant and
-// off-resonant frequencies and summarizes them.
+// off-resonant frequencies and summarizes them. Their five marks are
+// measured in one runMeasurements call.
 func (l *Lab) Sensitivity(ctx context.Context, resonant, offResonant float64) (*SensitivitySummary, error) {
-	// worst measures one job and reports its worst per-core noise.
-	worst := func(j measJob, err error) (float64, error) {
+	// The maximum mark free-running and synchronized at resonance, one
+	// synchronized medium mark (core 0 alone, over the synchronized max
+	// mark's window), and the synchronized maximum mark off resonance
+	// and in 10-event bursts.
+	specs := []stressmark.Spec{
+		l.MaxSpec(resonant),
+		syncSpec(l.MaxSpec(resonant), 1000),
+		syncSpec(l.MedSpec(resonant), 1000),
+		syncSpec(l.MaxSpec(offResonant), 1000),
+		syncSpec(l.MaxSpec(resonant), 10),
+	}
+	jobs := make([]measJob, len(specs))
+	for i, s := range specs {
+		j, err := l.specJob(s, nil)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		m, err := l.runMeasurement(ctx, j)
-		if err != nil {
-			return 0, err
-		}
-		w, _ := m.WorstP2P()
-		return w, nil
+		jobs[i] = j
 	}
-	s := &SensitivitySummary{}
-
-	// Sync effect: aligned vs free-running at resonance.
-	wU, err := worst(l.specJob(l.MaxSpec(resonant), nil))
+	jobs[2].wl = [core.NumCores]core.Workload{jobs[2].wl[0]}
+	ms, err := l.runMeasurements(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
-	synced, err := l.specJob(syncSpec(l.MaxSpec(resonant), 1000), nil)
-	wS, err := worst(synced, err)
-	if err != nil {
-		return nil, err
+	var w [5]float64
+	for i, m := range ms {
+		w[i], _ = m.WorstP2P()
 	}
-	s.SyncEffect = wS - wU
-
-	// DeltaI effect: one medium mark vs six max marks, synchronized,
-	// over the synchronized max mark's window.
-	medWl, err := syncSpec(l.MedSpec(resonant), 1000).Workload(l.Platform.Config().Core, l.table())
-	if err != nil {
-		return nil, err
-	}
-	smallest := measJob{start: synced.start, dur: synced.dur}
-	smallest.wl[0] = medWl
-	wSmall, err := worst(smallest, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.DeltaIEffect = wS - wSmall
-
-	// Frequency effect: resonant vs off-resonant, synchronized.
-	wOff, err := worst(l.specJob(syncSpec(l.MaxSpec(offResonant), 1000), nil))
-	if err != nil {
-		return nil, err
-	}
-	s.FrequencyEffect = wS - wOff
-
-	// Events effect: long burst vs 10-event burst, synchronized.
-	wShort, err := worst(l.specJob(syncSpec(l.MaxSpec(resonant), 10), nil))
-	if err != nil {
-		return nil, err
-	}
-	s.EventsEffect = wS - wShort
-
-	return s, nil
+	return &SensitivitySummary{
+		SyncEffect:      w[1] - w[0],
+		DeltaIEffect:    w[1] - w[2],
+		FrequencyEffect: w[1] - w[3],
+		EventsEffect:    w[1] - w[4],
+	}, nil
 }

@@ -35,10 +35,11 @@ type Lab struct {
 	SearchFunnel *stressmark.SearchResult
 	// Workers caps the concurrent measurement workers the parallel
 	// studies (FrequencySweep, MisalignmentSweep, MappingStudy,
-	// ConsecutiveEventStudy, MappingOpportunity, and each round of
-	// FindResonance) fan out to. Zero selects one worker per CPU; one
-	// forces the serial path. Results are bit-identical for every
-	// setting — the engine reduces in item order (see internal/exec).
+	// ConsecutiveEventStudy, MappingOpportunity, Sensitivity, and each
+	// round of FindResonance) fan out to. Zero selects one worker per
+	// CPU; one forces the serial path. Results are bit-identical for
+	// every setting — the engine reduces in item order (see
+	// internal/exec).
 	Workers int
 	// Batch is the lane width of the lockstep batch engine: studies
 	// pack measurement runs sharing a window into lanes of one
@@ -55,13 +56,15 @@ type Lab struct {
 	// every width — a lane's arithmetic does not depend on the width.
 	Batch int
 	// Progress, when set, receives one ChunkResult per reduced
-	// measurement chunk of the batched studies (FrequencySweep,
-	// MisalignmentSweep, MappingStudy, and each round of
-	// FindResonance). Events fire from the ordered-reduction side of
-	// the scheduler in batch order (see ChunkResult), so the stream is
-	// a pure function of the study, Batch and Workers: Batch sets the
-	// chunking and, under the auto width, Workers can split it; no
-	// setting reorders the jobs. The assembled results never change.
+	// measurement chunk of every study that measures through
+	// runMeasurements: FrequencySweep, MisalignmentSweep, MappingStudy,
+	// MappingOpportunity, Sensitivity, Waveform, RunWorstMark and each
+	// round of FindResonance. Events fire from the ordered-reduction
+	// side of the scheduler in batch order (see ChunkResult), so the
+	// stream is a pure function of the study, Batch and Workers: Batch
+	// sets the chunking and, under the auto width, Workers can split
+	// it; no setting reorders the jobs. The assembled results never
+	// change.
 	Progress progress.Sink
 }
 
@@ -231,14 +234,19 @@ type ChunkResult struct {
 }
 
 // runMeasurements executes the jobs and returns one measurement per
-// job, in job order. Jobs sharing a measurement window are packed into
-// the lanes of lockstep batch sessions (width exec.BatchWidthAuto of
+// job, in job order. It is the one path by which the lab's studies
+// take measurements (the Vmin margin studies step through vmin.Run
+// instead). Jobs sharing a measurement window are packed into the
+// lanes of lockstep batch sessions (width exec.BatchWidthAuto of
 // l.Batch and l.Workers; batch 1 packs one job per batch), and the
-// batches fan out across l.Workers in batch order. A lane's
-// arithmetic does not depend on the width, so the results are
-// bit-identical at every (workers, batch) combination. When l.Progress
-// is set, each reduced chunk additionally emits a ChunkResult from the
-// ordered-reduction side.
+// batches fan out across l.Workers in batch order. Each batch runs at
+// the platform's bias on a session borrowed from its pool, which
+// amortizes circuit construction and matrix factorization across the
+// whole study; a worker holds its own session, and canceling ctx
+// interrupts it. A lane's arithmetic does not depend on the width, so
+// the results are bit-identical at every (workers, batch)
+// combination. When l.Progress is set, each reduced chunk additionally
+// emits a ChunkResult from the ordered-reduction side.
 func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Measurement, error) {
 	width := exec.BatchWidthAuto(l.Batch, len(jobs), l.Workers, pdn.AutoBatchLanes())
 	// Group jobs by warmup window — lockstep lanes must share Start and
@@ -265,6 +273,7 @@ func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Meas
 		}
 	}
 	out := make([]*core.Measurement, len(jobs))
+	pool := l.Platform.Sessions()
 	done := 0
 	// Each batch is one whole lockstep chunk: workers own contiguous
 	// runs of batches and steal whole batches when idle, never lanes.
@@ -274,7 +283,12 @@ func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Meas
 			for k, ji := range batches[bi] {
 				specs[k] = jobs[ji].spec()
 			}
-			return l.runBatch(ctx, specs)
+			bs, err := pool.GetBatch(l.Platform.VoltageBias(), len(specs))
+			if err != nil {
+				return nil, err
+			}
+			defer pool.PutBatch(bs)
+			return bs.RunBatchContext(ctx, specs)
 		},
 		func(ci, bi, _ int, ms []*core.Measurement) error {
 			for k, ji := range batches[bi] {
@@ -291,31 +305,6 @@ func (l *Lab) runMeasurements(ctx context.Context, jobs []measJob) ([]*core.Meas
 		return nil, err
 	}
 	return out, nil
-}
-
-// runMeasurement executes one job on a width-1 batch session from the
-// platform's pool (amortizing circuit construction and matrix
-// factorization across the whole study) and honors cancellation. It is
-// safe for concurrent workers: each in-flight measurement holds its
-// own session.
-func (l *Lab) runMeasurement(ctx context.Context, j measJob) (*core.Measurement, error) {
-	ms, err := l.runBatch(ctx, []core.RunSpec{j.spec()})
-	if err != nil {
-		return nil, err
-	}
-	return ms[0], nil
-}
-
-// runBatch measures the specs as the lanes of one pooled batch session
-// at the platform's bias.
-func (l *Lab) runBatch(ctx context.Context, specs []core.RunSpec) ([]*core.Measurement, error) {
-	pool := l.Platform.Sessions()
-	bs, err := pool.GetBatch(l.Platform.VoltageBias(), len(specs))
-	if err != nil {
-		return nil, err
-	}
-	defer pool.PutBatch(bs)
-	return bs.RunBatchContext(ctx, specs)
 }
 
 // ImpedanceProfile computes the PDN impedance profile at a core node
@@ -340,10 +329,10 @@ func (l *Lab) RunWorstMark() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	m, err := l.runMeasurement(context.Background(), j)
+	ms, err := l.runMeasurements(context.Background(), []measJob{j})
 	if err != nil {
 		return 0, err
 	}
-	w, _ := m.WorstP2P()
+	w, _ := ms[0].WorstP2P()
 	return w, nil
 }

@@ -3,11 +3,13 @@ package noise
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"voltnoise/internal/core"
 	"voltnoise/internal/pdn"
+	"voltnoise/internal/progress"
 	"voltnoise/internal/signal"
 	"voltnoise/internal/stressmark"
 	"voltnoise/internal/vmin"
@@ -407,6 +409,45 @@ func TestMappingOpportunity(t *testing.T) {
 	}
 	if !sameCluster {
 		t.Logf("note: worst placement %v spans clusters (gain %g)", op.Worst.Cores, op.GainP2P)
+	}
+}
+
+// TestMappingOpportunityCounts: the counts of one call share its
+// measurement batches, yet each count's opportunity equals a call for
+// that count alone; an invalid count fails the call before anything
+// is measured, and no counts give an empty result.
+func TestMappingOpportunityCounts(t *testing.T) {
+	ctx := context.Background()
+	l := *lab(t)
+	measured := 0
+	l.Progress = func(progress.Event) { measured++ }
+	all, err := l.MappingOpportunity(ctx, 2e6, 20, []int{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 3 {
+		t.Fatalf("%d opportunities for 3 counts", len(all))
+	}
+	for i, k := range []int{1, 2, 3} {
+		one, err := l.MappingOpportunity(ctx, 2e6, 20, []int{k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(all[i], one[0]) {
+			t.Errorf("k=%d: %+v in the joint call, %+v alone", k, all[i], one[0])
+		}
+	}
+
+	measured = 0
+	if _, err := l.MappingOpportunity(ctx, 2e6, 20, []int{2, core.NumCores + 1}); err == nil {
+		t.Error("k > NumCores accepted")
+	}
+	if measured != 0 {
+		t.Errorf("%d chunks measured before the invalid count failed the call", measured)
+	}
+	none, err := l.MappingOpportunity(ctx, 2e6, 20, nil)
+	if err != nil || len(none) != 0 {
+		t.Errorf("no counts: %+v, %v; want an empty result", none, err)
 	}
 }
 

@@ -78,11 +78,11 @@ func (l *Lab) Waveform(freq, duration float64) ([core.NumCores]*signal.Trace, er
 		return traces, err
 	}
 	j.start, j.dur, j.record = 0, duration, true
-	m, err := l.runMeasurement(context.Background(), j)
+	ms, err := l.runMeasurements(context.Background(), []measJob{j})
 	if err != nil {
 		return traces, err
 	}
-	return m.Traces, nil
+	return ms[0].Traces, nil
 }
 
 // MisalignPoint is one maximum-allowed-misalignment setting of the

@@ -180,14 +180,18 @@ func (t *BatchTransient) Time() float64 { return t.time }
 func (t *BatchTransient) Dt() float64 { return t.dt }
 
 // SetLaneFixed pins a fixed node to a lane-specific potential. The
-// node must already be fixed in the circuit — fixed-node potentials
-// enter only the right-hand side, so lanes can run at different supply
-// settings against the same factored matrices. The new potential takes
-// effect at the next Reset.
+// node must already be fixed in the circuit, and may not be ground,
+// whose potential is always 0 — fixed-node potentials enter only the
+// right-hand side, so lanes can run at different supply settings
+// against the same factored matrices. The new potential takes effect
+// at the next Reset.
 func (t *BatchTransient) SetLaneFixed(lane int, n NodeID, volts float64) error {
 	t.c.checkNode(n)
 	if lane < 0 || lane >= t.lanes {
 		return fmt.Errorf("pdn: lane %d out of range [0,%d)", lane, t.lanes)
+	}
+	if n == Ground {
+		return fmt.Errorf("pdn: SetLaneFixed on ground, whose potential is always 0")
 	}
 	if _, ok := t.c.FixedVoltage(n); !ok {
 		return fmt.Errorf("pdn: SetLaneFixed on %q, which is not a fixed node", t.c.NodeName(n))
@@ -261,18 +265,18 @@ func (t *BatchTransient) Reset(start float64) error {
 // The gather reproduces the element-order walk of the trapezoidal
 // right-hand side: per element, its fixed-node conductance
 // contribution (geq times the fixed potential, added at the unknown
-// terminal's row), then its history source (a capacitor's added at a
-// and subtracted at b, an inductor's the other way round); then the
-// loads, each subtracted at its node's row, in load order. Row r's
-// entries keep the order in which that walk touches r, so the gather's
-// accumulation per row is the walk's.
+// terminal's row; see fixedTerm for why ground's are left out), then
+// its history source (a capacitor's added at a and subtracted at b, an
+// inductor's the other way round); then the loads, each subtracted at
+// its node's row, in load order. Row r's entries keep the order in
+// which that walk touches r, so the gather's accumulation per row is
+// the walk's.
 func (t *BatchTransient) buildPlan() {
 	c, idx, n := t.c, t.idx, t.n
 	nodes, elems, loads := c.NumNodes(), len(c.elements), len(c.loads)
 	reactive, fixes, entries := 0, 0, 0
 	for _, e := range c.elements {
-		ua, ub := idx[e.a] >= 0, idx[e.b] >= 0
-		if ua != ub {
+		if t.fixedTerm(e) {
 			fixes++
 		}
 		if e.kind == kindResistor {
@@ -282,10 +286,10 @@ func (t *BatchTransient) buildPlan() {
 			t.caps++
 		}
 		reactive++
-		if ua {
+		if idx[e.a] >= 0 {
 			entries++
 		}
-		if ub {
+		if idx[e.b] >= 0 {
 			entries++
 		}
 	}
@@ -336,9 +340,9 @@ func (t *BatchTransient) buildPlan() {
 		if h >= 0 {
 			t.histA[h], t.histB[h], t.histG[h] = t.xRow[e.a], t.xRow[e.b], t.geq[ei]
 		}
-		if ua, ub := idx[e.a] >= 0, idx[e.b] >= 0; ua != ub {
+		if t.fixedTerm(e) {
 			fixed := e.b
-			if ub {
+			if idx[e.b] >= 0 {
 				fixed = e.a
 			}
 			t.fixG[f], t.fixNode[f] = t.geq[ei], int32(fixed)
@@ -378,7 +382,7 @@ func (t *BatchTransient) walkRHS(visit func(r, s int, c float64)) {
 	f := 0
 	for ei, e := range t.c.elements {
 		pa, pb := slot(e.a), slot(e.b)
-		if (pa >= 0) != (pb >= 0) {
+		if t.fixedTerm(e) {
 			visit(max(pa, pb), reactive+f, -1)
 			f++
 		}
@@ -402,6 +406,17 @@ func (t *BatchTransient) walkRHS(visit func(r, s int, c float64)) {
 			visit(r, reactive+fixes+k, 1)
 		}
 	}
+}
+
+// fixedTerm reports whether element e adds a fixed-node conductance
+// term to the right-hand side: whether it joins an unknown node to a
+// fixed node other than ground. A term through ground is geq*0 = ±0,
+// which the gather may leave out without changing a bit: its
+// accumulators start at +0 and so never hold -0, and subtracting ±0
+// from anything else leaves it as it is. SetLaneFixed refuses ground,
+// so that potential stays 0.
+func (t *BatchTransient) fixedTerm(e element) bool {
+	return (t.idx[e.a] >= 0) != (t.idx[e.b] >= 0) && e.a != Ground && e.b != Ground
 }
 
 // fixedContributions snapshots each lane's fixed-node conductance

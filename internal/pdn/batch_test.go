@@ -179,9 +179,12 @@ func TestBatchLaneFixedMatchesRefixedSingle(t *testing.T) {
 }
 
 // TestBatchSetLaneFixedRejects covers the argument validation: lanes
-// out of range and nodes that are not fixed supplies.
+// out of range, nodes that are not fixed supplies, and ground, whose
+// potential is always 0. A refused call changes nothing, so every
+// lane's potentials after the next Reset are the ones it had before.
 func TestBatchSetLaneFixedRejects(t *testing.T) {
 	bt, out := newBatchRLC(t, 2, 0)
+	before := slices.Clone(bt.x)
 	src := bt.c.Node("src")
 	if err := bt.SetLaneFixed(2, src, 1.0); err == nil {
 		t.Error("lane out of range accepted")
@@ -191,6 +194,38 @@ func TestBatchSetLaneFixedRejects(t *testing.T) {
 	}
 	if err := bt.SetLaneFixed(0, out, 1.0); err == nil {
 		t.Error("SetLaneFixed on an unknown node accepted")
+	}
+	if err := bt.SetLaneFixed(0, Ground, 0.5); err == nil {
+		t.Error("SetLaneFixed on ground accepted")
+	}
+	if err := bt.Reset(0); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < bt.c.NumNodes(); n++ {
+		for l := 0; l < bt.Lanes(); l++ {
+			got, want := bt.Voltage(l, NodeID(n)), before[int(bt.xRow[n])*bt.Lanes()+l]
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("node %q lane %d: %g after Reset, want %g", bt.c.NodeName(NodeID(n)), l, got, want)
+			}
+		}
+	}
+}
+
+// TestZEC12GatherPlanSize pins the size of the zEC12 gather: of the
+// twelve elements joining an unknown node to a fixed one, eleven join
+// it to ground and add nothing, so the plan keeps one fixed-node
+// contribution and 32 entries.
+func TestZEC12GatherPlanSize(t *testing.T) {
+	ckt, _ := ZEC12(DefaultZEC12Config())
+	bt, err := NewBatchTransient(ckt, 2e-9, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(bt.fixG); got != 1 {
+		t.Errorf("%d fixed-node contributions, want 1", got)
+	}
+	if got := len(bt.gCol); got != 32 {
+		t.Errorf("%d gather entries, want 32", got)
 	}
 }
 
@@ -420,8 +455,9 @@ func BenchmarkBatchStep(b *testing.B) {
 // given width. The loads are zec12WithLaneLoads' — core i of lane l
 // draws batchWave(l) scaled by i+1 — written by slabFill.
 func benchBatchStep(b *testing.B, lanes int) {
+	const dt = 2e-9
 	lane := 0
-	bt, err := NewBatchTransient(zec12WithLaneLoads(&lane), 2e-9, lanes, slabFill(lanes))
+	bt, err := NewBatchTransient(zec12WithLaneLoads(&lane), dt, lanes, slabFill(lanes, dt))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -434,24 +470,34 @@ func benchBatchStep(b *testing.B, lanes int) {
 	}
 }
 
-// slabFill is the one-call fill of zec12WithLaneLoads' loads at the
-// given width: per lane it evaluates the lane's waveform once and
-// writes each core's scaled current into the slab.
-func slabFill(lanes int) func(t float64, cur []float64) {
-	period, hi := make([]float64, lanes), make([]float64, lanes)
-	for l := range period {
-		period[l] = (0.8 + 0.2*float64(l)) * 1e-6
-		hi[l] = 2 + 0.5*float64(l)
+// slabFill is a one-call fill of zec12WithLaneLoads' loads at the
+// given width whose cost is negligible next to a step: lane l keeps
+// batchWave(l)'s square wave as a count of dt-steps per half period,
+// advanced one step per call instead of read off the clock, and
+// writes its cores' scaled currents only when its level flips. The
+// engine leaves the slab as the fill wrote it, so every other entry
+// still holds its current.
+func slabFill(lanes int, dt float64) func(t float64, cur []float64) {
+	half, left := make([]int, lanes), make([]int, lanes)
+	hi, w := make([]float64, lanes), make([]float64, lanes)
+	for l := range half {
+		half[l] = int(math.Round((0.4 + 0.1*float64(l)) * 1e-6 / dt))
+		hi[l], w[l] = 2+0.5*float64(l), 0.5
 	}
-	return func(t float64, cur []float64) {
-		for l := 0; l < lanes; l++ {
-			w := 0.5
-			if math.Mod(t, period[l]) < period[l]/2 {
-				w = hi[l]
+	return func(_ float64, cur []float64) {
+		for l := range left {
+			if left[l] == 0 { // the first call starts every lane high
+				left[l] = half[l]
+				if w[l] == hi[l] {
+					w[l] = 0.5
+				} else {
+					w[l] = hi[l]
+				}
+				for i := 0; i < NumCores; i++ {
+					cur[i*lanes+l] = w[l] * float64(i+1)
+				}
 			}
-			for i := 0; i < NumCores; i++ {
-				cur[i*lanes+l] = w * float64(i+1)
-			}
+			left[l]--
 		}
 	}
 }

@@ -109,11 +109,11 @@ func ISATable() *isa.Table { return isa.ZEC12Table() }
 // exposes every characterization experiment of the paper.
 //
 // The measurement-heavy studies (FrequencySweep, MisalignmentSweep,
-// MappingStudy, ConsecutiveEventStudy, MappingOpportunity) fan their
-// independent runs across a worker pool sized by Lab.Workers (zero:
-// one worker per CPU, one: serial). Results are bit-identical for
-// every worker count — the engine reduces in item order, so
-// parallelism is safe by default.
+// MappingStudy, ConsecutiveEventStudy, MappingOpportunity,
+// Sensitivity) fan their independent runs across a worker pool sized
+// by Lab.Workers (zero: one worker per CPU, one: serial). Results are
+// bit-identical for every worker count — the engine reduces in item
+// order, so parallelism is safe by default.
 type Lab = noise.Lab
 
 // LabOption configures NewLab.
