@@ -11,7 +11,7 @@ import (
 func ExampleISATable() {
 	tab := voltnoise.ISATable()
 	cib := tab.MustLookup("CIB")
-	fmt.Println(tab.Size(), "instructions")
+	fmt.Println(len(tab.Instructions()), "instructions")
 	fmt.Println(cib.Mnemonic, cib.Desc)
 	// Output:
 	// 1301 instructions
@@ -24,7 +24,7 @@ func ExampleDefaultSync() {
 	cond := voltnoise.DefaultSync()
 	shifted := cond.Misalign(2)
 	fmt.Printf("period %.3f ms\n", cond.Period()*1e3)
-	fmt.Printf("offset %.1f ns\n", cond.OffsetSeconds(shifted)*1e9)
+	fmt.Printf("offset %.1f ns\n", float64(shifted.Match-cond.Match)*voltnoise.TODTickSeconds*1e9)
 	// Output:
 	// period 4.096 ms
 	// offset 125.0 ns

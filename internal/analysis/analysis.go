@@ -186,34 +186,3 @@ func Assignments(n, m int, fn func([]int)) {
 		}
 	}
 }
-
-// Binomial returns C(n, k).
-func Binomial(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	out := 1
-	for i := 0; i < k; i++ {
-		out = out * (n - i) / (i + 1)
-	}
-	return out
-}
-
-// MeanStd returns the mean and population standard deviation of v.
-func MeanStd(v []float64) (mean, std float64) {
-	if len(v) == 0 {
-		panic("analysis: MeanStd of empty slice")
-	}
-	for _, x := range v {
-		mean += x
-	}
-	mean /= float64(len(v))
-	for _, x := range v {
-		d := x - mean
-		std += d * d
-	}
-	return mean, math.Sqrt(std / float64(len(v)))
-}

@@ -6,20 +6,23 @@ import (
 	"testing"
 )
 
-// TestCloneIsolatesBias: workers clone the platform before mutating
-// the voltage bias; the original must be untouched and the clone must
-// simulate like a fresh platform at the same bias.
-func TestCloneIsolatesBias(t *testing.T) {
+// TestVoltageBiasIsPerPlatform: two platforms on one configuration
+// keep their own voltage bias, and a biased platform simulates like a
+// fresh platform at that bias.
+func TestVoltageBiasIsPerPlatform(t *testing.T) {
 	p, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := p.Clone()
+	cl, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cl.SetVoltageBias(0.95); err != nil {
 		t.Fatal(err)
 	}
 	if p.VoltageBias() != 1.0 {
-		t.Errorf("clone bias change leaked to original: %g", p.VoltageBias())
+		t.Errorf("bias change leaked to the other platform: %g", p.VoltageBias())
 	}
 
 	fresh, err := New(DefaultConfig())
@@ -30,7 +33,7 @@ func TestCloneIsolatesBias(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cl.VoltageBias() != fresh.VoltageBias() {
-		t.Errorf("clone bias %g != fresh bias %g", cl.VoltageBias(), fresh.VoltageBias())
+		t.Errorf("bias %g != fresh bias %g", cl.VoltageBias(), fresh.VoltageBias())
 	}
 	spec := RunSpec{Duration: 5e-6}
 	rc, err := cl.Run(spec)
@@ -42,7 +45,7 @@ func TestCloneIsolatesBias(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rc, rf) {
-		t.Error("cloned platform simulates differently from a fresh one")
+		t.Error("biased platform simulates differently from a fresh one")
 	}
 }
 

@@ -90,21 +90,10 @@ func New(cfg Config) (*Platform, error) {
 // Config returns the platform configuration.
 func (p *Platform) Config() Config { return p.cfg }
 
-// Sessions returns the platform's session pool, shared by all clones,
-// so a campaign of runs amortizes circuit construction and matrix
-// factorization. It is safe for concurrent use.
+// Sessions returns the platform's session pool, so a campaign of runs
+// amortizes circuit construction and matrix factorization. It is safe
+// for concurrent use.
 func (p *Platform) Sessions() *SessionPool { return p.sessions }
-
-// Clone returns an independent platform on the same (read-only)
-// configuration with the same current voltage bias. Run never mutates
-// the platform, but SetVoltageBias does; callers that set different
-// biases concurrently operate on clones so they never race on the
-// service-element state. Clones share the session pool — sessions are
-// keyed by configuration, which clones preserve.
-func (p *Platform) Clone() *Platform {
-	cp := *p
-	return &cp
-}
 
 // SetVoltageBias sets the supply scaling factor, quantized to the
 // service element's 0.5% steps. Bias must land in [0.70, 1.10].

@@ -223,15 +223,6 @@ func TestTraceWorkload(t *testing.T) {
 	}
 }
 
-func TestSteadyProgramMatchesAnalyze(t *testing.T) {
-	cfg := uarch.DefaultConfig()
-	prog := uarch.MustProgram("p", testBody(t))
-	w := SteadyProgram(cfg, prog)
-	if math.Abs(w.Power(0)-cfg.Power(prog)) > 1e-12 {
-		t.Error("SteadyProgram power mismatch")
-	}
-}
-
 func TestChipPowerTracksWorkload(t *testing.T) {
 	p, _ := New(DefaultConfig())
 	run := func(watts float64) int64 {

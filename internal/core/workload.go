@@ -54,12 +54,6 @@ func Steady(name string, watts float64) Workload {
 func (w steady) Power(float64) float64 { return w.watts }
 func (w steady) Name() string          { return w.name }
 
-// SteadyProgram returns a constant-power workload at the analytic
-// steady-state power of the program on the given core model.
-func SteadyProgram(cfg uarch.Config, p *uarch.Program) Workload {
-	return Steady(p.Name, cfg.Power(p))
-}
-
 // TraceWorkload replays a precomputed power trace, repeating it
 // periodically. It is the bridge from the cycle-accurate executor to
 // the PDN: the per-cycle energy trace of a program window becomes a

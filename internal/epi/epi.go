@@ -220,16 +220,6 @@ func NewProfile(entries []Entry) *Profile {
 	return &Profile{Entries: entries}
 }
 
-// Rank returns the 1-based rank of a mnemonic, or 0 if absent.
-func (p *Profile) Rank(mnemonic string) int {
-	for i, e := range p.Entries {
-		if e.Instr.Mnemonic == mnemonic {
-			return i + 1
-		}
-	}
-	return 0
-}
-
 // Top returns the n highest-power entries.
 func (p *Profile) Top(n int) []Entry {
 	if n > len(p.Entries) {

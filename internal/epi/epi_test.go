@@ -133,19 +133,6 @@ func TestIPCMeasured(t *testing.T) {
 	}
 }
 
-func TestRankLookup(t *testing.T) {
-	p := profile(t)
-	if r := p.Rank("CIB"); r != 1 {
-		t.Errorf("Rank(CIB) = %d", r)
-	}
-	if r := p.Rank("SRNM"); r != len(p.Entries) {
-		t.Errorf("Rank(SRNM) = %d", r)
-	}
-	if r := p.Rank("NOPE"); r != 0 {
-		t.Errorf("Rank(unknown) = %d", r)
-	}
-}
-
 func TestTopBottomBounds(t *testing.T) {
 	p := profile(t)
 	if got := len(p.Top(3)); got != 3 {
@@ -185,7 +172,7 @@ func TestGenerateAllocsPerInstruction(t *testing.T) {
 	cfg.WarmupCycles = 16
 	cfg.MeasureCycles = 128
 	cfg.Workers = 1
-	n := float64(cfg.Table.Size())
+	n := float64(len(cfg.Table.Instructions()))
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Generate(context.Background(), cfg); err != nil {
 			t.Fatal(err)

@@ -7,25 +7,17 @@ import (
 	"sync"
 )
 
-// StealChunks partitions the width-sized chunks of [0, n) into
-// `workers` per-worker queues, in order: the chunk list of Chunks(n,
-// width) is cut into contiguous, near-equal runs, one per worker (the
-// leading queues take the remainder). Concatenating the queues yields
-// exactly Chunks(n, width) — every index of [0, n) is covered exactly
-// once — for any (n, width, workers) triple: n == 0 yields empty
-// queues, n < width yields one chunk, and workers beyond the chunk
-// count leave the trailing queues empty.
+// partitionChunks cuts a chunk list into `workers` contiguous,
+// near-equal queues, in order (the leading queues take the remainder).
+// Concatenating the queues yields the chunk list again, so for the
+// chunks of Chunks(n, width) every index of [0, n) is covered exactly
+// once: n == 0 yields empty queues, n < width yields one chunk, and
+// workers beyond the chunk count leave the trailing queues empty.
 //
 // The partition is the initial ownership map of MapStolen's
 // work-stealing schedule: each worker drains its own queue from the
 // front and steals from the back of the fullest remaining queue when
 // its own runs dry.
-func StealChunks(n, width, workers int) [][][2]int {
-	return partitionChunks(Chunks(n, width), workers)
-}
-
-// partitionChunks cuts a chunk list into `workers` contiguous,
-// near-equal queues (the leading queues take the remainder).
 func partitionChunks(chunks [][2]int, workers int) [][][2]int {
 	if workers < 1 {
 		workers = 1
@@ -46,7 +38,7 @@ func partitionChunks(chunks [][2]int, workers int) [][][2]int {
 }
 
 // stealQueues is the shared scheduling state of one MapStolen run: the
-// per-worker chunk queues of StealChunks, drained under one mutex.
+// per-worker chunk queues of partitionChunks, drained under one mutex.
 // Chunks are coarse units (a whole lockstep batch each), so the lock
 // is touched a handful of times per batch of work and contention is
 // negligible next to the chunk bodies.
@@ -89,7 +81,7 @@ func (s *stealQueues) next(w int) (chunk [2]int, ci int, ok bool) {
 // `workers` concurrent workers with work stealing, streaming each
 // chunk's result to `each` strictly in chunk order. It is the
 // batch-session scheduling primitive: a chunk is one whole lockstep
-// batch, each worker owns a contiguous run of chunks (StealChunks),
+// batch, each worker owns a contiguous run of chunks (partitionChunks),
 // and a worker whose run is exhausted steals whole chunks from the
 // fullest remaining queue instead of splitting lanes.
 //
@@ -134,7 +126,7 @@ func MapStolen[T any](ctx context.Context, n, width, workers int, fn func(ctx co
 }
 
 // mapStolenParallel runs the chunks on `workers` goroutines that draw
-// from the StealChunks ownership map, and reduces their results in
+// from the partitionChunks ownership map, and reduces their results in
 // chunk order on the calling goroutine.
 func mapStolenParallel[T any](ctx context.Context, chunks [][2]int, workers int, fn func(ctx context.Context, ci int) (T, error), each func(ci int, v T) error) error {
 	cctx, cancel := context.WithCancel(ctx)

@@ -30,7 +30,7 @@ func TestStealChunksCoverage(t *testing.T) {
 		cases = append(cases, struct{ n, width, workers int }{rng.Intn(300), 1 + rng.Intn(12), 1 + rng.Intn(16)})
 	}
 	for _, c := range cases {
-		queues := StealChunks(c.n, c.width, c.workers)
+		queues := partitionChunks(Chunks(c.n, c.width), c.workers)
 		if len(queues) != c.workers {
 			t.Fatalf("n=%d width=%d workers=%d: %d queues", c.n, c.width, c.workers, len(queues))
 		}

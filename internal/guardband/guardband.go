@@ -86,9 +86,6 @@ func (c *Controller) SetActiveCores(n int) (bias float64, err error) {
 	return c.Bias(), nil
 }
 
-// ActiveCores returns the current utilization the controller assumes.
-func (c *Controller) ActiveCores() int { return c.active }
-
 // Bias returns the current setpoint as a bias multiplier: nominal
 // voltage scaled down by the margin head-room that full utilization
 // would need but the current utilization does not.

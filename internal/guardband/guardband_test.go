@@ -70,8 +70,8 @@ func TestControllerBias(t *testing.T) {
 	if math.Abs(b-0.935) > 1e-12 {
 		t.Errorf("idle bias = %g, want 0.935", b)
 	}
-	if c.ActiveCores() != 0 {
-		t.Errorf("active cores = %d", c.ActiveCores())
+	if c.active != 0 {
+		t.Errorf("active cores = %d", c.active)
 	}
 	// Monotone in utilization.
 	prev := 0.0

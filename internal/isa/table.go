@@ -49,24 +49,9 @@ func (t *Table) MustLookup(mnemonic string) *Instruction {
 	return in
 }
 
-// Size returns the number of instructions.
-func (t *Table) Size() int { return len(t.list) }
-
 // Instructions returns the instructions in stable (generation) order.
 // The returned slice is shared; callers must not modify it.
 func (t *Table) Instructions() []*Instruction { return t.list }
-
-// ByUnit returns the instructions executing on the given unit, in
-// stable order.
-func (t *Table) ByUnit(u Unit) []*Instruction {
-	var out []*Instruction
-	for _, in := range t.list {
-		if in.Unit == u {
-			out = append(out, in)
-		}
-	}
-	return out
-}
 
 // RankByPower returns all instructions sorted by descending RelPower,
 // ties broken by generation order (which places the paper's pinned

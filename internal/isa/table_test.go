@@ -7,8 +7,8 @@ import (
 )
 
 func TestTableSize(t *testing.T) {
-	if got := ZEC12Table().Size(); got != TableSize {
-		t.Errorf("Size = %d, want %d", got, TableSize)
+	if got := len(ZEC12Table().Instructions()); got != TableSize {
+		t.Errorf("table has %d instructions, want %d", got, TableSize)
 	}
 }
 
@@ -16,8 +16,8 @@ func TestTableDeterministic(t *testing.T) {
 	// buildTable is called directly to verify determinism independent
 	// of the cached singleton.
 	a, b := buildTable(), buildTable()
-	if a.Size() != b.Size() {
-		t.Fatalf("sizes differ: %d vs %d", a.Size(), b.Size())
+	if len(a.list) != len(b.list) {
+		t.Fatalf("sizes differ: %d vs %d", len(a.list), len(b.list))
 	}
 	for i, in := range a.Instructions() {
 		other := b.Instructions()[i]
@@ -127,22 +127,19 @@ func TestUnitPopulations(t *testing.T) {
 			t.Errorf("unit %s has only %d instructions", u, counts[u])
 		}
 	}
-	if got := len(tab.ByUnit(UnitBranch)); got != counts[UnitBranch] {
-		t.Errorf("ByUnit(BRU) = %d, want %d", got, counts[UnitBranch])
-	}
 }
 
 func TestBranchesEndGroups(t *testing.T) {
-	for _, in := range ZEC12Table().ByUnit(UnitBranch) {
-		if in.Issue != IssueEndsGroup {
+	for _, in := range ZEC12Table().Instructions() {
+		if in.Unit == UnitBranch && in.Issue != IssueEndsGroup {
 			t.Errorf("branch %s has issue kind %v", in.Mnemonic, in.Issue)
 		}
 	}
 }
 
 func TestSystemOpsIssueAlone(t *testing.T) {
-	for _, in := range ZEC12Table().ByUnit(UnitSystem) {
-		if in.Issue != IssueAlone {
+	for _, in := range ZEC12Table().Instructions() {
+		if in.Unit == UnitSystem && in.Issue != IssueAlone {
 			t.Errorf("system op %s has issue kind %v", in.Mnemonic, in.Issue)
 		}
 	}

@@ -314,13 +314,6 @@ func (l *Lab) ImpedanceProfile(freqs []float64) ([]pdn.ImpedancePoint, error) {
 	return circuit.ImpedanceProfile(nodes.Core[0], freqs)
 }
 
-// DeltaIMax returns the maximum per-core current swing in amperes:
-// the max dI/dt stressmark's power swing at nominal voltage.
-func (l *Lab) DeltaIMax() float64 {
-	cfg := l.Platform.Config()
-	return l.MaxSpec(2e6).DeltaPower(cfg.Core) / cfg.PDN.Vnom
-}
-
 // RunWorstMark measures the unsynchronized maximum stressmark at the
 // droop resonance — the baseline the application suite is validated
 // against.

@@ -10,7 +10,6 @@ import (
 	"voltnoise/internal/core"
 	"voltnoise/internal/pdn"
 	"voltnoise/internal/progress"
-	"voltnoise/internal/signal"
 	"voltnoise/internal/stressmark"
 	"voltnoise/internal/vmin"
 )
@@ -59,9 +58,6 @@ func TestNewLabSequences(t *testing.T) {
 	}
 	if l.SearchFunnel == nil || l.SearchFunnel.Generated == 0 {
 		t.Error("search funnel missing")
-	}
-	if l.DeltaIMax() <= 0 {
-		t.Error("non-positive max delta-I")
 	}
 }
 
@@ -129,10 +125,30 @@ func TestWaveformShowsStimulusOscillation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The paper's Figure 8: a repeating ~2 MHz sinusoidal form.
-	f := signal.DominantFrequency(traces[0])
-	if math.Abs(f-2e6) > 0.4e6 {
-		t.Errorf("dominant frequency %g, want ~2MHz", f)
+	// The paper's Figure 8: a repeating ~2 MHz sinusoidal form. The
+	// frequency is the number of periods between the first and the
+	// last upward mean crossing over the time between them, each
+	// crossing placed by linear interpolation between samples. The
+	// 20 µs window holds 40 periods and no single period strays more
+	// than 1 % from 2 MHz, so their average must land within 1 %.
+	tr := traces[0]
+	mean := 0.0
+	for _, v := range tr.Samples {
+		mean += v
+	}
+	mean /= float64(tr.Len())
+	var ups []float64
+	for i := 1; i < tr.Len(); i++ {
+		if a, b := tr.Samples[i-1], tr.Samples[i]; a < mean && b >= mean {
+			ups = append(ups, tr.Time(i-1)+tr.Dt*(mean-a)/(b-a))
+		}
+	}
+	if len(ups) < 30 {
+		t.Fatalf("%d upward mean crossings in 20 µs, want ~40", len(ups))
+	}
+	f := float64(len(ups)-1) / (ups[len(ups)-1] - ups[0])
+	if math.Abs(f-2e6) > 20e3 {
+		t.Errorf("oscillation frequency %g Hz, want 2 MHz ± 20 kHz", f)
 	}
 	if traces[0].PeakToPeak() < 0.02 {
 		t.Errorf("waveform p2p %g V too small", traces[0].PeakToPeak())
@@ -371,17 +387,6 @@ func TestPropagationClusters(t *testing.T) {
 	}
 	if _, err := l.Propagation(0, -1, 1e-6); err == nil {
 		t.Error("bad step accepted")
-	}
-}
-
-func TestClusterMates(t *testing.T) {
-	mates := ClusterMates(0)
-	if len(mates) != 2 || mates[0] != 2 || mates[1] != 4 {
-		t.Errorf("ClusterMates(0) = %v", mates)
-	}
-	mates = ClusterMates(3)
-	if len(mates) != 2 || mates[0] != 1 || mates[1] != 5 {
-		t.Errorf("ClusterMates(3) = %v", mates)
 	}
 }
 

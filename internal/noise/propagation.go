@@ -84,16 +84,3 @@ func (l *Lab) Propagation(source int, deltaI, duration float64) (*PropagationRes
 	}
 	return res, nil
 }
-
-// ClusterMates returns the cores in the same layout cluster as c,
-// excluding c itself.
-func ClusterMates(c int) []int {
-	cluster := pdn.ClusterOf(c)
-	var out []int
-	for _, m := range cluster {
-		if m != c {
-			out = append(out, m)
-		}
-	}
-	return out
-}

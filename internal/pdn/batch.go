@@ -98,12 +98,6 @@ type BatchTransient struct {
 	step int
 }
 
-// NewBatchTransient prepares a lockstep batch simulation of c with
-// fixed timestep dt, starting at time zero. See NewBatchTransientAt.
-func NewBatchTransient(c *Circuit, dt float64, lanes int, fill func(t float64, cur []float64)) (*BatchTransient, error) {
-	return NewBatchTransientAt(c, dt, 0, lanes, fill)
-}
-
 // NewBatchTransientAt prepares a lockstep batch simulation of c with
 // fixed timestep dt and the given lane count, starting at simulation
 // time start.

@@ -217,7 +217,7 @@ func TestBatchSetLaneFixedRejects(t *testing.T) {
 // contribution and 32 entries.
 func TestZEC12GatherPlanSize(t *testing.T) {
 	ckt, _ := ZEC12(DefaultZEC12Config())
-	bt, err := NewBatchTransient(ckt, 2e-9, 1, nil)
+	bt, err := NewBatchTransientAt(ckt, 2e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +262,10 @@ func TestBatchResetMatchesFresh(t *testing.T) {
 // TestBatchRejectsBadArgs covers constructor validation.
 func TestBatchRejectsBadArgs(t *testing.T) {
 	ckt, _ := rlcWithLoad(func(float64) float64 { return 1 })
-	if _, err := NewBatchTransient(ckt, 0, 4, nil); err == nil {
+	if _, err := NewBatchTransientAt(ckt, 0, 0, 4, nil); err == nil {
 		t.Error("zero timestep accepted")
 	}
-	if _, err := NewBatchTransient(ckt, 1e-9, 0, nil); err == nil {
+	if _, err := NewBatchTransientAt(ckt, 1e-9, 0, 0, nil); err == nil {
 		t.Error("zero lanes accepted")
 	}
 }
@@ -290,7 +290,7 @@ func TestBatchStepDoesNotAllocate(t *testing.T) {
 		check(fmt.Sprintf("RLC lanes=%d", lanes), bt)
 	}
 	lane := 0
-	bt, err := NewBatchTransient(zec12WithLaneLoads(&lane), 2e-9, 1, nil)
+	bt, err := NewBatchTransientAt(zec12WithLaneLoads(&lane), 2e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func checkDivergenceLane(t *testing.T, label string, lanes, k int, poison float6
 		}
 		calls++
 	}
-	bt, err := NewBatchTransient(ckt, dt, lanes, fill)
+	bt, err := NewBatchTransientAt(ckt, dt, 0, lanes, fill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,12 +406,12 @@ func TestNewBatchTransientAllocs(t *testing.T) {
 		maxBytes uint64
 	}{{1, 29968}, {NarrowBatchLanes, 33292}, {DefaultBatchLanes, 37888}, {WideBatchLanes, 46464}} {
 		build := func() {
-			if _, err := NewBatchTransient(ckt, 2e-9, c.lanes, nil); err != nil {
+			if _, err := NewBatchTransientAt(ckt, 2e-9, 0, c.lanes, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if allocs := testing.AllocsPerRun(10, build); allocs > maxAllocs {
-			t.Errorf("lanes=%d: NewBatchTransient allocates %v objects, want <= %d", c.lanes, allocs, maxAllocs)
+			t.Errorf("lanes=%d: NewBatchTransientAt allocates %v objects, want <= %d", c.lanes, allocs, maxAllocs)
 		}
 		const runs = 10
 		var before, after runtime.MemStats
@@ -421,7 +421,7 @@ func TestNewBatchTransientAllocs(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > c.maxBytes+slack {
-			t.Errorf("lanes=%d: NewBatchTransient allocates %d bytes, want <= %d", c.lanes, bytes, c.maxBytes+slack)
+			t.Errorf("lanes=%d: NewBatchTransientAt allocates %d bytes, want <= %d", c.lanes, bytes, c.maxBytes+slack)
 		}
 	}
 }
@@ -457,7 +457,7 @@ func BenchmarkBatchStep(b *testing.B) {
 func benchBatchStep(b *testing.B, lanes int) {
 	const dt = 2e-9
 	lane := 0
-	bt, err := NewBatchTransient(zec12WithLaneLoads(&lane), dt, lanes, slabFill(lanes, dt))
+	bt, err := NewBatchTransientAt(zec12WithLaneLoads(&lane), dt, 0, lanes, slabFill(lanes, dt))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestTrapezoidalConvergence(t *testing.T) {
 			}
 			return ref.i * math.Sin(ref.w*tm)
 		})
-		bt, err := NewBatchTransient(ckt, dt, 1, nil)
+		bt, err := NewBatchTransientAt(ckt, dt, 0, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -280,7 +280,7 @@ func checkZEC12LanesMatchSingle(t *testing.T, lanes int, vec bool) {
 	t.Helper()
 	cur := 0
 	ckt := zec12WithLaneLoads(&cur)
-	bt, err := NewBatchTransient(ckt, 2e-9, lanes, laneFill(ckt, &cur))
+	bt, err := NewBatchTransientAt(ckt, 2e-9, 0, lanes, laneFill(ckt, &cur))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func checkFillMatchesSingles(t *testing.T, w [][]laneLoad, steps int) {
 			}
 		}
 	}
-	bt, err := NewBatchTransient(ckt, 2e-9, lanes, fill)
+	bt, err := NewBatchTransientAt(ckt, 2e-9, 0, lanes, fill)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func zec12LaneDroops(t *testing.T, loads []coreLoad, dt, start float64, steps in
 // engine's own factorization.
 func dcCondition(t *testing.T, c *Circuit) (n int, kappa float64) {
 	t.Helper()
-	bt, err := NewBatchTransient(c, 1e-9, 1, nil)
+	bt, err := NewBatchTransientAt(c, 1e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,41 +113,6 @@ func TestRCStepResponseTimeConstant(t *testing.T) {
 	}
 }
 
-func TestRLCRingingFrequency(t *testing.T) {
-	// Series RLC from a fixed source; step the load and verify the
-	// ring frequency is ~1/(2*pi*sqrt(LC)).
-	const (
-		l = 1e-9  // 1 nH
-		c = 25e-6 // 25 uF -> fr = 1.007 MHz
-	)
-	ckt := NewCircuit()
-	src, mid, out := ckt.Node("src"), ckt.Node("mid"), ckt.Node("out")
-	ckt.FixNode(src, 1)
-	ckt.AddResistor("r", src, mid, 0.2e-3) // underdamped
-	ckt.AddInductor("l", mid, out, l)
-	ckt.AddCapacitor("c", out, Ground, c, 0)
-	ckt.AddLoad("load", out, func(t float64) float64 {
-		if t < 0.1e-6 {
-			return 0
-		}
-		return 10
-	})
-	tr, err := NewTransient(ckt, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces, err := tr.Run(6e-6, []NodeID{out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := traces[0].Slice(200, traces[0].Len()) // skip the step itself
-	period := ring.DominantPeriod()
-	wantPeriod := 2 * math.Pi * math.Sqrt(l*c)
-	if math.Abs(period-wantPeriod)/wantPeriod > 0.15 {
-		t.Errorf("ring period = %g, want ~%g", period, wantPeriod)
-	}
-}
-
 func TestTrapezoidalStability(t *testing.T) {
 	// A very lightly damped tank integrated far past its period must
 	// stay bounded (A-stability of the trapezoidal rule).

@@ -1,6 +1,6 @@
 package pdn
 
-import "voltnoise/internal/units"
+import "math"
 
 // ZEC12Config parameterizes the zEC12-like PDN preset. The zero value
 // is not usable; start from DefaultZEC12Config and override fields.
@@ -195,8 +195,15 @@ func coreSuffix(i int) string   { return string(rune('0' + i)) }
 // from the surrounding network (board inductance participates in the
 // mid band, the grid resistances de-tune the droop slightly).
 func (cfg ZEC12Config) ResonantEstimates() (midHz, droopHz float64) {
-	mid := units.ResonantFrequency(units.Henry(cfg.LPkg), units.Farad(cfg.CPkg))
 	dieC := cfg.DeepTrenchFactor * (float64(NumCores)*cfg.CCore + 2*cfg.CDomain + cfg.CL3)
-	droop := units.ResonantFrequency(units.Henry(cfg.LDomain/2), units.Farad(dieC))
-	return float64(mid), float64(droop)
+	return resonantFrequency(cfg.LPkg, cfg.CPkg), resonantFrequency(cfg.LDomain/2, dieC)
+}
+
+// resonantFrequency returns the resonant frequency of an LC pair,
+// f = 1/(2π√(LC)). It panics unless L and C are positive.
+func resonantFrequency(l, c float64) float64 {
+	if l <= 0 || c <= 0 {
+		panic("pdn: resonant frequency requires positive L and C")
+	}
+	return 1 / (2 * math.Pi * math.Sqrt(l*c))
 }

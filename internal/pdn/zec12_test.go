@@ -273,3 +273,26 @@ func TestResonantEstimatesMatchMeasuredPeaks(t *testing.T) {
 		t.Errorf("droop band: measured %g vs estimate %g", measDroop, droop)
 	}
 }
+
+func TestResonantFrequency(t *testing.T) {
+	// 1 nH with ~6.33 uF resonates near 2 MHz.
+	if f := resonantFrequency(1e-9, 6.33e-6); f < 1.9e6 || f > 2.1e6 {
+		t.Errorf("resonant frequency = %g, want ~2MHz", f)
+	}
+}
+
+func TestResonantFrequencyPanicsOnInvalid(t *testing.T) {
+	for name, lc := range map[string][2]float64{
+		"zero L":     {0, 1e-6},
+		"negative C": {1e-9, -1e-6},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			resonantFrequency(lc[0], lc[1])
+		}()
+	}
+}

@@ -51,30 +51,6 @@ func (s *Sketch) Add(v float64) {
 	s.Sum += v
 }
 
-// Merge folds another sketch of identical geometry in. Counts and
-// extremes merge exactly; the sums add, so merging in a fixed order
-// keeps the mean deterministic.
-func (s *Sketch) Merge(o *Sketch) error {
-	if o.Lo != s.Lo || o.Hi != s.Hi || len(o.Counts) != len(s.Counts) {
-		return fmt.Errorf("population: merging sketch [%g, %g) x %d into [%g, %g) x %d",
-			o.Lo, o.Hi, len(o.Counts), s.Lo, s.Hi, len(s.Counts))
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	if o.N > 0 {
-		if s.N == 0 || o.MinV < s.MinV {
-			s.MinV = o.MinV
-		}
-		if s.N == 0 || o.MaxV > s.MaxV {
-			s.MaxV = o.MaxV
-		}
-	}
-	s.N += o.N
-	s.Sum += o.Sum
-	return nil
-}
-
 // Quantile returns the q-quantile estimate: the center of the first
 // bin whose cumulative count reaches rank ceil(q*N), clamped into the
 // exact [min, max] so a bin-center estimate never prints outside the

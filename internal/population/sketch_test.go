@@ -46,38 +46,6 @@ func TestSketchClampsOutliers(t *testing.T) {
 	}
 }
 
-func TestSketchMerge(t *testing.T) {
-	whole := NewSketch(0, 10, 10)
-	a := NewSketch(0, 10, 10)
-	b := NewSketch(0, 10, 10)
-	for i := 0; i < 60; i++ {
-		v := float64(i%100) / 7
-		whole.Add(v)
-		if i < 37 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N != whole.N || a.MinV != whole.MinV || a.MaxV != whole.MaxV || a.Sum != whole.Sum {
-		t.Errorf("merge diverged: %+v vs %+v", a, whole)
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != whole.Counts[i] {
-			t.Fatalf("bin %d: %d vs %d", i, a.Counts[i], whole.Counts[i])
-		}
-	}
-	if err := a.Merge(NewSketch(0, 5, 10)); err == nil {
-		t.Error("geometry mismatch accepted")
-	}
-	if err := a.Merge(NewSketch(0, 10, 5)); err == nil {
-		t.Error("bin-count mismatch accepted")
-	}
-}
-
 func TestSketchHistogram(t *testing.T) {
 	s := NewSketch(0, 10, 5)
 	s.Add(1) // bin 0

@@ -432,22 +432,8 @@ func (c *Client) Healthy(ctx context.Context) error {
 
 // Ready checks /readyz (an error means not ready, e.g. draining).
 // Note a degraded server still answers ready — it serves correctly,
-// just without durable persistence; see Readiness for the detail.
+// just without durable persistence; the /readyz body has the detail.
 func (c *Client) Ready(ctx context.Context) error {
 	_, _, _, err := c.do(ctx, http.MethodGet, "/readyz", nil, true)
 	return err
-}
-
-// Readiness fetches the structured /readyz body: "ready", "degraded"
-// (with the reason) or an error when the server is draining or down.
-func (c *Client) Readiness(ctx context.Context) (*service.Readiness, error) {
-	body, _, _, err := c.do(ctx, http.MethodGet, "/readyz", nil, true)
-	if err != nil {
-		return nil, err
-	}
-	var rd service.Readiness
-	if err := json.Unmarshal(body, &rd); err != nil {
-		return nil, fmt.Errorf("client: decoding readiness: %w", err)
-	}
-	return &rd, nil
 }

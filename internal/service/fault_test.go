@@ -2,12 +2,28 @@ package service_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"voltnoise/internal/service"
 	"voltnoise/internal/service/store"
 	"voltnoise/internal/service/store/faultstore"
 )
+
+// readiness reads the structured /readyz body off the server's
+// handler: "ready", or "degraded" with the reason.
+func readiness(t *testing.T, srv *service.Server) service.Readiness {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	var rd service.Readiness
+	if err := json.Unmarshal(rec.Body.Bytes(), &rd); err != nil {
+		t.Fatalf("decoding /readyz body %q: %v", rec.Body.String(), err)
+	}
+	return rd
+}
 
 // TestStoreWriteFailureNeverFailsStudy: with every store Put failing,
 // studies still succeed (they just are not cached), the failure is
@@ -17,7 +33,7 @@ func TestStoreWriteFailureNeverFailsStudy(t *testing.T) {
 	ctx := testCtx(t)
 	fs := faultstore.New(store.NewMemory(64))
 	fs.FailPuts()
-	_, c := startServer(t, service.Config{Runner: labRunner, Store: fs})
+	srv, c := startServer(t, service.Config{Runner: labRunner, Store: fs})
 
 	req := guardbandReq(1.5)
 	first, cached, err := c.Run(ctx, req)
@@ -50,10 +66,7 @@ func TestStoreWriteFailureNeverFailsStudy(t *testing.T) {
 	if snap.JobsFailed != 0 {
 		t.Errorf("jobs_failed = %d, want 0 (store faults must not fail studies)", snap.JobsFailed)
 	}
-	rd, err := c.Readiness(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rd := readiness(t, srv)
 	if rd.Status != "degraded" || !contains(rd.Reason, "store writes failing") {
 		t.Errorf("readyz = %+v, want degraded with write reason", rd)
 	}
@@ -71,10 +84,7 @@ func TestStoreWriteFailureNeverFailsStudy(t *testing.T) {
 	if _, cached, err := c.Run(ctx, guardbandReq(2.5)); err != nil || !cached {
 		t.Errorf("healed store not caching: hit=%v err=%v", cached, err)
 	}
-	rd, err = c.Readiness(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rd = readiness(t, srv)
 	if rd.Status != "ready" {
 		t.Errorf("readyz after heal = %+v, want ready", rd)
 	}
@@ -86,7 +96,7 @@ func TestStoreWriteFailureNeverFailsStudy(t *testing.T) {
 func TestStoreCorruptionDegradesToRecompute(t *testing.T) {
 	ctx := testCtx(t)
 	fs := faultstore.New(store.NewMemory(64))
-	_, c := startServer(t, service.Config{Runner: labRunner, Store: fs})
+	srv, c := startServer(t, service.Config{Runner: labRunner, Store: fs})
 
 	req := guardbandReq(3.0)
 	first, _, err := c.Run(ctx, req)
@@ -115,10 +125,7 @@ func TestStoreCorruptionDegradesToRecompute(t *testing.T) {
 	if snap.StoreGetErrors < 1 {
 		t.Errorf("store_get_errors = %d, want >= 1", snap.StoreGetErrors)
 	}
-	rd, err := c.Readiness(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rd := readiness(t, srv)
 	if rd.Status != "degraded" || !contains(rd.Reason, "store reads failing") {
 		t.Errorf("readyz = %+v, want degraded with read reason", rd)
 	}
@@ -128,7 +135,7 @@ func TestStoreCorruptionDegradesToRecompute(t *testing.T) {
 	if _, cached, err := c.Run(ctx, req); err != nil || !cached {
 		t.Errorf("healed store: hit=%v err=%v", cached, err)
 	}
-	if rd, _ := c.Readiness(ctx); rd == nil || rd.Status != "ready" {
+	if rd := readiness(t, srv); rd.Status != "ready" {
 		t.Errorf("readyz after heal = %+v, want ready", rd)
 	}
 }

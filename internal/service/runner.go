@@ -34,9 +34,8 @@ func (f RunnerFunc) Run(ctx context.Context, req *Request) (any, error) { return
 // characterization lab per search class (quick / full) on the
 // calibrated platform and runs every study against it. Labs are
 // expensive to construct (the stressmark search) and read-only once
-// built, so they are shared by all concurrent jobs; each study run
-// clones the platform per measurement (the same discipline the
-// parallel studies already follow).
+// built, so they are shared by all concurrent jobs; no study mutates
+// the lab's platform.
 type LabRunner struct {
 	mu   sync.Mutex
 	labs map[bool]*noise.Lab // keyed by Quick

@@ -103,57 +103,3 @@ func fastMod(x, p float64) float64 {
 	}
 	return r
 }
-
-// Fill renders the waveform into an existing trace.
-func (w SquareWave) Fill(t *Trace) {
-	for i := range t.Samples {
-		t.Samples[i] = w.Value(t.Time(i))
-	}
-}
-
-// Render allocates a trace of n samples at interval dt and fills it.
-func (w SquareWave) Render(dt float64, n int) *Trace {
-	t := NewTrace(dt, n)
-	w.Fill(t)
-	return t
-}
-
-// Sine returns a trace of n samples of amplitude*sin(2*pi*f*t)+offset.
-func Sine(dt float64, n int, f, amplitude, offset float64) *Trace {
-	t := NewTrace(dt, n)
-	w := 2 * math.Pi * f
-	for i := range t.Samples {
-		t.Samples[i] = offset + amplitude*math.Sin(w*t.Time(i))
-	}
-	return t
-}
-
-// Step returns a trace that is `before` until time t0 and `after` from
-// t0 on, with an optional linear ramp of the given duration.
-func Step(dt float64, n int, t0, ramp, before, after float64) *Trace {
-	if ramp < 0 {
-		panic("signal: negative ramp")
-	}
-	t := NewTrace(dt, n)
-	for i := range t.Samples {
-		x := t.Time(i)
-		switch {
-		case x < t0:
-			t.Samples[i] = before
-		case ramp > 0 && x < t0+ramp:
-			t.Samples[i] = before + (after-before)*(x-t0)/ramp
-		default:
-			t.Samples[i] = after
-		}
-	}
-	return t
-}
-
-// Constant returns a trace of n samples all equal to v.
-func Constant(dt float64, n int, v float64) *Trace {
-	t := NewTrace(dt, n)
-	for i := range t.Samples {
-		t.Samples[i] = v
-	}
-	return t
-}

@@ -25,9 +25,12 @@ func TestSquareWaveLevels(t *testing.T) {
 
 func TestSquareWaveDuty(t *testing.T) {
 	w := SquareWave{Low: 0, High: 1, Period: 10, Duty: 0.2}
-	tr := w.Render(0.01, 1000) // one period at fine resolution
-	frac := tr.Mean()          // fraction of time high
-	if math.Abs(frac-0.2) > 0.02 {
+	// Fraction of time high over one period at fine resolution.
+	sum := 0.0
+	for i := 0; i < 1000; i++ {
+		sum += w.Value(float64(i) * 0.01)
+	}
+	if frac := sum / 1000; math.Abs(frac-0.2) > 0.02 {
 		t.Errorf("duty fraction = %g, want ~0.2", frac)
 	}
 }
@@ -83,42 +86,5 @@ func TestSquareWaveValidation(t *testing.T) {
 			}()
 			w.Value(0)
 		}()
-	}
-}
-
-func TestSineProperties(t *testing.T) {
-	tr := Sine(1e-6, 1000, 1000, 2, 5) // 1 kHz, 1 ms window = 1 period
-	if got := tr.Mean(); math.Abs(got-5) > 0.01 {
-		t.Errorf("sine mean = %g, want ~5", got)
-	}
-	if got := tr.Max(); math.Abs(got-7) > 0.01 {
-		t.Errorf("sine max = %g, want ~7", got)
-	}
-	if got := tr.Min(); math.Abs(got-3) > 0.01 {
-		t.Errorf("sine min = %g, want ~3", got)
-	}
-}
-
-func TestStep(t *testing.T) {
-	tr := Step(1, 10, 5, 0, 1, 9)
-	if tr.Samples[4] != 1 || tr.Samples[5] != 9 {
-		t.Errorf("ideal step = %v", tr.Samples)
-	}
-	ramped := Step(1, 10, 2, 4, 0, 4)
-	if got := ramped.Samples[4]; math.Abs(got-2) > 1e-9 {
-		t.Errorf("mid-ramp = %g, want 2", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative ramp should panic")
-		}
-	}()
-	Step(1, 4, 0, -1, 0, 1)
-}
-
-func TestConstant(t *testing.T) {
-	tr := Constant(1e-9, 16, 3.3)
-	if tr.Min() != 3.3 || tr.Max() != 3.3 {
-		t.Errorf("Constant = [%g,%g]", tr.Min(), tr.Max())
 	}
 }

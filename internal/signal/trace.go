@@ -1,15 +1,11 @@
-// Package signal provides sampled-waveform containers, summary
-// statistics, waveform generators and a radix-2 FFT. It is the common
+// Package signal provides sampled-waveform containers, their extremes
+// and the stressmark square-wave generator. It is the common
 // currency between the PDN simulator (which produces voltage traces),
 // the chip model (which produces current traces) and the measurement
 // models (skitters, power meter) that consume them.
 package signal
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Trace is a uniformly sampled waveform: Samples[i] is the value at
 // time Start + i*Dt.
@@ -70,13 +66,6 @@ func (t *Trace) Slice(lo, hi int) *Trace {
 	return &Trace{Dt: t.Dt, Start: t.Time(lo), Samples: t.Samples[lo:hi]}
 }
 
-// Clone returns a deep copy of the trace.
-func (t *Trace) Clone() *Trace {
-	s := make([]float64, len(t.Samples))
-	copy(s, t.Samples)
-	return &Trace{Dt: t.Dt, Start: t.Start, Samples: s}
-}
-
 // Min returns the minimum sample value. Panics on an empty trace.
 func (t *Trace) Min() float64 {
 	t.mustNonEmpty("Min")
@@ -104,136 +93,8 @@ func (t *Trace) Max() float64 {
 // PeakToPeak returns Max - Min.
 func (t *Trace) PeakToPeak() float64 { return t.Max() - t.Min() }
 
-// Mean returns the arithmetic mean of the samples.
-func (t *Trace) Mean() float64 {
-	t.mustNonEmpty("Mean")
-	sum := 0.0
-	for _, v := range t.Samples {
-		sum += v
-	}
-	return sum / float64(len(t.Samples))
-}
-
-// RMS returns the root-mean-square of the samples.
-func (t *Trace) RMS() float64 {
-	t.mustNonEmpty("RMS")
-	sum := 0.0
-	for _, v := range t.Samples {
-		sum += v * v
-	}
-	return math.Sqrt(sum / float64(len(t.Samples)))
-}
-
-// StdDev returns the population standard deviation of the samples.
-func (t *Trace) StdDev() float64 {
-	mean := t.Mean()
-	sum := 0.0
-	for _, v := range t.Samples {
-		d := v - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(t.Samples)))
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) using linear
-// interpolation between order statistics.
-func (t *Trace) Percentile(p float64) float64 {
-	t.mustNonEmpty("Percentile")
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("signal: percentile %g out of [0,100]", p))
-	}
-	sorted := make([]float64, len(t.Samples))
-	copy(sorted, t.Samples)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	i := int(pos)
-	if i >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(i)
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
-}
-
-// AddScaled adds s*other to t in place. The traces must have the same
-// length and sampling interval.
-func (t *Trace) AddScaled(other *Trace, s float64) {
-	if len(other.Samples) != len(t.Samples) || other.Dt != t.Dt {
-		panic("signal: AddScaled on mismatched traces")
-	}
-	for i, v := range other.Samples {
-		t.Samples[i] += s * v
-	}
-}
-
-// Scale multiplies every sample by s in place.
-func (t *Trace) Scale(s float64) {
-	for i := range t.Samples {
-		t.Samples[i] *= s
-	}
-}
-
-// Offset adds d to every sample in place.
-func (t *Trace) Offset(d float64) {
-	for i := range t.Samples {
-		t.Samples[i] += d
-	}
-}
-
-// Downsample returns a new trace with every group of factor consecutive
-// samples averaged into one. A trailing partial group is averaged over
-// its actual size.
-func (t *Trace) Downsample(factor int) *Trace {
-	if factor <= 0 {
-		panic(fmt.Sprintf("signal: downsample factor %d", factor))
-	}
-	n := (len(t.Samples) + factor - 1) / factor
-	out := &Trace{Dt: t.Dt * float64(factor), Start: t.Start, Samples: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		lo := i * factor
-		hi := lo + factor
-		if hi > len(t.Samples) {
-			hi = len(t.Samples)
-		}
-		sum := 0.0
-		for _, v := range t.Samples[lo:hi] {
-			sum += v
-		}
-		out.Samples[i] = sum / float64(hi-lo)
-	}
-	return out
-}
-
 func (t *Trace) mustNonEmpty(op string) {
 	if len(t.Samples) == 0 {
 		panic("signal: " + op + " on empty trace")
 	}
-}
-
-// CrossingCount returns the number of times the waveform crosses the
-// given level (strictly, transitions from <level to >=level or vice
-// versa between consecutive samples). Useful for sanity-checking
-// oscillation frequency.
-func (t *Trace) CrossingCount(level float64) int {
-	n := 0
-	for i := 1; i < len(t.Samples); i++ {
-		a, b := t.Samples[i-1], t.Samples[i]
-		if (a < level && b >= level) || (a >= level && b < level) {
-			n++
-		}
-	}
-	return n
-}
-
-// DominantPeriod estimates the dominant oscillation period from mean
-// crossings: period ~= 2 * duration / crossings. Returns 0 when the
-// trace has fewer than two mean crossings.
-func (t *Trace) DominantPeriod() float64 {
-	c := t.CrossingCount(t.Mean())
-	if c < 2 {
-		return 0
-	}
-	return 2 * t.Duration() / float64(c)
 }

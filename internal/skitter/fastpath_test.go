@@ -116,7 +116,7 @@ func TestFastPathBitIdentical(t *testing.T) {
 				sameState(t, label, i, fast, slow)
 				sameState(t, label+"/table", i, tabbed, slow)
 			}
-			if fast.Samples() > 0 {
+			if fast.samples > 0 {
 				if f, s := fast.PeakToPeakPercent(), slow.PeakToPeakPercent(); f != s {
 					t.Fatalf("%s: fast p2p %g, slow %g", label, f, s)
 				}

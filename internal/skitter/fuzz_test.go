@@ -54,7 +54,7 @@ func FuzzSkitterSticky(f *testing.F) {
 			sameState(t, "fast", i, fast, exact)
 			sameState(t, "table", i, tabbed, exact)
 		}
-		if exact.Samples() > 0 {
+		if exact.samples > 0 {
 			if f1, f2 := fast.PeakToPeakPercent(), exact.PeakToPeakPercent(); f1 != f2 {
 				t.Fatalf("p2p diverged: fast %g, exact %g", f1, f2)
 			}

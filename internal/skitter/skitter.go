@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"voltnoise/internal/signal"
 )
 
 // Config describes a skitter macro and its electrical environment.
@@ -104,14 +102,6 @@ func (c Config) Delay(v float64) float64 {
 // NominalPosition returns the tap position of the clock edge at Vnom.
 func (c Config) NominalPosition() int {
 	return c.position(c.Vnom)
-}
-
-// EdgePosition returns the (integer) tap position captured at supply
-// voltage v with no jitter: the number of inverters the edge traverses
-// in one clock period, clipped to the physical line, with the macro's
-// gain applied to the deviation from nominal.
-func (c Config) EdgePosition(v float64) int {
-	return c.quantize(c.edgePositionF(v))
 }
 
 // edgePositionF is the continuous (pre-quantization) edge position.
@@ -473,17 +463,6 @@ func (m *Macro) jitter() float64 {
 	u := float64(z>>11) / (1 << 53) // [0,1)
 	return (2*u - 1) * m.cfg.Jitter
 }
-
-// ObserveTrace samples every point of a voltage trace (the simulation
-// surrogate for running in sticky mode during a workload window).
-func (m *Macro) ObserveTrace(tr *signal.Trace) {
-	for _, v := range tr.Samples {
-		m.Sample(v)
-	}
-}
-
-// Samples returns the number of accumulated samples.
-func (m *Macro) Samples() int64 { return m.samples }
 
 // PositionRange returns the sticky (min, max) tap positions. It panics
 // if no samples were taken.

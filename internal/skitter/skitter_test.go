@@ -4,9 +4,20 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"voltnoise/internal/signal"
 )
+
+// edgePosition is the jitter-free tap position captured at supply
+// voltage v, the value Sample records before dithering.
+func edgePosition(c Config, v float64) int { return c.quantize(c.edgePositionF(v)) }
+
+// observeSine samples n points of offset + amplitude·sin(2π·f·t) at
+// interval dt from t = 0, a supply ringing at f.
+func observeSine(m *Macro, dt float64, n int, f, amplitude, offset float64) {
+	w := 2 * math.Pi * f
+	for i := 0; i < n; i++ {
+		m.Sample(offset + amplitude*math.Sin(w*(float64(i)*dt)))
+	}
+}
 
 func TestDefaultConfigValid(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
@@ -63,8 +74,8 @@ func TestDelayBelowThresholdIsInfinite(t *testing.T) {
 
 func TestEdgePositionDropsWithDroop(t *testing.T) {
 	c := DefaultConfig()
-	nom := c.EdgePosition(c.Vnom)
-	droop := c.EdgePosition(c.Vnom * 0.9)
+	nom := edgePosition(c, c.Vnom)
+	droop := edgePosition(c, c.Vnom*0.9)
 	if droop >= nom {
 		t.Errorf("position at 10%% droop %d >= nominal %d", droop, nom)
 	}
@@ -75,11 +86,11 @@ func TestEdgePositionDropsWithDroop(t *testing.T) {
 
 func TestEdgePositionClipping(t *testing.T) {
 	c := DefaultConfig()
-	if got := c.EdgePosition(0.5); got != 0 {
+	if got := edgePosition(c, 0.5); got != 0 {
 		t.Errorf("deep droop position = %d, want 0 (line stopped)", got)
 	}
 	// Very high overvoltage: position saturates at Taps.
-	if got := c.EdgePosition(20); got != c.Taps {
+	if got := edgePosition(c, 20); got != c.Taps {
 		t.Errorf("overvoltage position = %d, want %d", got, c.Taps)
 	}
 }
@@ -89,14 +100,14 @@ func TestGainScalesDeviation(t *testing.T) {
 	hi := DefaultConfig()
 	hi.Gain = 1.2
 	v := lo.Vnom * 0.93
-	nom := lo.EdgePosition(lo.Vnom)
-	devLo := nom - lo.EdgePosition(v)
-	devHi := nom - hi.EdgePosition(v)
+	nom := edgePosition(lo, lo.Vnom)
+	devLo := nom - edgePosition(lo, v)
+	devHi := nom - edgePosition(hi, v)
 	if devHi <= devLo {
 		t.Errorf("higher gain deviation %d <= nominal gain %d", devHi, devLo)
 	}
 	// Gain leaves the nominal position unchanged.
-	if hi.EdgePosition(hi.Vnom) != nom {
+	if edgePosition(hi, hi.Vnom) != nom {
 		t.Error("gain moved the nominal position")
 	}
 }
@@ -114,15 +125,15 @@ func TestMacroStickyAccumulation(t *testing.T) {
 	if min >= max {
 		t.Errorf("range [%d, %d] not widened", min, max)
 	}
-	if m.Samples() != 3 {
-		t.Errorf("samples = %d", m.Samples())
+	if m.samples != 3 {
+		t.Errorf("samples = %d", m.samples)
 	}
 	p2p := m.PeakToPeakPercent()
 	if p2p <= 0 {
 		t.Errorf("p2p = %g", p2p)
 	}
 	m.Reset()
-	if m.Samples() != 0 {
+	if m.samples != 0 {
 		t.Error("reset did not clear samples")
 	}
 }
@@ -157,8 +168,9 @@ func TestConstantVoltageReadsJitterFloorOnly(t *testing.T) {
 	// (real skitters never read exactly zero); with jitter disabled it
 	// reads exactly zero.
 	m, _ := NewMacro(DefaultConfig())
-	tr := signal.Constant(2e-9, 1000, m.Config().Vnom)
-	m.ObserveTrace(tr)
+	for i := 0; i < 1000; i++ {
+		m.Sample(m.Config().Vnom)
+	}
 	floor := 2 * m.Config().Jitter / float64(m.Config().NominalPosition()) * 100
 	if got := m.PeakToPeakPercent(); got > floor+1e-9 {
 		t.Errorf("flat supply p2p = %g, want <= jitter floor %g", got, floor)
@@ -166,7 +178,9 @@ func TestConstantVoltageReadsJitterFloorOnly(t *testing.T) {
 	quiet := DefaultConfig()
 	quiet.Jitter = 0
 	mq, _ := NewMacro(quiet)
-	mq.ObserveTrace(tr)
+	for i := 0; i < 1000; i++ {
+		mq.Sample(quiet.Vnom)
+	}
 	if got := mq.PeakToPeakPercent(); got != 0 {
 		t.Errorf("jitter-free flat supply p2p = %g", got)
 	}
@@ -175,8 +189,7 @@ func TestConstantVoltageReadsJitterFloorOnly(t *testing.T) {
 func TestJitterDeterministic(t *testing.T) {
 	read := func() float64 {
 		m, _ := NewMacro(DefaultConfig())
-		tr := signal.Sine(2e-9, 2000, 2e6, 0.03, m.Config().Vnom)
-		m.ObserveTrace(tr)
+		observeSine(m, 2e-9, 2000, 2e6, 0.03, m.Config().Vnom)
 		return m.PeakToPeakPercent()
 	}
 	if a, b := read(), read(); a != b {
@@ -185,11 +198,10 @@ func TestJitterDeterministic(t *testing.T) {
 	// Reset restarts the dither stream: the same macro re-reads the
 	// same value.
 	m, _ := NewMacro(DefaultConfig())
-	tr := signal.Sine(2e-9, 2000, 2e6, 0.03, m.Config().Vnom)
-	m.ObserveTrace(tr)
+	observeSine(m, 2e-9, 2000, 2e6, 0.03, m.Config().Vnom)
 	first := m.PeakToPeakPercent()
 	m.Reset()
-	m.ObserveTrace(tr)
+	observeSine(m, 2e-9, 2000, 2e6, 0.03, m.Config().Vnom)
 	if got := m.PeakToPeakPercent(); got != first {
 		t.Errorf("reading after Reset %g != first %g", got, first)
 	}
@@ -199,8 +211,7 @@ func TestDeeperDroopReadsHigherP2P(t *testing.T) {
 	cfg := DefaultConfig()
 	read := func(droopFrac float64) float64 {
 		m, _ := NewMacro(cfg)
-		tr := signal.Sine(2e-9, 5000, 2e6, cfg.Vnom*droopFrac/2, cfg.Vnom*(1-droopFrac/2))
-		m.ObserveTrace(tr)
+		observeSine(m, 2e-9, 5000, 2e6, cfg.Vnom*droopFrac/2, cfg.Vnom*(1-droopFrac/2))
 		return m.PeakToPeakPercent()
 	}
 	small := read(0.02)
@@ -216,8 +227,7 @@ func TestDeeperDroopReadsHigherP2P(t *testing.T) {
 func TestP2PCalibrationBand(t *testing.T) {
 	cfg := DefaultConfig()
 	m, _ := NewMacro(cfg)
-	tr := signal.Sine(2e-9, 5000, 2e6, cfg.Vnom*0.05, cfg.Vnom) // 10% p2p swing
-	m.ObserveTrace(tr)
+	observeSine(m, 2e-9, 5000, 2e6, cfg.Vnom*0.05, cfg.Vnom) // 10% p2p swing
 	got := m.PeakToPeakPercent()
 	if got < 25 || got > 90 {
 		t.Errorf("10%% Vdd swing reads %g %%p2p, want 25-90", got)

@@ -87,25 +87,3 @@ func CycleAccurateWorkload(s Spec, cfg uarch.Config, dtBucket float64) (core.Wor
 	}
 	return core.NewTraceWorkload(fmt.Sprintf("didt-cycle@%s", formatFreq(s.StimulusFreq)), tr, period)
 }
-
-// VerifyAgainstEnvelope compares the cycle-accurate workload's mean
-// phase powers with the analytic envelope; it returns the relative
-// error of the high-phase mean. It is used by the ablation tests to
-// demonstrate that the envelope is a faithful reduction.
-func VerifyAgainstEnvelope(s Spec, cfg uarch.Config, dtBucket float64) (relErr float64, err error) {
-	w, err := CycleAccurateWorkload(s, cfg, dtBucket)
-	if err != nil {
-		return 0, err
-	}
-	period := 1 / s.StimulusFreq
-	// Sample the high-phase plateau (skip the first and last 10%).
-	n := 0
-	mean := 0.0
-	for t := period * s.Duty * 0.1; t < period*s.Duty*0.9; t += dtBucket {
-		mean += w.Power(t + s.Phase)
-		n++
-	}
-	mean /= float64(n)
-	want := cfg.Power(s.HighSeq)
-	return math.Abs(mean-want) / want, nil
-}

@@ -13,10 +13,7 @@
 // paper's numbers; DefaultSync uses it.
 package tod
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // TickSeconds is the TOD stepping quantum: 62.5 ns, the paper's
 // misalignment control granularity.
@@ -26,21 +23,6 @@ const TickSeconds = 62.5e-9
 // synchronization condition matches, giving the paper's ~4 ms sync
 // period (2^16 ticks of 62.5 ns = 4.096 ms).
 const DefaultSyncBits = 16
-
-// Value is a TOD reading in ticks since simulation time zero.
-type Value uint64
-
-// At returns the TOD value at simulation time t (seconds). Negative
-// times clamp to zero (the facility powers on at t = 0).
-func At(t float64) Value {
-	if t <= 0 {
-		return 0
-	}
-	return Value(math.Floor(t / TickSeconds))
-}
-
-// Time returns the simulation time at which the TOD reached v.
-func (v Value) Time() float64 { return float64(v) * TickSeconds }
 
 // SyncCondition is a spin-loop exit condition: the low Bits bits of
 // the TOD equal Match. It is the deterministic alignment mechanism of
@@ -74,32 +56,6 @@ func (c SyncCondition) Period() float64 {
 	return float64(uint64(1)<<c.Bits) * TickSeconds
 }
 
-// Holds reports whether the condition holds at time t.
-func (c SyncCondition) Holds(t float64) bool {
-	v := At(t)
-	return uint64(v)&(1<<c.Bits-1) == c.Match
-}
-
-// NextAfter returns the earliest time >= t at which the condition
-// holds (the start of the matching tick interval, or t itself if the
-// condition already holds at t).
-func (c SyncCondition) NextAfter(t float64) float64 {
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	if c.Holds(t) {
-		return t
-	}
-	v := uint64(At(t))
-	period := uint64(1) << c.Bits
-	base := v &^ (period - 1)
-	candidate := base + c.Match
-	if candidate <= v {
-		candidate += period
-	}
-	return Value(candidate).Time()
-}
-
 // Misalign returns a condition identical to c but offset by the given
 // number of ticks (62.5 ns quanta), wrapping within the period. It is
 // how the paper programs controlled misalignment between per-core
@@ -107,15 +63,4 @@ func (c SyncCondition) NextAfter(t float64) float64 {
 func (c SyncCondition) Misalign(ticks uint64) SyncCondition {
 	period := uint64(1) << c.Bits
 	return SyncCondition{Bits: c.Bits, Match: (c.Match + ticks) % period}
-}
-
-// OffsetSeconds returns the time offset of condition d relative to c
-// (both must share Bits), in seconds, normalized to [0, Period).
-func (c SyncCondition) OffsetSeconds(d SyncCondition) float64 {
-	if c.Bits != d.Bits {
-		panic(fmt.Sprintf("tod: offset between conditions with different widths %d and %d", c.Bits, d.Bits))
-	}
-	period := uint64(1) << c.Bits
-	diff := (d.Match + period - c.Match) % period
-	return float64(diff) * TickSeconds
 }

@@ -6,25 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestAtAndTimeRoundTrip(t *testing.T) {
-	if At(0) != 0 {
-		t.Errorf("At(0) = %d", At(0))
-	}
-	if At(-1) != 0 {
-		t.Errorf("At(-1) = %d", At(-1))
-	}
-	if got := At(62.5e-9); got != 1 {
-		t.Errorf("At(one tick) = %d", got)
-	}
-	if got := At(62.4e-9); got != 0 {
-		t.Errorf("At(just under a tick) = %d", got)
-	}
-	v := Value(12345)
-	if back := At(v.Time()); back != v {
-		t.Errorf("round trip = %d, want %d", back, v)
-	}
-}
-
 func TestDefaultSyncPeriodIs4ms(t *testing.T) {
 	p := DefaultSync().Period()
 	if math.Abs(p-4.096e-3) > 1e-12 {
@@ -48,91 +29,16 @@ func TestSyncConditionValidate(t *testing.T) {
 	}
 }
 
-func TestHoldsAndNextAfter(t *testing.T) {
-	c := SyncCondition{Bits: 4} // period 16 ticks = 1 us
-	if !c.Holds(0) {
-		t.Error("condition should hold at t=0")
-	}
-	if c.Holds(3 * TickSeconds) {
-		t.Error("condition should not hold at tick 3")
-	}
-	// From tick 3, next match is tick 16.
-	got := c.NextAfter(3 * TickSeconds)
-	want := 16 * TickSeconds
-	if math.Abs(got-want) > 1e-15 {
-		t.Errorf("NextAfter = %g, want %g", got, want)
-	}
-	// Already holding: returns t itself.
-	if got := c.NextAfter(0); got != 0 {
-		t.Errorf("NextAfter at match = %g", got)
-	}
-	// With a nonzero match value.
-	c2 := SyncCondition{Bits: 4, Match: 5}
-	got = c2.NextAfter(0)
-	if math.Abs(got-5*TickSeconds) > 1e-15 {
-		t.Errorf("NextAfter match=5 = %g", got)
-	}
-	// Starting past the match within the period rolls to next period.
-	got = c2.NextAfter(7 * TickSeconds)
-	if math.Abs(got-21*TickSeconds) > 1e-15 {
-		t.Errorf("NextAfter rollover = %g, want %g", got, 21*TickSeconds)
-	}
-}
-
-func TestNextAfterInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	SyncCondition{Bits: 0}.NextAfter(0)
-}
-
 func TestMisalign(t *testing.T) {
 	c := DefaultSync()
 	m := c.Misalign(1)
 	if m.Match != 1 || m.Bits != c.Bits {
 		t.Errorf("Misalign(1) = %+v", m)
 	}
-	if got := c.OffsetSeconds(m); math.Abs(got-TickSeconds) > 1e-18 {
-		t.Errorf("offset = %g, want one tick (62.5ns)", got)
-	}
 	// Wrapping.
 	w := c.Misalign(1 << c.Bits)
 	if w.Match != 0 {
 		t.Errorf("full-period misalign = %+v", w)
-	}
-}
-
-func TestOffsetSecondsMismatchedBitsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	SyncCondition{Bits: 4}.OffsetSeconds(SyncCondition{Bits: 5})
-}
-
-// Property: NextAfter always returns a time >= t at which the
-// condition holds, and never further than one period away.
-func TestNextAfterProperty(t *testing.T) {
-	f := func(bitsRaw uint8, matchRaw uint64, tRaw uint32) bool {
-		bits := uint(bitsRaw%20) + 1
-		c := SyncCondition{Bits: bits, Match: matchRaw % (1 << bits)}
-		start := float64(tRaw) * 1e-8
-		next := c.NextAfter(start)
-		if next < start-1e-15 {
-			return false
-		}
-		// When the condition already held at start, NextAfter returns
-		// start itself, which may sit mid-tick; probe the time as-is.
-		if !c.Holds(next) && !c.Holds(next+TickSeconds/2) {
-			return false
-		}
-		return next-start <= c.Period()+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"voltnoise/internal/isa"
-	"voltnoise/internal/signal"
 )
 
 // Executor runs a cyclic program cycle by cycle, producing per-cycle
@@ -36,9 +35,6 @@ func NewExecutor(cfg Config, prog *Program) (*Executor, error) {
 	}
 	return e, nil
 }
-
-// Cycle returns the number of cycles executed so far.
-func (e *Executor) Cycle() int64 { return e.cycle }
 
 // Reset rewinds the executor to cycle zero and swaps in prog, reusing
 // the pipe bookkeeping allocations. Afterwards the executor behaves
@@ -119,16 +115,6 @@ func (e *Executor) freePipe(u isa.Unit) (int, bool) {
 	return 0, false
 }
 
-// EnergyTrace executes n cycles and returns the per-cycle dynamic
-// energy as a trace sampled at the clock period.
-func (e *Executor) EnergyTrace(n int) *signal.Trace {
-	tr := signal.NewTrace(e.cfg.CycleTime(), n)
-	for i := 0; i < n; i++ {
-		tr.Samples[i] = e.StepCycle()
-	}
-	return tr
-}
-
 // AveragePower executes n cycles (after w warm-up cycles) and returns
 // the average total power in watts, the executor-level counterpart of
 // Config.Power.
@@ -154,31 +140,11 @@ type Counters struct {
 	Groups   int64
 }
 
-// RunWithCounters executes n cycles and returns both the dynamic
-// energy trace and executed micro-op/group counts. Group counts are
-// one group per non-empty cycle, which matches the formation model for
-// dependency-free streams.
-func (e *Executor) RunWithCounters(n int) (*signal.Trace, Counters) {
-	tr := signal.NewTrace(e.cfg.CycleTime(), n)
-	var c Counters
-	for i := 0; i < n; i++ {
-		energy, dispatched := e.stepCycle()
-		tr.Samples[i] = energy
-		c.Cycles++
-		c.MicroOps += int64(dispatched)
-		if dispatched > 0 {
-			c.Groups++
-		}
-	}
-	return tr, c
-}
-
 // MeanEnergyWithCounters executes n cycles (n > 0) and returns the
-// mean per-cycle dynamic energy with the counter view, without
-// materializing a trace. The sum accumulates in cycle order, so the
-// result is bit-identical to RunWithCounters(n) followed by
-// Trace.Mean() — it exists so profiling loops that only need the mean
-// skip the n-sample allocation.
+// mean per-cycle dynamic energy with the counter view. The sum
+// accumulates in cycle order. Group counts are one group per non-empty
+// cycle, which matches the formation model for dependency-free
+// streams.
 func (e *Executor) MeanEnergyWithCounters(n int) (float64, Counters) {
 	if n <= 0 {
 		panic(fmt.Sprintf("uarch: MeanEnergyWithCounters over %d cycles", n))

@@ -14,20 +14,18 @@ func TestEnergyTraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := ex.EnergyTrace(1000)
-	if tr.Len() != 1000 {
-		t.Fatalf("trace length %d", tr.Len())
-	}
-	if tr.Dt != cfg.CycleTime() {
-		t.Errorf("trace dt %g, want cycle time %g", tr.Dt, cfg.CycleTime())
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := 0; i < 1000; i++ {
+		e := ex.StepCycle()
+		lo, hi = math.Min(lo, e), math.Max(hi, e)
 	}
 	// A saturated stream dissipates energy every cycle.
-	if tr.Min() <= 0 {
-		t.Errorf("zero-energy cycle in saturated stream (min %g)", tr.Min())
+	if lo <= 0 {
+		t.Errorf("zero-energy cycle in saturated stream (min %g)", lo)
 	}
 	// Steady state: per-cycle energy is constant for this stream.
-	if tr.PeakToPeak() > 1e-15 {
-		t.Errorf("per-cycle energy varies by %g for a uniform stream", tr.PeakToPeak())
+	if hi-lo > 1e-15 {
+		t.Errorf("per-cycle energy varies by %g for a uniform stream", hi-lo)
 	}
 }
 
@@ -38,10 +36,9 @@ func TestEnergyTraceSerializedStreamIsBursty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := ex.EnergyTrace(64)
 	zero, nonzero := 0, 0
-	for _, e := range tr.Samples {
-		if e == 0 {
+	for i := 0; i < 64; i++ {
+		if ex.StepCycle() == 0 {
 			zero++
 		} else {
 			nonzero++
@@ -69,14 +66,14 @@ func TestCycleCounterAdvances(t *testing.T) {
 	cfg := DefaultConfig()
 	p := MustProgram("x", []*isa.Instruction{ins("CHHSI")})
 	ex, _ := NewExecutor(cfg, p)
-	if ex.Cycle() != 0 {
-		t.Errorf("initial cycle %d", ex.Cycle())
+	if ex.cycle != 0 {
+		t.Errorf("initial cycle %d", ex.cycle)
 	}
 	for i := 0; i < 10; i++ {
 		ex.StepCycle()
 	}
-	if ex.Cycle() != 10 {
-		t.Errorf("after 10 steps cycle = %d", ex.Cycle())
+	if ex.cycle != 10 {
+		t.Errorf("after 10 steps cycle = %d", ex.cycle)
 	}
 }
 
@@ -100,7 +97,7 @@ func TestMultiMicroOpDispatchSplitsAcrossCycles(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		ex.StepCycle()
 	}
-	_, c := ex.RunWithCounters(2000)
+	_, c := ex.MeanEnergyWithCounters(2000)
 	gotIPC := float64(c.MicroOps) / float64(c.Cycles)
 	if math.Abs(gotIPC-ss.IPC)/ss.IPC > 0.05 {
 		t.Errorf("executor IPC %g vs analytic %g for multi-uop stream", gotIPC, ss.IPC)
@@ -109,9 +106,9 @@ func TestMultiMicroOpDispatchSplitsAcrossCycles(t *testing.T) {
 
 func TestResetMatchesFreshExecutor(t *testing.T) {
 	// Reset + MeanEnergyWithCounters must be bit-identical to a fresh
-	// NewExecutor + RunWithCounters + Trace.Mean — the epi profiler
-	// leans on that equivalence to recycle one executor across the
-	// whole ISA.
+	// NewExecutor stepped cycle by cycle, summing in cycle order — the
+	// epi profiler leans on that equivalence to recycle one executor
+	// across the whole ISA.
 	cfg := DefaultConfig()
 	mns := []string{"CHHSI", "CIB", "SRNM"}
 	ex, err := NewExecutor(cfg, MustProgram("seed", []*isa.Instruction{ins(mns[0])}))
@@ -136,8 +133,17 @@ func TestResetMatchesFreshExecutor(t *testing.T) {
 		for i := 0; i < warmup; i++ {
 			ref.StepCycle()
 		}
-		tr, rc := ref.RunWithCounters(n)
-		if want := tr.Mean(); mean != want {
+		sum, rc := 0.0, Counters{}
+		for i := 0; i < n; i++ {
+			energy, dispatched := ref.stepCycle()
+			sum += energy
+			rc.Cycles++
+			rc.MicroOps += int64(dispatched)
+			if dispatched > 0 {
+				rc.Groups++
+			}
+		}
+		if want := sum / n; mean != want {
 			t.Errorf("%s: reset mean %g != fresh mean %g", mn, mean, want)
 		}
 		if c != rc {

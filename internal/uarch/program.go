@@ -42,19 +42,6 @@ func MustProgram(name string, body []*isa.Instruction) *Program {
 	return p
 }
 
-// Repeat returns a program whose body is p.Body repeated n times.
-// Useful for building the paper's 4000-repetition EPI micro-benchmarks.
-func (p *Program) Repeat(n int) *Program {
-	if n < 1 {
-		panic(fmt.Sprintf("uarch: Repeat(%d)", n))
-	}
-	body := make([]*isa.Instruction, 0, len(p.Body)*n)
-	for i := 0; i < n; i++ {
-		body = append(body, p.Body...)
-	}
-	return &Program{Name: p.Name, Body: body}
-}
-
 // Len returns the number of instructions in one iteration.
 func (p *Program) Len() int { return len(p.Body) }
 

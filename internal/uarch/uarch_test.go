@@ -196,7 +196,7 @@ func TestExecutorCountersMatchIPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c := ex.RunWithCounters(10000)
+	_, c := ex.MeanEnergyWithCounters(10000)
 	ipc := float64(c.MicroOps) / float64(c.Cycles)
 	if math.Abs(ipc-3) > 0.01 {
 		t.Errorf("executor IPC = %g, want 3", ipc)
@@ -213,7 +213,7 @@ func TestExecutorSerializedRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c := ex.RunWithCounters(8000)
+	_, c := ex.MeanEnergyWithCounters(8000)
 	rate := float64(c.MicroOps) / float64(c.Cycles)
 	if math.Abs(rate-1.0/8) > 0.01 {
 		t.Errorf("SRNM rate = %g, want 1/8", rate)
@@ -242,10 +242,6 @@ func TestProgramHelpers(t *testing.T) {
 	if p.Mnemonics() != "CHHSI CIB" {
 		t.Errorf("Mnemonics = %q", p.Mnemonics())
 	}
-	r := p.Repeat(3)
-	if r.Len() != 6 {
-		t.Errorf("Repeat len = %d", r.Len())
-	}
 	if p.Listing() == "" || p.String() == "" {
 		t.Error("empty listing/string")
 	}
@@ -258,12 +254,6 @@ func TestProgramValidation(t *testing.T) {
 	if _, err := NewProgram("n", []*isa.Instruction{nil}); err == nil {
 		t.Error("nil instruction accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Repeat(0) should panic")
-		}
-	}()
-	MustProgram("x", []*isa.Instruction{ins("CIB")}).Repeat(0)
 }
 
 // Property: for random small programs, the executor's measured IPC
@@ -290,7 +280,7 @@ func TestExecutorNeverBeatsAnalyticProperty(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			ex.StepCycle()
 		}
-		_, c := ex.RunWithCounters(8000)
+		_, c := ex.MeanEnergyWithCounters(8000)
 		ipc := float64(c.MicroOps) / float64(c.Cycles)
 		return ipc <= ss.IPC*1.02+1e-9
 	}

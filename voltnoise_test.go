@@ -35,8 +35,8 @@ func apiSetup(t *testing.T) *voltnoise.Lab {
 
 func TestISATableExposed(t *testing.T) {
 	tab := voltnoise.ISATable()
-	if tab.Size() != 1301 {
-		t.Errorf("ISA size = %d", tab.Size())
+	if n := len(tab.Instructions()); n != 1301 {
+		t.Errorf("ISA size = %d", n)
 	}
 	if _, ok := tab.Lookup("CIB"); !ok {
 		t.Error("CIB missing")
@@ -90,11 +90,14 @@ func TestEPIProfileAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof.Rank("CIB") != 1 {
-		t.Errorf("CIB rank = %d", prof.Rank("CIB"))
+	if n := len(prof.Entries); n != 1301 {
+		t.Fatalf("%d entries, want 1301", n)
 	}
-	if prof.Rank("SRNM") != 1301 {
-		t.Errorf("SRNM rank = %d", prof.Rank("SRNM"))
+	if top := prof.Entries[0].Instr.Mnemonic; top != "CIB" {
+		t.Errorf("rank 1 is %s, want CIB", top)
+	}
+	if bottom := prof.Entries[len(prof.Entries)-1].Instr.Mnemonic; bottom != "SRNM" {
+		t.Errorf("rank 1301 is %s, want SRNM", bottom)
 	}
 }
 
@@ -149,7 +152,7 @@ func TestStressmarkSpecAPI(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := voltnoise.DefaultSync().OffsetSeconds(cond); math.Abs(got-2*voltnoise.TODTickSeconds) > 1e-15 {
+	if got := float64(cond.Match-voltnoise.DefaultSync().Match) * voltnoise.TODTickSeconds; math.Abs(got-2*voltnoise.TODTickSeconds) > 1e-15 {
 		t.Errorf("misalign offset %g", got)
 	}
 }
