@@ -11,8 +11,10 @@
 #                    BENCHMARK.json on BASE and on the working tree in
 #                    10 alternating pairs, judged by paired ratios
 #   make fuzz-smoke  short fuzzing pass over the request validator,
-#                    the stream assembler, the journal replayer and the
-#                    client's SSE frame parser (plus their seed corpora)
+#                    the stream assembler, the journal replayer, the
+#                    client's SSE frame parser, the engine kernels and
+#                    the workloads' held power samples (plus their seed
+#                    corpora)
 #   make profile     CPU profiles of the FrequencySweep pair, of
 #                    ResonanceDiscovery and of a 16-lane batch session
 #                    into results/ for step-kernel hot-spot digging
@@ -96,9 +98,11 @@ batch-determinism:
 # (arbitrary stream bytes), the in-place batch substitution kernels
 # (random sparse systems, every lane width, vector and Go bodies vs the
 # element-wise reference), the batch engine's load fill (random
-# per-lane loads at widths 1-17 vs per-lane width-1 engines), and the
+# per-lane loads at widths 1-17 vs per-lane width-1 engines), the
 # skitter sticky state machine (random configs x voltage walks,
-# certified table vs exact evaluation). Go
+# certified table vs exact evaluation), and the held power samples of
+# the square wave and the dI/dt stressmark (engine clocks from random
+# start times vs Power at every step of each hold). Go
 # allows one -fuzz pattern per package invocation, so the targets run
 # back to back.
 fuzz-smoke:
@@ -109,6 +113,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolveBatchInPlace -fuzztime $(FUZZTIME) ./internal/pdn
 	$(GO) test -run '^$$' -fuzz FuzzBatchLoadFill -fuzztime $(FUZZTIME) ./internal/pdn
 	$(GO) test -run '^$$' -fuzz FuzzSkitterSticky -fuzztime $(FUZZTIME) ./internal/skitter
+	$(GO) test -run '^$$' -fuzz FuzzSquareWaveHold -fuzztime $(FUZZTIME) ./internal/signal
+	$(GO) test -run '^$$' -fuzz FuzzDidtHold -fuzztime $(FUZZTIME) ./internal/stressmark
 
 # bench compares the serial (Workers=1, Batch=1: the lane-per-run
 # shape every pre-batching release ran) and parallel (auto workers and

@@ -21,14 +21,15 @@ import (
 // Width 1 is the one-measurement-at-a-time shape.
 //
 // Each step the engine asks the session once for every lane's load
-// currents (fillLoads), which evaluates the lanes' workload slots into
-// the engine's load slab. Between runs only the cheap state moves: the
-// workload slots are swapped, the engine re-derives each lane's DC
-// operating point with the cached factorization, and the macros clear
-// their sticky registers. A lane's Measurement depends only on its
-// RunSpec, bias and gains — never on the width, the other lanes or the
-// runs before it: per lane the engine performs the same floating-point
-// operations in the same order, batching only interleaves lanes.
+// currents (fillLoads), which evaluates the lanes' workload slots whose
+// holds have run out into the engine's load slab. Between runs only
+// the cheap state moves: the workload slots are swapped, the engine
+// re-derives each lane's DC operating point with the cached
+// factorization, and the macros clear their sticky registers. A
+// lane's Measurement depends only on its RunSpec, bias and gains —
+// never on the width, the other lanes or the runs before it: per lane
+// the engine performs the same floating-point operations in the same
+// order, batching only interleaves lanes.
 //
 // A BatchSession is NOT safe for concurrent use; parallel studies draw
 // one per in-flight batch from a SessionPool.
@@ -41,6 +42,9 @@ type BatchSession struct {
 	idle  Workload
 	// coreV[i] is the live view of core i's potential in every lane.
 	coreV [NumCores][]float64
+	// next is the earliest hold end over every lane's slots: fillLoads
+	// has nothing to write before it.
+	next float64
 }
 
 // laneState is one measurement lane of a BatchSession.
@@ -58,22 +62,23 @@ type laneState struct {
 
 	// wl holds the current run's workloads, which fillLoads evaluates.
 	wl [NumCores]Workload
-	// pw is the power scratch fillLoads writes each step, reused by the
-	// chip-power accumulator.
+	// hold[i] is wl[i]'s Hold, nil when it has none or when core i is
+	// an alias; until[i] is the end of core i's current hold, before
+	// which fillLoads leaves its sample alone.
+	hold  [NumCores]holder
+	until [NumCores]float64
+	// pw is each core's power sample as fillLoads last wrote it, read
+	// by the chip-power accumulator.
 	pw [NumCores]float64
-	// iq is the current scratch: the quotient p/vnom fillLoads computed
-	// for each core (or copied from its alias source), so the division
-	// runs once per distinct workload at each distinct supply.
-	iq [NumCores]float64
-	// src[i], when non-nil, is the lane whose core srcCore[i] holds the
-	// identical (pure) workload value as this lane's core i, in the
-	// first such slot in lane-major order. fillLoads visits the slots in
-	// ascending lane order, core order within a lane, so the source slot
-	// has always been evaluated first at the same instant: core i copies
-	// its bit-identical power sample and pays at most the p/vnom
-	// division (only when the supplies differ).
-	src     [NumCores]*laneState
-	srcCore [NumCores]int
+	// src[i], when >= 0, is the lane-major index (lane*NumCores + core)
+	// of the first slot holding the identical (pure) workload value as
+	// this lane's core i; -1 when there is none. fillLoads visits the
+	// slots in ascending lane order, core order within a lane, so the
+	// source slot has always been evaluated first at the same instant:
+	// core i copies its bit-identical power sample, its hold end and its
+	// current, and redoes only the p/vnom division when the supplies
+	// differ.
+	src [NumCores]int
 
 	// Per-run observation state.
 	meas   *Measurement
@@ -115,7 +120,7 @@ func NewBatchSession(cfg Config, lanes int) (*BatchSession, error) {
 	}
 	circuit.AddLoad("uncore", nodes.L3, filledLoad)
 	// Every lane starts idle on every core, so the construction-time DC
-	// solve already dedupes down to one Power evaluation per step.
+	// solve already dedupes down to one idle slot, held forever.
 	s.refreshAliases()
 
 	bt, err := pdn.NewBatchTransientAt(circuit, cfg.Dt, 0, lanes, s.fillLoads)
@@ -184,24 +189,30 @@ func (s *BatchSession) SetVoltageBias(bias float64) error {
 }
 
 // refreshAliases recomputes the whole-batch alias map from every
-// lane's workload slots. A core's alias source may be any earlier slot
-// in lane-major order — an earlier core of its own lane, or any core
-// of an earlier lane — because fillLoads has always evaluated the
-// first matching slot by the time it reaches the aliased core, within
-// the same step at the same instant. The first match is never itself
-// an alias (its own scan found nothing earlier), so alias chains are
-// depth one and every copy reads a freshly computed sample.
+// lane's workload slots, resolves each distinct slot's Hold and clears
+// every hold, so the next fill evaluates every slot. A core's alias
+// source may be any earlier slot in lane-major order — an earlier core
+// of its own lane, or any core of an earlier lane — because fillLoads
+// has always evaluated the first matching slot by the time it reaches
+// the aliased core, within the same step at the same instant. The
+// first match is never itself an alias (its own scan found nothing
+// earlier), so alias chains are depth one and every copy reads a
+// freshly computed (or still held) sample.
 func (s *BatchSession) refreshAliases() {
+	s.next = math.Inf(-1)
 	for l := range s.lanes {
 		c := &s.lanes[l]
-		for i := range c.wl {
-			c.src[i] = nil
+		for i, w := range c.wl {
+			c.src[i], c.until[i] = -1, math.Inf(-1)
 			for g := 0; g < l*NumCores+i; g++ {
-				r, j := &s.lanes[g/NumCores], g%NumCores
-				if sameWorkload(r.wl[j], c.wl[i]) {
-					c.src[i], c.srcCore[i] = r, j
+				if sameWorkload(s.lanes[g/NumCores].wl[g%NumCores], w) {
+					c.src[i] = g
 					break
 				}
+			}
+			c.hold[i] = nil
+			if c.src[i] < 0 {
+				c.hold[i], _ = w.(holder)
 			}
 		}
 	}
@@ -212,32 +223,63 @@ func (s *BatchSession) refreshAliases() {
 // cur[k*lanes+l]. Loads model devices as nominal-voltage current sinks,
 // I(t) = P(t)/Vnom at the lane's effective supply (the standard
 // linearization for PDN noise analysis), and each core's power sample
-// and current are parked in the lane's scratch slots for the chip-power
-// accumulator and for the cores aliased to it.
+// is parked in the lane's pw for the chip-power accumulator.
+//
+// Only slots whose hold has run out are written. A slot whose workload
+// has a Hold keeps its sample until the hold ends: by the Workload
+// contract the sample is Power(t) bit for bit at every t before then,
+// and the engine's slab, like pw, persists between steps, so a held
+// slot needs no write. The waveforms' holds end signal.HoldGuard
+// (1 ps) before their predicted edge: fastMod is exact and
+// fl(t - Phase) monotone in t, so the prediction is off by a few
+// ulp(t) at most — far below the guard, which is itself far below the
+// 2 ns step. A workload without Hold never holds (until stays -Inf),
+// and an alias shares its source's hold end, so it runs out at the
+// same step, just after the source was re-evaluated. Before next, the
+// earliest hold end, nothing has run out and the fill returns at once.
 func (s *BatchSession) fillLoads(t float64, cur []float64) {
+	if t < s.next {
+		return
+	}
 	B := len(s.lanes)
+	next := math.Inf(1)
 	for l := range s.lanes {
 		c := &s.lanes[l]
 		for i := range c.wl {
-			var p, q float64
-			if r := c.src[i]; r != nil {
-				// The source slot was evaluated first at the same instant,
-				// so its power sample is bit-identical to what this core's
-				// workload would produce.
-				j := c.srcCore[i]
-				p, q = r.pw[j], r.iq[j]
-				if c.vnom != r.vnom {
+			u := c.until[i]
+			if !(t < u) {
+				var p, q float64
+				if g := c.src[i]; g >= 0 {
+					// The source slot was evaluated first at the same
+					// instant, so its power sample is bit-identical to what
+					// this core's workload would produce.
+					r, j := &s.lanes[g/NumCores], g%NumCores
+					p, u = r.pw[j], r.until[j]
+					if c.vnom != r.vnom {
+						q = p / c.vnom
+					} else {
+						q = cur[j*B+g/NumCores]
+					}
+				} else {
+					if h := c.hold[i]; h != nil {
+						if p, u = h.Hold(t); !(u > t) {
+							u = t // no hold (a NaN end included)
+						}
+					} else {
+						p = c.wl[i].Power(t)
+					}
 					q = p / c.vnom
 				}
-			} else {
-				p = c.wl[i].Power(t)
-				q = p / c.vnom
+				c.pw[i], c.until[i] = p, u
+				cur[i*B+l] = q
 			}
-			c.pw[i], c.iq[i] = p, q
-			cur[i*B+l] = q
+			if u < next {
+				next = u
+			}
 		}
 		cur[NumCores*B+l] = c.uncoreI
 	}
+	s.next = next
 }
 
 // filledLoad stands in for the Current function of the session
@@ -422,6 +464,9 @@ func (s *BatchSession) run(ctx context.Context, specs []RunSpec, out []*Measurem
 			c.wl[i] = s.idle
 		}
 	}
+	// The holds referenced the workloads too. Every slot is idle now,
+	// so each alias scan stops at the first slot.
+	s.refreshAliases()
 	return nil
 }
 

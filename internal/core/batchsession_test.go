@@ -495,64 +495,80 @@ func TestSessionPoolBatch(t *testing.T) {
 	}
 }
 
-// batchRunSpecs returns one spec per lane over a short window. With
-// distinct set, every core of every lane runs its own uncomparable
-// square wave, so fillLoads evaluates each slot; otherwise every slot
-// shares one comparable workload, evaluated once per step.
-func batchRunSpecs(lanes int, distinct bool) []RunSpec {
+// batchRunSpecs returns one spec per lane over a study-length window
+// (30 us warm-up, 60 us measured). loads picks the cores' workloads:
+// "aliased" gives every slot one shared steady load (one distinct
+// slot, held for the whole run); "distinct" gives every core of every
+// lane its own 2 MHz square wave (waveWorkload, with Hold) at its own
+// phase, so fillLoads evaluates each slot only at its edges; "func"
+// gives every core its own FuncWorkload square wave, which has no Hold
+// and is evaluated every step.
+func batchRunSpecs(lanes int, loads string) []RunSpec {
 	shared := Steady("shared", 30)
 	specs := make([]RunSpec, lanes)
 	for l := range specs {
 		var wl [NumCores]Workload
 		for i := range wl {
-			wl[i] = shared
-			if distinct {
-				wl[i] = laneWorkload(l*NumCores + i)
+			g := l*NumCores + i
+			switch loads {
+			case "aliased":
+				wl[i] = shared
+			case "distinct":
+				wl[i] = squareWorkload(0.5e-6, float64(g)/float64(lanes*NumCores))
+			case "func":
+				wl[i] = laneWorkload(g)
+			default:
+				panic("unknown loads " + loads)
 			}
 		}
-		specs[l] = RunSpec{Workloads: wl, Warmup: 1e-6, Duration: 2e-6}
+		specs[l] = RunSpec{Workloads: wl, Warmup: 30e-6, Duration: 60e-6}
 	}
 	return specs
 }
 
 // TestBatchSessionSteadyStateAllocs extends the width-1 guard
 // (TestSessionSteadyStateAllocs) to reused batch sessions at widths 4
-// and 16 with a distinct workload on every core: the load fill, the
-// steps and the observation allocate nothing, leaving the returned
-// slice and one Measurement per lane.
+// and 16 with a distinct workload on every core, with and without
+// Hold: the load fill, the steps and the observation allocate nothing,
+// leaving the returned slice and one Measurement per lane.
 func TestBatchSessionSteadyStateAllocs(t *testing.T) {
 	for _, lanes := range []int{pdn.NarrowBatchLanes, pdn.WideBatchLanes} {
-		bs, err := NewBatchSession(DefaultConfig(), lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs := batchRunSpecs(lanes, true)
-		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := bs.RunBatch(specs); err != nil {
+		for _, loads := range []string{"distinct", "func"} {
+			bs, err := NewBatchSession(DefaultConfig(), lanes)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if want := float64(lanes + 1); allocs > want {
-			t.Errorf("lanes=%d: RunBatch allocates %v objects per run, want <= %v", lanes, allocs, want)
+			specs := batchRunSpecs(lanes, loads)
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := bs.RunBatch(specs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if want := float64(lanes + 1); allocs > want {
+				t.Errorf("lanes=%d %s: RunBatch allocates %v objects per run, want <= %v", lanes, loads, allocs, want)
+			}
 		}
 	}
 }
 
 // BenchmarkBatchSessionRun times a reused batch session's runs at
-// widths 1, 4 and 16, with every core sharing one workload (aliased:
-// one Power call per step) and with a distinct workload per core (one
-// per core and lane), and reports the price of one lane-step: the pdn
-// step plus the load fill, observation and accounting.
+// widths 1, 4 and 16 over a study-length window, with the loads of
+// batchRunSpecs: every core sharing one steady load ("aliased"), a
+// distinct held square wave per core ("distinct", the shape of the
+// sweep workload's free-running stressmarks) and a distinct
+// FuncWorkload per core ("func", the per-step path of loads without
+// Hold). It reports the price of one lane-step: the pdn step plus the
+// load fill, observation and accounting.
 func BenchmarkBatchSessionRun(b *testing.B) {
 	for _, lanes := range []int{1, pdn.NarrowBatchLanes, pdn.WideBatchLanes} {
-		for _, loads := range []string{"aliased", "distinct"} {
+		for _, loads := range []string{"aliased", "distinct", "func"} {
 			b.Run(fmt.Sprintf("Lanes%d/%s", lanes, loads), func(b *testing.B) {
 				cfg := DefaultConfig()
 				bs, err := NewBatchSession(cfg, lanes)
 				if err != nil {
 					b.Fatal(err)
 				}
-				specs := batchRunSpecs(lanes, loads == "distinct")
+				specs := batchRunSpecs(lanes, loads)
 				steps := math.Round((specs[0].Warmup + specs[0].Duration) / cfg.Dt)
 				b.ReportAllocs()
 				b.ResetTimer()

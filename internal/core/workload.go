@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 
 	"voltnoise/internal/signal"
@@ -20,11 +21,29 @@ import (
 // power is defined on absolute simulation time so that deliberately
 // (mis)aligned multi-core stressmarks express their phase relationship
 // naturally.
+//
+// A Workload whose power is piecewise constant may also report how
+// long its value holds, through an optional method
+//
+//	Hold(t float64) (p, until float64)
+//
+// The contract: p equals Power(t) bit for bit, and Power(t') equals p
+// bit for bit at every t' in [t, until); until <= t (or NaN) means no
+// hold. The session fill then evaluates such a workload only once its
+// hold runs out, and keeps the held sample in between. A hold derived
+// from a predicted edge ends signal.HoldGuard before it, which its
+// comment proves is exact. Workloads without Hold are evaluated every
+// step.
 type Workload interface {
 	// Power returns the core power in watts at absolute time t.
 	Power(t float64) float64
 	// Name identifies the workload in results.
 	Name() string
+}
+
+// holder is a Workload's optional Hold method (see Workload).
+type holder interface {
+	Hold(t float64) (p, until float64)
 }
 
 // idle is the no-workload workload: the core burns static power only.
@@ -35,6 +54,10 @@ func Idle(cfg uarch.Config) Workload { return idle{watts: cfg.IdlePower()} }
 
 func (w idle) Power(float64) float64 { return w.watts }
 func (w idle) Name() string          { return "idle" }
+
+// Hold implements the optional Hold of Workload: idle power holds
+// forever.
+func (w idle) Hold(float64) (p, until float64) { return w.watts, math.Inf(1) }
 
 // steady is a constant-power workload.
 type steady struct {
@@ -53,6 +76,10 @@ func Steady(name string, watts float64) Workload {
 
 func (w steady) Power(float64) float64 { return w.watts }
 func (w steady) Name() string          { return w.name }
+
+// Hold implements the optional Hold of Workload: steady power holds
+// forever.
+func (w steady) Hold(float64) (p, until float64) { return w.watts, math.Inf(1) }
 
 // TraceWorkload replays a precomputed power trace, repeating it
 // periodically. It is the bridge from the cycle-accurate executor to
@@ -113,8 +140,9 @@ func (w FuncWorkload) Name() string { return w.Label }
 // workload value, guarding against uncomparable dynamic types (e.g.
 // FuncWorkload, whose func field makes == panic). The sessions use it
 // to evaluate a power waveform shared by several cores only once per
-// step — FuncWorkload is deliberately never deduplicated, since an
-// arbitrary Fn need not be pure.
+// step — or, for a workload with Hold, once per hold: its aliases copy
+// the held sample too. FuncWorkload is deliberately never
+// deduplicated, since an arbitrary Fn need not be pure.
 func sameWorkload(a, b Workload) bool {
 	if a == nil || b == nil {
 		return false

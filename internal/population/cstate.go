@@ -1,6 +1,10 @@
 package population
 
-import "math"
+import (
+	"math"
+
+	"voltnoise/internal/signal"
+)
 
 // CState is a sleep-state workload: the core idles in deep sleep at
 // the retention-rail residual, then exits into an active instruction
@@ -28,11 +32,25 @@ type CState struct {
 // Power implements core.Workload: asleep for the first SleepFrac of
 // every period, active for the rest.
 func (w CState) Power(t float64) float64 {
+	p, _ := w.Hold(t)
+	return p
+}
+
+// Hold implements the optional Hold of core.Workload. The period index
+// floor(t/Period) and, for a fixed index, the phase are monotone in t,
+// so asleep the value holds until the exit edge (or the period end,
+// whichever comes first) and active until the period end, each less
+// signal.HoldGuard, which covers the rounding of the phase.
+func (w CState) Hold(t float64) (p, until float64) {
 	phase := t - w.Period*math.Floor(t/w.Period)
-	if phase < w.SleepFrac*w.Period {
-		return w.PSleep
+	p, end := w.PActive, w.Period
+	if exit := w.SleepFrac * w.Period; phase < exit {
+		p, end = w.PSleep, min(exit, w.Period)
 	}
-	return w.PActive
+	if !(w.Period > 0) {
+		return p, t // no period to predict an edge from: no hold
+	}
+	return p, signal.HoldUntil(t, end-phase, w.Period)
 }
 
 // Name implements core.Workload.

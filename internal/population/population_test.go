@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"voltnoise/internal/core"
+	"voltnoise/internal/signal"
 )
 
 // testConfig is a small, fast fleet: a heterogeneous mix, aged, with
@@ -254,5 +255,47 @@ func TestRunCancellation(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, testConfig(8)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run returned %v", err)
+	}
+}
+
+// TestCStateHold pins CState's holds around its exit edge and its
+// period wrap: each holds to the next edge less signal.HoldGuard,
+// returns Power bit for bit, and Power agrees at the hold's last
+// instant and flips just past the edge.
+func TestCStateHold(t *testing.T) {
+	w := CState{PSleep: 0.3, PActive: 38, Period: 1e-6, SleepFrac: 0.5}
+	g := signal.HoldGuard
+	for _, c := range []struct {
+		name    string
+		at      float64
+		p, edge float64 // edge: where the value changes next
+	}{
+		{"asleep at the period start", 0, 0.3, 0.5e-6},
+		{"asleep just before the exit", 0.5e-6 - 10*g, 0.3, 0.5e-6},
+		{"active at the exit", 0.5e-6, 38, 1e-6},
+		{"active just before the wrap", 1e-6 - 10*g, 38, 1e-6},
+		{"asleep after the wrap", 1e-6, 0.3, 1.5e-6},
+		{"active many periods on", 100.75e-6, 38, 101e-6},
+		{"asleep before t=0", -0.9e-6, 0.3, -0.5e-6},
+		{"active before t=0", -0.25e-6, 38, 0},
+	} {
+		p, until := w.Hold(c.at)
+		if p != c.p || p != w.Power(c.at) {
+			t.Errorf("%s: Hold(%v) = %v, Power = %v, want %v", c.name, c.at, p, w.Power(c.at), c.p)
+		}
+		if math.Abs(until-(c.edge-g)) > 1e-18 {
+			t.Errorf("%s: hold ends at %v, want %v", c.name, until, c.edge-g)
+		}
+		if last := math.Nextafter(until, math.Inf(-1)); w.Power(last) != p {
+			t.Errorf("%s: Power(%v) = %v at the hold's last instant, held %v", c.name, last, w.Power(last), p)
+		}
+		if w.Power(c.edge+g) == p {
+			t.Errorf("%s: Power(%v) past the edge still %v", c.name, c.edge+g, p)
+		}
+	}
+	// Inside the guard before an edge, the hold is refused, not
+	// stretched across it.
+	if _, until := w.Hold(0.5e-6 - g/2); until != 0.5e-6-g/2 {
+		t.Errorf("hold granted inside the guard, until %v", until)
 	}
 }

@@ -26,6 +26,16 @@ type SquareWave struct {
 
 // Value returns the waveform value at time t.
 func (w SquareWave) Value(t float64) float64 {
+	p, _ := w.Hold(t)
+	return p
+}
+
+// Hold returns the waveform value p at time t and the end of its hold:
+// Value(t') equals p bit for bit at every t' in [t, until). On a
+// plateau the hold ends HoldGuard before the plateau's last instant
+// (the period end for Low); on an edge the value moves with t, so
+// until = t (no hold).
+func (w SquareWave) Hold(t float64) (p, until float64) {
 	if w.Period <= 0 {
 		panic(fmt.Sprintf("signal: square wave with period %g", w.Period))
 	}
@@ -44,18 +54,58 @@ func (w SquareWave) Value(t float64) float64 {
 	if rise > w.Period-highLen {
 		rise = w.Period - highLen
 	}
+	span := math.Abs(w.Phase) + w.Period
 	switch {
 	case rise > 0 && pos < rise:
 		// Rising edge.
-		return w.Low + (w.High-w.Low)*(pos/rise)
+		return w.Low + (w.High-w.Low)*(pos/rise), t
 	case pos < highLen:
-		return w.High
+		return w.High, HoldUntil(t, highLen-pos, span)
 	case rise > 0 && pos < highLen+rise:
 		// Falling edge.
-		return w.High - (w.High-w.Low)*((pos-highLen)/rise)
+		return w.High - (w.High-w.Low)*((pos-highLen)/rise), t
 	default:
-		return w.Low
+		return w.Low, HoldUntil(t, w.Period-pos, span)
 	}
+}
+
+// HoldGuard is how far before a predicted edge a hold ends, in
+// seconds. A waveform that evaluates pos = (t - Phase) mod Period and
+// compares it with fixed thresholds keeps its branch, and so its value,
+// while pos stays below the next threshold e; HoldUntil predicts that
+// instant as t + (e - pos). The prediction is exact but for rounding:
+//   - fastMod is exact, so for t - Phase >= 0, pos is the true
+//     remainder of the computed difference; for negative differences
+//     the pos += Period correction rounds once (under ulp(Period)).
+//   - fl(t - Phase) is monotone in t, so for t' >= t inside the same
+//     period, pos' - pos is the growth of the computed difference,
+//     which differs from t' - t by under ulp(|t| + |Phase|).
+//   - e - pos and t + rem - HoldGuard round once each.
+//
+// Every term is a few ulp of the largest magnitude involved, which
+// HoldUntil keeps under holdSpan (256 s, ulp 5.7e-14 s): together
+// below 1e-12 s. So no t' short of the hold's end reaches the edge, nor
+// wraps into the next period. The guard is in turn far below the
+// 2 ns integration step, so a step rarely falls inside it; when one
+// does, the fill just evaluates the waveform there, exactly.
+const HoldGuard = 1e-12
+
+// holdSpan bounds the magnitudes (|t| plus the waveform's own time
+// offsets and periods) for which HoldUntil grants a hold; beyond it
+// the rounding error of the edge prediction could approach HoldGuard.
+const holdSpan = 256.0
+
+// HoldUntil returns the end of a hold that starts at t and whose value
+// changes no sooner than rem later: t + rem - HoldGuard. rem is the
+// distance to the next edge as computed from operands whose magnitudes
+// sum to span at most (see HoldGuard). It returns t — no hold — when
+// rem does not exceed the guard (NaN included) or when |t| + span
+// reaches holdSpan.
+func HoldUntil(t, rem, span float64) float64 {
+	if !(rem > HoldGuard && math.Abs(t)+span < holdSpan) {
+		return t
+	}
+	return t + (rem - HoldGuard)
 }
 
 // fastMod returns math.Mod(x, p) for p > 0 at a fraction of the cost,

@@ -155,18 +155,39 @@ type didtWorkload struct {
 func (w *didtWorkload) Name() string { return w.name }
 
 func (w *didtWorkload) Power(t float64) float64 {
+	p, _ := w.Hold(t)
+	return p
+}
+
+// Hold implements the optional Hold of core.Workload. Unsynchronized,
+// it is the square wave's. Synchronized, the burst index
+// floor((t-offset)/period) and, for a fixed index, the burst-relative
+// time dt are monotone in t, so:
+//   - inside a burst the value holds while dt stays short of both the
+//     wave's own hold end and the burst end (which Validate keeps
+//     inside the sync period, so the index cannot move either);
+//   - in the spin wait it holds until the next burst starts.
+//
+// Each hold ends signal.HoldGuard before that bound, which covers the
+// rounding between t and dt (see HoldGuard).
+func (w *didtWorkload) Hold(t float64) (p, until float64) {
 	if w.sync == nil {
-		return w.wave.Value(t)
+		return w.wave.Hold(t)
 	}
 	period, offset := w.syncPeriod, w.syncOffset
 	burstStart := math.Floor((t-offset)/period)*period + offset
 	dt := t - burstStart
+	span := math.Abs(offset) + period
 	if dt >= 0 && dt < w.burstLen {
 		// Inside the burst: the dI/dt loop runs phase-locked to the
 		// burst start.
-		return w.wave.Value(dt)
+		p, u := w.wave.Hold(dt)
+		return p, signal.HoldUntil(t, min(u, w.burstLen)-dt, span)
 	}
-	return w.spin
+	if dt < 0 {
+		return w.spin, t // burstStart rounded past t: no hold
+	}
+	return w.spin, signal.HoldUntil(t, period-dt, span)
 }
 
 // UnsyncPhases are the deterministic per-core phase fractions used to
