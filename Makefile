@@ -46,12 +46,23 @@ build:
 
 # vet also fails when any Go file in the tree is not gofmt-clean, and
 # it vets (arm64) and builds (386) the tree for architectures without
-# the AVX2 kernels, so the pure-Go kernel paths keep compiling.
+# the AVX2 kernels, so the pure-Go kernel paths keep compiling. Last,
+# it keeps the width-1 shims (pdn.NewTransientAt, core.NewSession,
+# SessionPool.Get) for the benchmark's per-layer replays alone: no
+# non-test Go file outside bench/ but the two that define them may
+# call them.
+SHIM_CALLS = grep -rlF --include='*.go' --exclude='*_test.go' \
+	--exclude-dir=bench --exclude-dir=.bench_build \
+	-e 'NewTransientAt(' -e 'NewSession(' -e 'Sessions().Get(' . | \
+	grep -vx -e ./internal/pdn/transient.go -e ./internal/core/session.go
+
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
 	test -z "$$(gofmt -l .)"
+	@shims="$$($(SHIM_CALLS))"; test -z "$$shims" || \
+		{ echo "width-1 shims called outside bench/ in:" $$shims; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -41,7 +41,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	prof, err := voltnoise.EPIProfile(ctx, voltnoise.EPIWorkers(*workers))
+	cfg := voltnoise.DefaultEPIConfig()
+	cfg.Workers = *workers
+	prof, err := voltnoise.EPIProfile(ctx, cfg)
 	if err != nil {
 		return err
 	}

@@ -201,11 +201,12 @@ func idList(exps []experiment) string {
 }
 
 func runTable1(e *env) error {
-	opts := []voltnoise.EPIOption{voltnoise.EPIWorkers(e.workers)}
+	cfg := voltnoise.DefaultEPIConfig()
+	cfg.Workers = e.workers
 	if e.quick {
-		opts = append(opts, voltnoise.EPIMeasureCycles(1024))
+		cfg.MeasureCycles = 1024
 	}
-	prof, err := voltnoise.EPIProfile(e.ctx, opts...)
+	prof, err := voltnoise.EPIProfile(e.ctx, cfg)
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,9 @@
 //
 // `submit -` reads the request from stdin; an argument starting with
 // "{" is parsed as inline JSON. Identical configurations are served
-// from the cache (byte-identical to a fresh computation); a full job
+// from the cache (byte-identical to a fresh computation; -cache caps
+// its in-memory entries, and 0 or a negative value disables it); a
+// full job
 // queue answers 429 — submit again after the Retry-After interval.
 //
 // `watch` streams a job's event feed (GET /v1/jobs/{id}/events) live:
@@ -103,30 +105,20 @@ func runServe(args []string, out io.Writer) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	queue := fs.Int("queue", 64, "job queue depth (excess submissions get 429)")
 	pool := fs.Int("pool", 2, "concurrent study workers")
-	cache := fs.Int("cache", 256, "LRU result-cache entries (negative disables)")
+	cache := fs.Int("cache", 256, "LRU result-cache entries (0 or negative disables)")
 	dataDir := fs.String("data-dir", "", "persistence root: results in <dir>/results, journal at <dir>/journal.wal (empty = in-memory only)")
 	journalPath := fs.String("journal", "", "write-ahead job journal path (default <data-dir>/journal.wal when -data-dir is set)")
 	pprofAddr := fs.String("pprof", "", "profiling listen address for /debug/pprof (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := service.Config{
-		QueueDepth:   *queue,
-		PoolSize:     *pool,
-		CacheEntries: *cache,
+	results, err := resultStore(*cache, *dataDir, out)
+	if err != nil {
+		return err
 	}
-	if *dataDir != "" {
-		disk, err := store.NewDisk(filepath.Join(*dataDir, "results"))
-		if err != nil {
-			return fmt.Errorf("result store: %w", err)
-		}
-		// Memory LRU in front for hot lookups, disk behind for
-		// durability; the LRU cap keeps its meaning from -cache.
-		cfg.Store = store.NewTiered(store.NewMemory(*cache), disk)
-		fmt.Fprintf(out, "voltnoised results in %s (%d on disk)\n", disk.Dir(), disk.Len())
-		if *journalPath == "" {
-			*journalPath = filepath.Join(*dataDir, "journal.wal")
-		}
+	cfg := service.Config{QueueDepth: *queue, PoolSize: *pool, Store: results}
+	if *dataDir != "" && *journalPath == "" {
+		*journalPath = filepath.Join(*dataDir, "journal.wal")
 	}
 	if *journalPath != "" {
 		jnl, err := journal.Open(*journalPath)
@@ -169,6 +161,23 @@ func runServe(args []string, out io.Writer) error {
 		return fmt.Errorf("draining job queue: %w", err)
 	}
 	return httpSrv.Shutdown(drainCtx)
+}
+
+// resultStore builds the service's result store from the -cache and
+// -data-dir flags: an in-memory LRU of cache results (cache < 1 keeps
+// none), with the disk store under dataDir behind it when dataDir is
+// set.
+func resultStore(cache int, dataDir string, out io.Writer) (store.Store, error) {
+	mem := store.NewMemory(cache)
+	if dataDir == "" {
+		return mem, nil
+	}
+	disk, err := store.NewDisk(filepath.Join(dataDir, "results"))
+	if err != nil {
+		return nil, fmt.Errorf("result store: %w", err)
+	}
+	fmt.Fprintf(out, "voltnoised results in %s (%d on disk)\n", disk.Dir(), disk.Len())
+	return store.NewTiered(mem, disk), nil
 }
 
 // pprofMux serves the net/http/pprof endpoints on a dedicated mux —

@@ -230,3 +230,32 @@ func TestReadRequestRejectsUnknownFields(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestResultStoreCacheFlag pins what -cache means: N >= 1 keeps N
+// results in memory, 0 and negative values keep none, and with
+// -data-dir the disk store behind the LRU still serves a result.
+func TestResultStoreCacheFlag(t *testing.T) {
+	for _, tc := range []struct {
+		cache   int
+		dataDir string
+		hit     bool
+	}{
+		{256, "", true},
+		{1, "", true},
+		{0, "", false},
+		{-1, "", false},
+		{0, t.TempDir(), true},
+	} {
+		st, err := resultStore(tc.cache, tc.dataDir, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash := strings.Repeat("ab", 32)
+		if err := st.Put(hash, []byte("result")); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := st.Get(hash); err != nil || ok != tc.hit {
+			t.Errorf("-cache %d -data-dir %q: Get hit=%v err=%v, want hit=%v", tc.cache, tc.dataDir, ok, err, tc.hit)
+		}
+	}
+}

@@ -6,8 +6,10 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Correlation returns the Pearson correlation coefficient of x and y.
@@ -108,7 +110,7 @@ func Cluster(sim [][]float64, k int) [][]int {
 			}
 		}
 		merged := append(append([]int{}, clusters[bi]...), clusters[bj]...)
-		sortInts(merged)
+		slices.Sort(merged)
 		next := make([][]int, 0, len(clusters)-1)
 		for idx, c := range clusters {
 			if idx != bi && idx != bj {
@@ -118,20 +120,8 @@ func Cluster(sim [][]float64, k int) [][]int {
 		clusters = append(next, merged)
 	}
 	// Order clusters by smallest member for deterministic output.
-	for i := 1; i < len(clusters); i++ {
-		for j := i; j > 0 && clusters[j][0] < clusters[j-1][0]; j-- {
-			clusters[j], clusters[j-1] = clusters[j-1], clusters[j]
-		}
-	}
+	slices.SortFunc(clusters, func(a, b []int) int { return cmp.Compare(a[0], b[0]) })
 	return clusters
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // Combinations invokes fn with every k-subset of {0..n-1}, in

@@ -331,12 +331,6 @@ func (s *BatchSession) rebuildMacros(c *laneState) error {
 	return nil
 }
 
-// RunBatch executes one measurement window on every lane. See
-// RunBatchContext.
-func (s *BatchSession) RunBatch(specs []RunSpec) ([]*Measurement, error) {
-	return s.RunBatchContext(context.Background(), specs)
-}
-
 // ctxCheckSteps is how many integration steps pass between
 // cancellation checks (~8 us of simulated time at the default Dt).
 const ctxCheckSteps = 4096
@@ -397,6 +391,7 @@ func (s *BatchSession) run(ctx context.Context, specs []RunSpec, out []*Measurem
 		}
 	}
 	s.refreshAliases()
+	defer s.release()
 	if err := s.bt.Reset(start - warmup); err != nil {
 		return err
 	}
@@ -458,16 +453,25 @@ func (s *BatchSession) run(ctx context.Context, specs []RunSpec, out []*Measurem
 		}
 		m.NominalPos = c.macros[0].Config().NominalPosition()
 		m.ChipPowerMilliwatts = int64(math.Round(c.energy / m.Duration * 1000))
-		out[l], c.meas = m, nil
-		// Drop workload references so pooled sessions don't pin them.
+		out[l] = m
+	}
+	return nil
+}
+
+// release drops a run's workload and measurement references on every
+// exit path, so a pooled session pins neither after a finished,
+// canceled or failed run. The holds referenced the workloads too;
+// every slot is idle afterwards, so each alias scan stops at the first
+// slot.
+func (s *BatchSession) release() {
+	for l := range s.lanes {
+		c := &s.lanes[l]
+		c.meas = nil
 		for i := range c.wl {
 			c.wl[i] = s.idle
 		}
 	}
-	// The holds referenced the workloads too. Every slot is idle now,
-	// so each alias scan stops at the first slot.
 	s.refreshAliases()
-	return nil
 }
 
 // observe feeds every lane still inside its window the core potentials

@@ -23,46 +23,12 @@ func laneWorkload(lane int) Workload {
 	}}
 }
 
-// TestBatchSessionMatchesSessions is the batch engine's core contract:
-// every lane of a heterogeneous batch (different workloads per lane,
-// one lane recording traces) is bit-identical to running that lane's
-// spec alone on a single-lane Session.
-func TestBatchSessionMatchesSessions(t *testing.T) {
-	const lanes = 3
-	cfg := DefaultConfig()
-	bs, err := NewBatchSession(cfg, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := make([]RunSpec, lanes)
-	for l := range specs {
-		var wl [NumCores]Workload
-		for i := 0; i <= l; i++ {
-			wl[i] = laneWorkload(l)
-		}
-		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: 20e-6, Record: l == 1}
-	}
-	got, err := bs.RunBatch(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := range specs {
-		s, err := NewSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := s.Run(specs[l])
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalMeasurements(t, map[int]string{0: "lane0", 1: "lane1", 2: "lane2"}[l], got[l], want)
-	}
-}
-
-// TestBatchSessionRaggedDurations packs lanes with different Durations
-// (shared Start and Warmup) into one batch: the engine steps to the
-// longest lane's end while shorter lanes stop observing at their own,
-// and every lane must stay bit-identical to a lane-per-run Session.
+// TestBatchSessionRaggedDurations is the batch engine's core contract:
+// every lane of a heterogeneous batch (different workloads and
+// Durations per lane, shared Start and Warmup, two lanes recording
+// traces) is bit-identical to running that lane's spec alone at width
+// 1. The engine steps to the longest lane's end while shorter lanes
+// stop observing at their own.
 func TestBatchSessionRaggedDurations(t *testing.T) {
 	const lanes = 3
 	cfg := DefaultConfig()
@@ -77,28 +43,20 @@ func TestBatchSessionRaggedDurations(t *testing.T) {
 		for i := 0; i <= l; i++ {
 			wl[i] = laneWorkload(l)
 		}
-		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: durs[l], Record: l == 2}
+		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: durs[l], Record: l >= 1}
 	}
-	got, err := bs.RunBatch(specs)
+	got, err := bs.RunBatchContext(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l := range specs {
-		s, err := NewSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := s.Run(specs[l])
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalMeasurements(t, "ragged lane", got[l], want)
+		identicalMeasurements(t, fmt.Sprintf("lane %d", l), got[l], runAlone(t, cfg, 1.0, cfg.CoreGain, specs[l]))
 	}
 }
 
 // TestBatchSessionLaneBiases packs three supply biases into one batch
-// (the vmin walk pattern) and checks each lane matches a single
-// Session retuned to that bias.
+// (the vmin walk pattern) and checks each lane matches a width-1
+// session retuned to that bias.
 func TestBatchSessionLaneBiases(t *testing.T) {
 	cfg := DefaultConfig()
 	biases := []float64{1.0, 0.95, 0.9}
@@ -117,29 +75,18 @@ func TestBatchSessionLaneBiases(t *testing.T) {
 		}
 		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: 15e-6}
 	}
-	got, err := bs.RunBatch(specs)
+	got, err := bs.RunBatchContext(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l, b := range biases {
-		s, err := NewSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetVoltageBias(b); err != nil {
-			t.Fatal(err)
-		}
-		want, err := s.Run(specs[l])
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalMeasurements(t, "bias lane", got[l], want)
+		identicalMeasurements(t, "bias lane", got[l], runAlone(t, cfg, b, cfg.CoreGain, specs[l]))
 	}
 }
 
 // TestBatchSessionLaneGains packs per-lane sensor-gain overrides (the
 // population engine's aging/core-class mechanism) into one batch and
-// checks each lane is bit-identical to a single Session carrying the
+// checks each lane is bit-identical to a width-1 session carrying the
 // same gains: the override lives in the macros only, so lanes sharing
 // one factored circuit still read chip-specific sensitivities.
 func TestBatchSessionLaneGains(t *testing.T) {
@@ -164,23 +111,12 @@ func TestBatchSessionLaneGains(t *testing.T) {
 		wl[0], wl[3] = oscWorkload(), oscWorkload()
 		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: 12e-6}
 	}
-	got, err := bs.RunBatch(specs)
+	got, err := bs.RunBatchContext(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l := range specs {
-		s, err := NewSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetCoreGains(gainSets[l]); err != nil {
-			t.Fatal(err)
-		}
-		want, err := s.Run(specs[l])
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalMeasurements(t, "gain lane", got[l], want)
+		identicalMeasurements(t, "gain lane", got[l], runAlone(t, cfg, 1.0, gainSets[l], specs[l]))
 	}
 	// Validation: bad lane index and non-positive gains are rejected,
 	// and a rejected set leaves the lane's gains untouched.
@@ -210,10 +146,10 @@ func (w countingWorkload) Name() string          { return "counting" }
 
 // TestBatchSessionCrossLaneDedup covers the cross-lane alias map: lanes
 // sharing comparable workload values — at equal and at different biases
-// — must stay bit-identical to lane-per-run Sessions, whether the alias
-// source sits in the same lane, an earlier lane at the same supply
-// (current reused verbatim), or an earlier lane at a different supply
-// (power copied, division redone).
+// — must stay bit-identical to lane-per-run width-1 sessions, whether
+// the alias source sits in the same lane, an earlier lane at the same
+// supply (current reused verbatim), or an earlier lane at a different
+// supply (power copied, division redone).
 func TestBatchSessionCrossLaneDedup(t *testing.T) {
 	cfg := DefaultConfig()
 	shared := Steady("stress", 37.5)
@@ -246,23 +182,12 @@ func TestBatchSessionCrossLaneDedup(t *testing.T) {
 		}
 		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: 12e-6}
 	}
-	got, err := bs.RunBatch(specs)
+	got, err := bs.RunBatchContext(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l, b := range biases {
-		s, err := NewSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetVoltageBias(b); err != nil {
-			t.Fatal(err)
-		}
-		want, err := s.Run(specs[l])
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalMeasurements(t, "dedup lane", got[l], want)
+		identicalMeasurements(t, "dedup lane", got[l], runAlone(t, cfg, b, cfg.CoreGain, specs[l]))
 	}
 }
 
@@ -287,7 +212,7 @@ func TestBatchSessionDedupEvaluatesOnce(t *testing.T) {
 	for l := range specs {
 		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: 10e-6, Warmup: 5e-6}
 	}
-	if _, err := bs.RunBatch(specs); err != nil {
+	if _, err := bs.RunBatchContext(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	steps := int(math.Round(15e-6/cfg.Dt)) + 2 // warmup + window + DC init
@@ -321,49 +246,37 @@ func TestAutoBatchWidth(t *testing.T) {
 }
 
 // TestSessionPoolGainReset: a pooled session returned with overridden
-// gains comes back from Get/GetBatch restored to the configuration's
-// gains, so a borrower never inherits another chip's sensitivities.
+// gains on its last lane comes back from GetBatch restored to the
+// configuration's gains, so a borrower never inherits another chip's
+// sensitivities.
 func TestSessionPoolGainReset(t *testing.T) {
 	cfg := DefaultConfig()
 	pool := NewSessionPool(cfg)
-	s, err := pool.Get(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	aged := cfg.CoreGain
 	for i := range aged {
 		aged[i] *= 1.07
 	}
-	if err := s.SetCoreGains(aged); err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(s)
-	s2, err := pool.Get(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.CoreGains() != cfg.CoreGain {
-		t.Errorf("pooled session gains %v, want config gains %v", s2.CoreGains(), cfg.CoreGain)
-	}
-	bs, err := pool.GetBatch(1.0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bs.SetLaneGains(1, aged); err != nil {
-		t.Fatal(err)
-	}
-	pool.PutBatch(bs)
-	bs2, err := pool.GetBatch(1.0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs2.LaneGains(1) != cfg.CoreGain {
-		t.Errorf("pooled batch lane gains %v, want config gains %v", bs2.LaneGains(1), cfg.CoreGain)
+	for _, lanes := range []int{1, 2} {
+		bs, err := pool.GetBatch(1.0, lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bs.SetLaneGains(lanes-1, aged); err != nil {
+			t.Fatal(err)
+		}
+		pool.PutBatch(bs)
+		bs2, err := pool.GetBatch(1.0, lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs2.LaneGains(lanes-1) != cfg.CoreGain {
+			t.Errorf("width %d: pooled lane gains %v, want config gains %v", lanes, bs2.LaneGains(lanes-1), cfg.CoreGain)
+		}
 	}
 }
 
 // TestBatchSessionReuse runs two back-to-back heterogeneous batches on
-// one session; the second must match fresh single-lane sessions, the
+// one session; the second must match fresh width-1 sessions, the
 // reuse guarantee lifted to the batch engine.
 func TestBatchSessionReuse(t *testing.T) {
 	cfg := DefaultConfig()
@@ -380,23 +293,15 @@ func TestBatchSessionReuse(t *testing.T) {
 			{Workloads: wl1, Start: 0, Duration: d},
 		}
 	}
-	if _, err := bs.RunBatch(mk(10e-6)); err != nil {
+	if _, err := bs.RunBatchContext(context.Background(), mk(10e-6)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := bs.RunBatch(mk(14e-6))
+	got, err := bs.RunBatchContext(context.Background(), mk(14e-6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l, spec := range mk(14e-6) {
-		s, err := NewSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := s.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalMeasurements(t, "reused lane", got[l], want)
+		identicalMeasurements(t, "reused lane", got[l], runAlone(t, cfg, 1.0, cfg.CoreGain, spec))
 	}
 }
 
@@ -411,22 +316,22 @@ func TestBatchSessionValidation(t *testing.T) {
 	if _, err := NewBatchSession(cfg, 0); err == nil {
 		t.Error("zero lanes accepted")
 	}
-	if _, err := bs.RunBatch(make([]RunSpec, 3)); err == nil {
+	if _, err := bs.RunBatchContext(context.Background(), make([]RunSpec, 3)); err == nil {
 		t.Error("spec count mismatch accepted")
 	}
 	specs := []RunSpec{
 		{Duration: 10e-6},
 		{Duration: 12e-6, Start: 1e-6},
 	}
-	if _, err := bs.RunBatch(specs); err == nil {
+	if _, err := bs.RunBatchContext(context.Background(), specs); err == nil {
 		t.Error("mismatched lane starts accepted")
 	}
 	specs[1] = RunSpec{Duration: 12e-6, Warmup: 5e-6}
-	if _, err := bs.RunBatch(specs); err == nil {
+	if _, err := bs.RunBatchContext(context.Background(), specs); err == nil {
 		t.Error("mismatched lane warmups accepted")
 	}
 	specs[1] = RunSpec{Duration: -1}
-	if _, err := bs.RunBatch(specs); err == nil {
+	if _, err := bs.RunBatchContext(context.Background(), specs); err == nil {
 		t.Error("non-positive lane duration accepted")
 	}
 	if err := bs.SetLaneBias(5, 1.0); err == nil {
@@ -469,7 +374,7 @@ func TestSessionPoolBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := bs.RunBatch(specs)
+	cold, err := bs.RunBatchContext(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +386,7 @@ func TestSessionPoolBatch(t *testing.T) {
 	if again != bs {
 		t.Error("pool did not recycle the width-2 batch session")
 	}
-	warm, err := again.RunBatch(specs)
+	warm, err := again.RunBatchContext(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,12 +445,12 @@ func TestBatchSessionSteadyStateAllocs(t *testing.T) {
 			}
 			specs := batchRunSpecs(lanes, loads)
 			allocs := testing.AllocsPerRun(3, func() {
-				if _, err := bs.RunBatch(specs); err != nil {
+				if _, err := bs.RunBatchContext(context.Background(), specs); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if want := float64(lanes + 1); allocs > want {
-				t.Errorf("lanes=%d %s: RunBatch allocates %v objects per run, want <= %v", lanes, loads, allocs, want)
+				t.Errorf("lanes=%d %s: RunBatchContext allocates %v objects per run, want <= %v", lanes, loads, allocs, want)
 			}
 		}
 	}
@@ -573,7 +478,7 @@ func BenchmarkBatchSessionRun(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := bs.RunBatch(specs); err != nil {
+					if _, err := bs.RunBatchContext(context.Background(), specs); err != nil {
 						b.Fatal(err)
 					}
 				}

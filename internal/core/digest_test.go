@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -114,8 +115,8 @@ func hashMeasurement(h hash.Hash, m *core.Measurement) {
 }
 
 // TestSessionDigestPinned runs the pinned sequence one run at a time
-// on a width-1 batch session and on a Session, then all eight runs as
-// the lanes of one width-8 batch, and checks each against the digest.
+// on a width-1 batch session, then all eight runs as the lanes of one
+// width-8 batch, and checks each against the digest.
 func TestSessionDigestPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests are pinned on amd64, not %s", runtime.GOARCH)
@@ -135,7 +136,7 @@ func TestSessionDigestPinned(t *testing.T) {
 		if err := one.SetLaneGains(0, r.gains(cfg)); err != nil {
 			t.Fatal(err)
 		}
-		ms, err := one.RunBatch(specs[i : i+1])
+		ms, err := one.RunBatchContext(context.Background(), specs[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,28 +144,6 @@ func TestSessionDigestPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedMeasurementDigest {
 		t.Errorf("width 1: digest %s, want %s", got, pinnedMeasurementDigest)
-	}
-
-	s, err := core.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Reset()
-	for i, r := range digestRuns {
-		if err := s.SetVoltageBias(r.bias); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetCoreGains(r.gains(cfg)); err != nil {
-			t.Fatal(err)
-		}
-		m, err := s.Run(specs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		hashMeasurement(h, m)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedMeasurementDigest {
-		t.Errorf("Session: digest %s, want %s", got, pinnedMeasurementDigest)
 	}
 
 	eight, err := core.NewBatchSession(cfg, len(digestRuns))
@@ -179,7 +158,7 @@ func TestSessionDigestPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ms, err := eight.RunBatch(specs)
+	ms, err := eight.RunBatchContext(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -139,11 +140,11 @@ func TestHeldFillMatchesPowerFill(t *testing.T) {
 		}
 		compare := func(label string, specs []RunSpec) {
 			t.Helper()
-			got, err := held.RunBatch(specs)
+			got, err := held.RunBatchContext(context.Background(), specs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := plain.RunBatch(hideHolds(specs))
+			want, err := plain.RunBatchContext(context.Background(), hideHolds(specs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +205,7 @@ func TestHeldFillSkipsHeldSteps(t *testing.T) {
 	for l := range specs {
 		specs[l] = RunSpec{Workloads: wl, Duration: 10e-6, Warmup: 5e-6}
 	}
-	if _, err := bs.RunBatch(specs); err != nil {
+	if _, err := bs.RunBatchContext(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
@@ -217,13 +218,7 @@ func TestHeldFillSkipsHeldSteps(t *testing.T) {
 	// 7,500 steps.
 	count = 0
 	cw := countingWave{squareWorkload(0.5e-6, 0).(waveWorkload), &count}
-	s, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(RunSpec{Workloads: [NumCores]Workload{cw}, Duration: 10e-6, Warmup: 5e-6}); err != nil {
-		t.Fatal(err)
-	}
+	runAlone(t, cfg, 1.0, cfg.CoreGain, RunSpec{Workloads: [NumCores]Workload{cw}, Duration: 10e-6, Warmup: 5e-6})
 	if periods := 30; count < 2*periods || count > 8*periods+2 {
 		t.Errorf("a 2 MHz wave was evaluated %d times over %d periods, want 2 to 8 a period", count, periods)
 	}

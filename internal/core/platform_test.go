@@ -263,4 +263,14 @@ func TestRunPropagatesIntegrationFailure(t *testing.T) {
 	if _, err := p.Run(RunSpec{Workloads: wl, Duration: 20e-6}); err == nil {
 		t.Fatal("NaN workload did not fail the run")
 	}
+	// The failed run's pooled session keeps neither its workloads nor
+	// its half-built measurement.
+	s, err := p.Sessions().GetBatch(1.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &s.lanes[0]
+	if c.meas != nil || c.wl[0] != s.idle {
+		t.Errorf("failed run left measurement %v and slot 0 %q in the pooled session", c.meas, c.wl[0].Name())
+	}
 }

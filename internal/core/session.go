@@ -7,11 +7,9 @@ import (
 	"voltnoise/internal/pdn"
 )
 
-// Session is the width-1 view of BatchSession: one measurement at a
-// time, for callers that run a single spec per call. It holds no engine
-// state of its own.
-//
-// A Session is NOT safe for concurrent use.
+// Session is a width-1 BatchSession behind the single-spec call. It is
+// kept only for the per-layer replays of bench/layers.go; library code
+// runs specs on a BatchSession.
 type Session struct {
 	bs *BatchSession
 }
@@ -25,31 +23,8 @@ func NewSession(cfg Config) (*Session, error) {
 	return &Session{bs: bs}, nil
 }
 
-// Config returns the session's platform configuration.
-func (s *Session) Config() Config { return s.bs.cfg }
-
-// VoltageBias returns the current (quantized) bias.
-func (s *Session) VoltageBias() float64 { return s.bs.LaneBias(0) }
-
-// SetVoltageBias retunes the supply setpoint (see
-// BatchSession.SetLaneBias).
-func (s *Session) SetVoltageBias(bias float64) error { return s.bs.SetVoltageBias(bias) }
-
-// CoreGains returns the effective per-core skitter gain multipliers.
-func (s *Session) CoreGains() [NumCores]float64 { return s.bs.LaneGains(0) }
-
-// SetCoreGains overrides the per-core skitter gain multipliers (see
-// BatchSession.SetLaneGains).
-func (s *Session) SetCoreGains(gains [NumCores]float64) error { return s.bs.SetLaneGains(0, gains) }
-
-// Run executes one measurement window on the session.
-func (s *Session) Run(spec RunSpec) (*Measurement, error) {
-	return s.RunContext(context.Background(), spec)
-}
-
-// RunContext is Run with cancellation: a canceled context interrupts
-// the integration mid-window and returns ctx.Err(). The session
-// remains reusable afterwards.
+// RunContext executes one measurement window on the session (see
+// BatchSession.RunBatchContext).
 func (s *Session) RunContext(ctx context.Context, spec RunSpec) (*Measurement, error) {
 	var out [1]*Measurement
 	if err := s.bs.run(ctx, []RunSpec{spec}, out[:]); err != nil {
@@ -76,7 +51,8 @@ func NewSessionPool(cfg Config) *SessionPool {
 }
 
 // Get returns a width-1 session at the given bias, reusing a pooled
-// one when available.
+// one when available. Its only caller is bench/layers.go; library code
+// calls GetBatch.
 func (sp *SessionPool) Get(bias float64) (*Session, error) {
 	bs, err := sp.GetBatch(bias, 1)
 	if err != nil {
@@ -85,8 +61,8 @@ func (sp *SessionPool) Get(bias float64) (*Session, error) {
 	return &Session{bs: bs}, nil
 }
 
-// Put returns a session to the pool. The session must not be used
-// after Put.
+// Put returns a session from Get to the pool. The session must not be
+// used after Put. Its only caller is bench/layers.go.
 func (sp *SessionPool) Put(s *Session) {
 	if s != nil {
 		sp.PutBatch(s.bs)
@@ -125,8 +101,9 @@ func (sp *SessionPool) GetBatch(bias float64, lanes int) (*BatchSession, error) 
 	return s, nil
 }
 
-// AutoBatchWidth returns the lane width studies use when their batch
-// knob asks for auto: pdn.AutoBatchLanes, the same for every pool.
+// AutoBatchWidth returns pdn.AutoBatchLanes, the lane width studies
+// use when their batch knob asks for auto. Its only callers are in
+// bench/; library code calls pdn.AutoBatchLanes.
 func (sp *SessionPool) AutoBatchWidth() int { return pdn.AutoBatchLanes() }
 
 // PutBatch returns a batch session to the pool. The session must not

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"voltnoise/internal/pdn"
 )
 
 // oscWorkload is a 2MHz square wave: the noisiest simple stimulus, so
@@ -53,12 +55,12 @@ func identicalMeasurements(t *testing.T, label string, got, want *Measurement) {
 }
 
 // TestSessionReuseBitIdentical is the core session-reuse determinism
-// guarantee: a sequence of heterogeneous runs on ONE session (changing
+// guarantee: a sequence of heterogeneous runs on ONE width-1 session (changing
 // workloads, windows and bias along the way) must be bit-identical to
 // running each spec on a fresh platform.
 func TestSessionReuseBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
-	s, err := NewSession(cfg)
+	s, err := NewBatchSession(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +86,7 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 		if err := s.SetVoltageBias(tc.bias); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Run(tc.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := runOne(t, s, tc.spec)
 		fresh, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -114,15 +113,12 @@ func TestSessionPoolReuseMatchesFresh(t *testing.T) {
 	}
 	spec := RunSpec{Workloads: wl, Duration: 10e-6}
 	for _, bias := range []float64{1.0, 0.95, 1.0} {
-		s, err := pool.Get(bias)
+		s, err := pool.GetBatch(bias, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool.Put(s)
+		got := runOne(t, s, spec)
+		pool.PutBatch(s)
 		fresh, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +135,7 @@ func TestSessionPoolReuseMatchesFresh(t *testing.T) {
 }
 
 func TestSessionBiasQuantizationMatchesPlatform(t *testing.T) {
-	s, err := NewSession(DefaultConfig())
+	s, err := NewBatchSession(DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +147,8 @@ func TestSessionBiasQuantizationMatchesPlatform(t *testing.T) {
 		if err := p.SetVoltageBias(b); err != nil {
 			t.Fatal(err)
 		}
-		if s.VoltageBias() != p.VoltageBias() {
-			t.Errorf("bias %g: session %g != platform %g", b, s.VoltageBias(), p.VoltageBias())
+		if s.LaneBias(0) != p.VoltageBias() {
+			t.Errorf("bias %g: session %g != platform %g", b, s.LaneBias(0), p.VoltageBias())
 		}
 	}
 	for _, b := range []float64{0.5, 1.2} {
@@ -163,43 +159,41 @@ func TestSessionBiasQuantizationMatchesPlatform(t *testing.T) {
 }
 
 func TestSessionRunValidation(t *testing.T) {
-	s, err := NewSession(DefaultConfig())
+	s, err := NewBatchSession(DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(RunSpec{Duration: 0}); err == nil {
+	ctx := context.Background()
+	if _, err := s.RunBatchContext(ctx, []RunSpec{{Duration: 0}}); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := s.Run(RunSpec{Duration: 1e-6, Warmup: -1}); err == nil {
+	if _, err := s.RunBatchContext(ctx, []RunSpec{{Duration: 1e-6, Warmup: -1}}); err == nil {
 		t.Error("negative warmup accepted")
 	}
 }
 
 func TestSessionRunContextCancel(t *testing.T) {
-	s, err := NewSession(DefaultConfig())
+	s, err := NewBatchSession(DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.RunContext(ctx, RunSpec{Duration: 100e-6}); err != context.Canceled {
+	if _, err := s.RunBatchContext(ctx, []RunSpec{{Duration: 100e-6}}); err != context.Canceled {
 		t.Fatalf("canceled run returned %v, want context.Canceled", err)
 	}
 	// The session must remain usable after a canceled run.
-	m, err := s.Run(RunSpec{Duration: 5e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ChipPowerMilliwatts <= 0 {
+	if m := runOne(t, s, RunSpec{Duration: 5e-6}); m.ChipPowerMilliwatts <= 0 {
 		t.Error("no chip power after recovery run")
 	}
 }
 
 // TestSessionSteadyStateAllocs bounds the per-run allocations of a
-// reused session: the hot path (warmup + measurement stepping) must
-// not allocate at all, leaving only the Measurement result object.
+// reused width-1 session: the hot path (warmup + measurement stepping)
+// must not allocate at all, leaving only the Measurement result object
+// and the returned slice.
 func TestSessionSteadyStateAllocs(t *testing.T) {
-	s, err := NewSession(DefaultConfig())
+	s, err := NewBatchSession(DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +201,12 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	for i := range wl {
 		wl[i] = Steady("steady", 30)
 	}
-	spec := RunSpec{Workloads: wl, Warmup: 1e-6, Duration: 2e-6}
-	if _, err := s.Run(spec); err != nil { // prime
+	specs := []RunSpec{{Workloads: wl, Warmup: 1e-6, Duration: 2e-6}}
+	if _, err := s.RunBatchContext(context.Background(), specs); err != nil { // prime
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := s.Run(spec); err != nil {
+		if _, err := s.RunBatchContext(context.Background(), specs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -220,5 +214,72 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 	// integration itself must be allocation-free.
 	if allocs > 4 {
 		t.Errorf("steady-state Run allocates %v objects per run, want <= 4", allocs)
+	}
+}
+
+// TestBenchShimsMatchBatch pins the width-1 entry points kept for the
+// per-layer replays of the benchmark — pdn.NewTransientAt,
+// NewSession(cfg).RunContext and SessionPool.Get/Put — bit-identical
+// to the batch calls they stand for.
+func TestBenchShimsMatchBatch(t *testing.T) {
+	cfg := DefaultConfig()
+	var wl [NumCores]Workload
+	for i := range wl {
+		wl[i] = oscWorkload()
+	}
+	spec := RunSpec{Workloads: wl, Duration: 10e-6, Record: true}
+	want := runAlone(t, cfg, 1.0, cfg.CoreGain, spec)
+
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.RunContext(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalMeasurements(t, "NewSession", got, want)
+
+	pool := NewSessionPool(cfg)
+	ps, err := pool.Get(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = ps.RunContext(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(ps)
+	identicalMeasurements(t, "SessionPool.Get", got, want)
+	if bs, err := pool.GetBatch(1.0, 1); err != nil {
+		t.Fatal(err)
+	} else if bs != ps.bs {
+		t.Error("Put did not return the width-1 session to the pool")
+	}
+
+	mk := func() (*pdn.Circuit, pdn.NodeID) {
+		c, nodes := pdn.ZEC12(cfg.PDN)
+		c.AddLoad("core0", nodes.Core[0], oscWorkload().Power)
+		return c, nodes.Core[0]
+	}
+	c1, n1 := mk()
+	shim, err := pdn.NewTransientAt(c1, cfg.Dt, -1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, n2 := mk()
+	ref, err := pdn.NewBatchTransientAt(c2, cfg.Dt, -1e-6, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := shim.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := shim.Voltage(0, n1), ref.Voltage(0, n2); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pdn.NewTransientAt step %d: %v != %v", i, got, want)
+		}
 	}
 }

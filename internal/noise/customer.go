@@ -40,7 +40,7 @@ func (l *Lab) CustomerCodeMargin(ctx context.Context, freq float64, vcfg vmin.Co
 	if err != nil {
 		return nil, err
 	}
-	vcfg.Windows = []vmin.Window{{Start: j.start, Duration: j.dur}}
+	vcfg.Window = vmin.Window{Start: j.start, Duration: j.dur}
 	return vmin.Run(ctx, l.Platform, j.wl, vcfg)
 }
 

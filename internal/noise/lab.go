@@ -84,7 +84,8 @@ func WithSearch(scfg stressmark.SearchConfig) Option {
 }
 
 // WithWorkers caps the concurrent measurement workers of the parallel
-// studies (see Lab.Workers).
+// studies (see Lab.Workers). The benchmark under bench/ builds its labs
+// with it and WithBatch; other callers set the fields.
 func WithWorkers(n int) Option {
 	return func(o *labOptions) { o.workers = n }
 }

@@ -1,8 +1,10 @@
 package noise
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"voltnoise/internal/analysis"
 	"voltnoise/internal/core"
@@ -257,23 +259,13 @@ func DeltaISensitivity(runs []MappingRun) []DeltaIPoint {
 	for _, p := range best {
 		out = append(out, p)
 	}
-	sortDeltaIPoints(out)
-	return out
-}
-
-func sortDeltaIPoints(v []DeltaIPoint) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && less(v[j], v[j-1]); j-- {
-			v[j], v[j-1] = v[j-1], v[j]
+	slices.SortStableFunc(out, func(a, b DeltaIPoint) int {
+		if c := cmp.Compare(a.DeltaIPercent, b.DeltaIPercent); c != 0 {
+			return c
 		}
-	}
-}
-
-func less(a, b DeltaIPoint) bool {
-	if a.DeltaIPercent != b.DeltaIPercent {
-		return a.DeltaIPercent < b.DeltaIPercent
-	}
-	return a.Core < b.Core
+		return cmp.Compare(a.Core, b.Core)
+	})
+	return out
 }
 
 // DistributionPoint is one workload distribution of Figure 11b: the

@@ -27,7 +27,7 @@ type MarginPoint struct {
 // ConsecutiveEventStudy reproduces Figure 12: Vmin experiments for
 // each (stimulus frequency, consecutive-event-count) pair. events
 // entries of 0 select the unsynchronized variant. The vmin
-// configuration's windows are adapted per point to cover the burst.
+// configuration's window is adapted per point to cover the burst.
 func (l *Lab) ConsecutiveEventStudy(ctx context.Context, freqs []float64, eventCounts []int, vcfg vmin.Config) ([]MarginPoint, error) {
 	// Grid cells are independent Vmin experiments; fan them out across
 	// l.Workers. Vmin only reads the platform, so every cell shares it;
@@ -55,7 +55,7 @@ func (l *Lab) ConsecutiveEventStudy(ctx context.Context, freqs []float64, eventC
 			return MarginPoint{}, err
 		}
 		pcfg := vcfg
-		pcfg.Windows = []vmin.Window{{Start: j.start, Duration: j.dur}}
+		pcfg.Window = vmin.Window{Start: j.start, Duration: j.dur}
 		res, err := vmin.Run(ctx, l.Platform, j.wl, pcfg)
 		if err != nil {
 			return MarginPoint{}, err

@@ -2,6 +2,7 @@ package noise
 
 import (
 	"fmt"
+	"math"
 
 	"voltnoise/internal/core"
 	"voltnoise/internal/pdn"
@@ -49,21 +50,26 @@ func (l *Lab) Propagation(source int, deltaI, duration float64) (*PropagationRes
 	}
 	circuit.AddLoad("uncore", nodes.L3, func(float64) float64 { return cfg.UncorePower / cfg.PDN.Vnom })
 
-	tr, err := pdn.NewTransientAt(circuit, cfg.Dt, 0)
+	bt, err := pdn.NewBatchTransientAt(circuit, cfg.Dt, 0, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	probes := make([]pdn.NodeID, core.NumCores)
-	for i := range probes {
-		probes[i] = nodes.Core[i]
+	steps := int(math.Round(duration / cfg.Dt))
+	var traces [core.NumCores]*signal.Trace
+	for i := range traces {
+		traces[i] = signal.NewTrace(cfg.Dt, steps+1)
+		traces[i].Samples[0] = bt.Voltage(0, nodes.Core[i])
 	}
-	traces, err := tr.Run(duration, probes)
-	if err != nil {
-		return nil, err
+	for s := 1; s <= steps; s++ {
+		if err := bt.Step(); err != nil {
+			return nil, err
+		}
+		for i, tr := range traces {
+			tr.Samples[s] = bt.Voltage(0, nodes.Core[i])
+		}
 	}
-	res := &PropagationResult{Source: source}
+	res := &PropagationResult{Source: source, Traces: traces}
 	for i, t := range traces {
-		res.Traces[i] = t
 		base := t.Samples[0]
 		depth := 0.0
 		for _, v := range t.Samples {

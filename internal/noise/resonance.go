@@ -93,9 +93,7 @@ func logSpace(lo, hi float64, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		t := float64(i) / float64(n-1)
-		out[i] = lo * pow(hi/lo, t)
+		out[i] = lo * math.Pow(hi/lo, t)
 	}
 	return out
 }
-
-func pow(base, exp float64) float64 { return math.Pow(base, exp) }

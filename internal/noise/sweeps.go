@@ -3,6 +3,7 @@ package noise
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"voltnoise/internal/core"
 	"voltnoise/internal/signal"
@@ -213,7 +214,7 @@ func distinctPermutations(offsets []uint64) [][]uint64 {
 	for k := range counts {
 		keys = append(keys, k)
 	}
-	sortUint64(keys)
+	slices.Sort(keys)
 	current := make([]uint64, n)
 	var rec func(pos int)
 	rec = func(pos int) {
@@ -233,14 +234,6 @@ func distinctPermutations(offsets []uint64) [][]uint64 {
 	}
 	rec(0)
 	return out
-}
-
-func sortUint64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // subsample keeps exactly n placements, evenly spaced across the list

@@ -133,7 +133,15 @@ func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, fill func(t f
 		laneRHS:  make([]float64, n),
 		laneSol:  make([]float64, n),
 	}
-	t.seedFixed()
+	for node, i := range idx {
+		if i >= 0 {
+			continue
+		}
+		v := c.potentialOfFixed(NodeID(node))
+		for l := 0; l < lanes; l++ {
+			t.fixedPot[node*lanes+l] = v
+		}
+	}
 	geq, lu, err := stampCompanion(c, dt, idx, n)
 	if err != nil {
 		return nil, err
@@ -148,20 +156,6 @@ func NewBatchTransientAt(c *Circuit, dt, start float64, lanes int, fill func(t f
 	t.fixedContributions()
 	t.initState()
 	return t, nil
-}
-
-// seedFixed copies the circuit's fixed-node potentials into every
-// lane.
-func (t *BatchTransient) seedFixed() {
-	for node, i := range t.idx {
-		if i >= 0 {
-			continue
-		}
-		v := t.c.potentialOfFixed(NodeID(node))
-		for l := 0; l < t.lanes; l++ {
-			t.fixedPot[node*t.lanes+l] = v
-		}
-	}
 }
 
 // Lanes returns the batch width.

@@ -64,80 +64,67 @@ func newBatchRLC(t *testing.T, lanes int, start float64) (*BatchTransient, NodeI
 	return bt, out
 }
 
-// TestBatchLanesMatchSingleLane drives every lane of a width-4 batch
-// with a lane-distinct load and checks each lane stays bit-identical
-// to a dedicated single-lane Transient over thousands of steps — the
-// core contract of the lockstep engine.
+// TestBatchLanesMatchSingleLane drives every lane of a width-1 and a
+// width-4 batch with a lane-distinct load through the fill and checks
+// each lane stays bit-identical to a width-1 engine over that lane's
+// circuit (its own load, nil fill) over thousands of steps — the core
+// contract of the lockstep engine, with B=1 just another width.
 func TestBatchLanesMatchSingleLane(t *testing.T) {
-	const lanes = 4
-	for _, start := range []float64{0, -3e-6} {
-		bt, out := newBatchRLC(t, lanes, start)
-		singles := make([]*Transient, lanes)
-		outs := make([]NodeID, lanes)
-		for l := 0; l < lanes; l++ {
-			ckt, o := rlcWithLoad(batchWave(l))
-			tr, err := NewTransientAt(ckt, 1e-9, start)
-			if err != nil {
-				t.Fatal(err)
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("width%d", lanes), func(t *testing.T) {
+			for _, start := range []float64{0, -3e-6} {
+				checkLanesMatchSingle(t, lanes, start)
 			}
-			singles[l], outs[l] = tr, o
-		}
-		for l := 0; l < lanes; l++ {
-			if got, want := bt.Voltage(l, out), singles[l].Voltage(outs[l]); got != want {
-				t.Fatalf("start %g: lane %d DC %v != single %v", start, l, got, want)
-			}
-		}
-		for i := 0; i < 4000; i++ {
-			if err := bt.Step(); err != nil {
-				t.Fatal(err)
-			}
-			for l := 0; l < lanes; l++ {
-				if err := singles[l].Step(); err != nil {
-					t.Fatal(err)
-				}
-				if got, want := bt.Voltage(l, out), singles[l].Voltage(outs[l]); got != want {
-					t.Fatalf("start %g: step %d lane %d: %v != %v", start, i, l, got, want)
-				}
-			}
-		}
-		// Branch currents too — the companion state, not just the
-		// solved potentials.
-		for ei := 0; ei < 3; ei++ {
-			for l := 0; l < lanes; l++ {
-				if got, want := bt.BranchCurrent(l, ei), singles[l].BranchCurrent(ei); got != want {
-					t.Fatalf("element %d lane %d current %v != %v", ei, l, got, want)
-				}
-			}
-		}
+		})
 	}
 }
 
-// TestBatchWidthOneMatchesSingle pins the degenerate width-1 batch to
-// the single-lane engine exactly, so callers can treat B=1 as just
-// another width.
-func TestBatchWidthOneMatchesSingle(t *testing.T) {
-	bt, out := newBatchRLC(t, 1, 0)
-	ckt, o := rlcWithLoad(batchWave(0))
-	tr, err := NewTransientAt(ckt, 1e-9, 0)
-	if err != nil {
-		t.Fatal(err)
+// checkLanesMatchSingle is TestBatchLanesMatchSingleLane at one width
+// and start time.
+func checkLanesMatchSingle(t *testing.T, lanes int, start float64) {
+	bt, out := newBatchRLC(t, lanes, start)
+	singles := make([]*BatchTransient, lanes)
+	outs := make([]NodeID, lanes)
+	for l := 0; l < lanes; l++ {
+		ckt, o := rlcWithLoad(batchWave(l))
+		tr, err := NewBatchTransientAt(ckt, 1e-9, start, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		singles[l], outs[l] = tr, o
 	}
-	for i := 0; i < 3000; i++ {
+	for l := 0; l < lanes; l++ {
+		if got, want := bt.Voltage(l, out), singles[l].Voltage(0, outs[l]); got != want {
+			t.Fatalf("start %g: lane %d DC %v != single %v", start, l, got, want)
+		}
+	}
+	for i := 0; i < 4000; i++ {
 		if err := bt.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Step(); err != nil {
-			t.Fatal(err)
+		for l := 0; l < lanes; l++ {
+			if err := singles[l].Step(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := bt.Voltage(l, out), singles[l].Voltage(0, outs[l]); got != want {
+				t.Fatalf("start %g: step %d lane %d: %v != %v", start, i, l, got, want)
+			}
 		}
-		if got, want := bt.Voltage(0, out), tr.Voltage(o); got != want {
-			t.Fatalf("step %d: width-1 batch %v != single %v", i, got, want)
+	}
+	// Branch currents too — the companion state, not just the solved
+	// potentials.
+	for ei := 0; ei < 3; ei++ {
+		for l := 0; l < lanes; l++ {
+			if got, want := bt.BranchCurrent(l, ei), singles[l].BranchCurrent(0, ei); got != want {
+				t.Fatalf("start %g: element %d lane %d current %v != %v", start, ei, l, got, want)
+			}
 		}
 	}
 }
 
 // TestBatchLaneFixedMatchesRefixedSingle retunes each lane's supply to
 // a different potential (the vmin bias-walk pattern) and checks every
-// lane tracks a single-lane engine re-fixed to the same potential —
+// lane tracks a width-1 engine over a circuit fixed at that potential —
 // per-lane fixed potentials enter only the RHS, so one factorization
 // serves all biases.
 func TestBatchLaneFixedMatchesRefixedSingle(t *testing.T) {
@@ -152,12 +139,12 @@ func TestBatchLaneFixedMatchesRefixedSingle(t *testing.T) {
 	if err := bt.Reset(0); err != nil {
 		t.Fatal(err)
 	}
-	singles := make([]*Transient, lanes)
+	singles := make([]*BatchTransient, lanes)
 	outs := make([]NodeID, lanes)
 	for l := 0; l < lanes; l++ {
 		ckt, o := rlcWithLoad(batchWave(l))
 		ckt.FixNode(ckt.Node("src"), 1.0-0.05*float64(l))
-		tr, err := NewTransientAt(ckt, 1e-9, 0)
+		tr, err := NewBatchTransientAt(ckt, 1e-9, 0, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +158,7 @@ func TestBatchLaneFixedMatchesRefixedSingle(t *testing.T) {
 			if err := singles[l].Step(); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := bt.Voltage(l, out), singles[l].Voltage(outs[l]); got != want {
+			if got, want := bt.Voltage(l, out), singles[l].Voltage(0, outs[l]); got != want {
 				t.Fatalf("step %d lane %d: %v != %v", i, l, got, want)
 			}
 		}

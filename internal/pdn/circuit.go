@@ -57,7 +57,7 @@ type Load struct {
 }
 
 // Circuit is a netlist under construction. Build it with the Add*
-// methods, then hand it to NewTransient or the impedance functions.
+// methods, then hand it to NewBatchTransientAt or the impedance functions.
 // A Circuit is not safe for concurrent mutation.
 type Circuit struct {
 	nodeNames []string       // index = NodeID

@@ -89,8 +89,8 @@ func batchDigest(t *testing.T, lanes int) string {
 
 // TestZEC12DigestPinned checks the batch engine at widths 1, 3, 4, 8
 // and 16 (with the vector substitution kernels and with the Go
-// fallback), and the single-lane Transient, against the pinned
-// digests. The width-4 digest was taken on the slice-generic body,
+// fallback), and the width-1 engine over the circuit's own loads (a
+// nil fill), against the pinned digests. The width-4 digest was taken on the slice-generic body,
 // before width 4 had a register-blocked kernel.
 func TestZEC12DigestPinned(t *testing.T) {
 	skipUnlessPinnedArch(t)
@@ -105,20 +105,19 @@ func TestZEC12DigestPinned(t *testing.T) {
 	}
 	lane := 0
 	c := digestCircuit(&lane)
-	tr, err := NewTransientAt(c, 2e-9, 0)
+	tr, err := NewBatchTransientAt(c, 2e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	volt := func(_ int, n NodeID) float64 { return tr.Voltage(n) }
-	hashPotentials(h, c, 1, volt)
+	hashPotentials(h, c, 1, tr.Voltage)
 	for s := 0; s < digestSteps; s++ {
 		if err := tr.Step(); err != nil {
 			t.Fatal(err)
 		}
-		hashPotentials(h, c, 1, volt)
+		hashPotentials(h, c, 1, tr.Voltage)
 	}
 	if got, want := hex.EncodeToString(h.Sum(nil)), pinnedZEC12Digests[1]; got != want {
-		t.Errorf("Transient: digest %s, want %s", got, want)
+		t.Errorf("nil fill: digest %s, want %s", got, want)
 	}
 }

@@ -12,11 +12,11 @@ import (
 func zec12LU(t testing.TB) *realLU {
 	t.Helper()
 	ckt, _ := ZEC12(DefaultZEC12Config())
-	tr, err := NewTransient(ckt, 2e-9)
+	tr, err := NewBatchTransientAt(ckt, 2e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr.bt.lu
+	return tr.lu
 }
 
 // byteIdentical fails unless a and b match bit for bit (NaNs included).
@@ -229,7 +229,7 @@ func TestAutoBatchLanes(t *testing.T) {
 
 // TestBatch16LanesMatchSingleLane extends the core lockstep contract to
 // the register-blocked widths: every lane of a width-4 and a width-16
-// batch stays bit-identical to a dedicated single-lane Transient, on
+// batch stays bit-identical to a dedicated width-1 engine, on
 // the RLC network and on the production zEC12 network (six loaded
 // cores, lane-distinct waveforms), through both the vector and the
 // pure-Go solve kernels.
@@ -244,11 +244,11 @@ func TestBatch16LanesMatchSingleLane(t *testing.T) {
 		useSolveAVX2 = vec
 		for _, lanes := range []int{NarrowBatchLanes, WideBatchLanes} {
 			bt, out := newBatchRLC(t, lanes, 0)
-			singles := make([]*Transient, lanes)
+			singles := make([]*BatchTransient, lanes)
 			outs := make([]NodeID, lanes)
 			for l := 0; l < lanes; l++ {
 				ckt, o := rlcWithLoad(batchWave(l))
-				tr, err := NewTransientAt(ckt, 1e-9, 0)
+				tr, err := NewBatchTransientAt(ckt, 1e-9, 0, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -262,7 +262,7 @@ func TestBatch16LanesMatchSingleLane(t *testing.T) {
 					if err := singles[l].Step(); err != nil {
 						t.Fatal(err)
 					}
-					if got, want := bt.Voltage(l, out), singles[l].Voltage(outs[l]); got != want {
+					if got, want := bt.Voltage(l, out), singles[l].Voltage(0, outs[l]); got != want {
 						t.Fatalf("vector=%v lanes=%d step %d lane %d: %v != %v", vec, lanes, i, l, got, want)
 					}
 				}
@@ -273,7 +273,7 @@ func TestBatch16LanesMatchSingleLane(t *testing.T) {
 }
 
 // checkZEC12LanesMatchSingle steps a zEC12 batch of the given width
-// and one single-lane Transient per lane, with the benchBatchStep
+// and one width-1 engine per lane, with the benchBatchStep
 // loads, and requires every node potential of every lane to match its
 // single-lane run bit for bit at every step.
 func checkZEC12LanesMatchSingle(t *testing.T, lanes int, vec bool) {
@@ -284,10 +284,10 @@ func checkZEC12LanesMatchSingle(t *testing.T, lanes int, vec bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	singles := make([]*Transient, lanes)
+	singles := make([]*BatchTransient, lanes)
 	for l := range singles {
 		l := l
-		if singles[l], err = NewTransient(zec12WithLaneLoads(&l), 2e-9); err != nil {
+		if singles[l], err = NewBatchTransientAt(zec12WithLaneLoads(&l), 2e-9, 0, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,7 +301,7 @@ func checkZEC12LanesMatchSingle(t *testing.T, lanes int, vec bool) {
 				t.Fatal(err)
 			}
 			for node := 0; node < nodes; node++ {
-				got, want := bt.Voltage(l, NodeID(node)), tr.Voltage(NodeID(node))
+				got, want := bt.Voltage(l, NodeID(node)), tr.Voltage(0, NodeID(node))
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("zEC12 vector=%v lanes=%d step %d lane %d node %d: %v != %v", vec, lanes, i, l, node, got, want)
 				}

@@ -84,7 +84,7 @@ func checkFillMatchesSingles(t *testing.T, w [][]laneLoad, steps int) {
 		t.Fatal(err)
 	}
 	fixedCalls := 0
-	singles := make([]*Transient, lanes)
+	singles := make([]*BatchTransient, lanes)
 	for l := range singles {
 		c, nodes := ZEC12(DefaultZEC12Config())
 		for k, n := range fillLoadNodes(nodes) {
@@ -94,14 +94,14 @@ func checkFillMatchesSingles(t *testing.T, w [][]laneLoad, steps int) {
 			}
 			c.AddLoad(fmt.Sprintf("load%d", k), n, cur)
 		}
-		if singles[l], err = NewTransient(c, 2e-9); err != nil {
+		if singles[l], err = NewBatchTransientAt(c, 2e-9, 0, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	compare := func(step int) {
 		for l, tr := range singles {
 			for node := 0; node < ckt.NumNodes(); node++ {
-				got, want := bt.Voltage(l, NodeID(node)), tr.Voltage(NodeID(node))
+				got, want := bt.Voltage(l, NodeID(node)), tr.Voltage(0, NodeID(node))
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("lanes=%d step %d lane %d node %s: fill %v != single %v",
 						lanes, step, l, ckt.NodeName(NodeID(node)), got, want)

@@ -30,7 +30,7 @@ func TestResetMatchesFreshTransient(t *testing.T) {
 	const dt = 1e-9
 	for _, start := range []float64{0, -3e-6} {
 		ckt, out := loadedRLC()
-		tr, err := NewTransientAt(ckt, dt, start)
+		tr, err := NewBatchTransientAt(ckt, dt, start, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +46,11 @@ func TestResetMatchesFreshTransient(t *testing.T) {
 			t.Fatalf("Reset time %g, want %g", tr.Time(), start)
 		}
 		freshCkt, freshOut := loadedRLC()
-		fresh, err := NewTransientAt(freshCkt, dt, start)
+		fresh, err := NewBatchTransientAt(freshCkt, dt, start, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := tr.Voltage(out), fresh.Voltage(freshOut); got != want {
+		if got, want := tr.Voltage(0, out), fresh.Voltage(0, freshOut); got != want {
 			t.Fatalf("start %g: DC after Reset %v != fresh %v", start, got, want)
 		}
 		for i := 0; i < 4000; i++ {
@@ -60,7 +60,7 @@ func TestResetMatchesFreshTransient(t *testing.T) {
 			if err := fresh.Step(); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := tr.Voltage(out), fresh.Voltage(freshOut); got != want {
+			if got, want := tr.Voltage(0, out), fresh.Voltage(0, freshOut); got != want {
 				t.Fatalf("start %g: step %d: %v != %v", start, i, got, want)
 			}
 		}
@@ -72,7 +72,7 @@ func TestResetMatchesFreshTransient(t *testing.T) {
 func TestResetOnZEC12MatchesFresh(t *testing.T) {
 	cfg := DefaultZEC12Config()
 	const dt = 10e-9
-	build := func() (*Transient, NodeID) {
+	build := func() (*BatchTransient, NodeID) {
 		ckt, nodes := ZEC12(cfg)
 		ckt.AddLoad("core0", nodes.Core[0], func(t float64) float64 {
 			if math.Mod(t, 0.5e-6) < 0.25e-6 {
@@ -80,7 +80,7 @@ func TestResetOnZEC12MatchesFresh(t *testing.T) {
 			}
 			return 10
 		})
-		tr, err := NewTransientAt(ckt, dt, 0)
+		tr, err := NewBatchTransientAt(ckt, dt, 0, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestResetOnZEC12MatchesFresh(t *testing.T) {
 		if err := fresh.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := tr.Voltage(probe), fresh.Voltage(freshProbe); got != want {
+		if got, want := tr.Voltage(0, probe), fresh.Voltage(0, freshProbe); got != want {
 			t.Fatalf("step %d: reset %v != fresh %v", i, got, want)
 		}
 	}
@@ -114,7 +114,7 @@ func TestResetOnZEC12MatchesFresh(t *testing.T) {
 // on preallocated state.
 func TestStepDoesNotAllocate(t *testing.T) {
 	ckt, _ := loadedRLC()
-	tr, err := NewTransient(ckt, 1e-9)
+	tr, err := NewBatchTransientAt(ckt, 1e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,25 +127,34 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestResetRejectsUnsolvableDC exercises the error path when a reset
-// is requested after the circuit loses its DC solution.
+// TestResetPreservesPlanAfterRefix moves a width-1 engine's fixed
+// source potential after it has run (a bias change) and resets it:
+// through the cached plan, the DC point and every later step must
+// match a fresh engine over a circuit fixed at the new potential.
 func TestResetPreservesPlanAfterRefix(t *testing.T) {
 	ckt, out := loadedRLC()
-	tr, err := NewTransientAt(ckt, 1e-9, 0)
+	tr, err := NewBatchTransientAt(ckt, 1e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Move the fixed source potential (bias change) and reset: the DC
-	// point must track the new potential through the cached plan.
-	ckt.FixNode(ckt.Node("src"), 0.9)
+	for i := 0; i < 1000; i++ {
+		if err := tr.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.SetLaneFixed(0, ckt.Node("src"), 0.9); err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.Reset(0); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewTransientAt(ckt, 1e-9, 0)
+	freshCkt, freshOut := loadedRLC()
+	freshCkt.FixNode(freshCkt.Node("src"), 0.9)
+	fresh, err := NewBatchTransientAt(freshCkt, 1e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tr.Voltage(out), fresh.Voltage(out); got != want {
+	if got, want := tr.Voltage(0, out), fresh.Voltage(0, freshOut); got != want {
 		t.Fatalf("re-fixed DC %v != fresh %v", got, want)
 	}
 	for i := 0; i < 1000; i++ {
@@ -155,7 +164,7 @@ func TestResetPreservesPlanAfterRefix(t *testing.T) {
 		if err := fresh.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := tr.Voltage(out), fresh.Voltage(out); got != want {
+		if got, want := tr.Voltage(0, out), fresh.Voltage(0, freshOut); got != want {
 			t.Fatalf("step %d after re-fix: %v != %v", i, got, want)
 		}
 	}

@@ -87,13 +87,12 @@ func TestBlockedSolveMatchesElementwiseRandom(t *testing.T) {
 	}
 }
 
-// TestBlockedStepAllocs: the width-1 transient step on zEC12, driven
-// through NewTransient with a time-varying core load, stays at zero
-// allocations.
+// TestBlockedStepAllocs: the width-1 engine's step on zEC12, with a
+// time-varying core load, stays at zero allocations.
 func TestBlockedStepAllocs(t *testing.T) {
 	ckt, nodes := ZEC12(DefaultZEC12Config())
 	ckt.AddLoad("core", nodes.Core[0], func(tm float64) float64 { return 20 + 10*math.Sin(tm*1e7) })
-	tr, err := NewTransient(ckt, 2e-9)
+	tr, err := NewBatchTransientAt(ckt, 2e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,89 +1,13 @@
 package pdn
 
-import (
-	"fmt"
-	"math"
+import "fmt"
 
-	"voltnoise/internal/signal"
-)
-
-// Transient is the width-1 view of BatchTransient: one lane whose
-// fixed supplies follow the circuit, for callers that step a single
-// trajectory. It holds no engine state of its own.
-type Transient struct {
-	bt *BatchTransient
-}
-
-// NewTransient prepares a transient simulation of c with fixed timestep
-// dt, starting at time zero. See NewTransientAt.
-func NewTransient(c *Circuit, dt float64) (*Transient, error) {
-	return NewTransientAt(c, dt, 0)
-}
-
-// NewTransientAt prepares a transient simulation of c with fixed
-// timestep dt, starting at simulation time start from the circuit's
-// DC operating point (see NewBatchTransientAt).
-func NewTransientAt(c *Circuit, dt, start float64) (*Transient, error) {
-	bt, err := NewBatchTransientAt(c, dt, start, 1, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Transient{bt: bt}, nil
-}
-
-// Reset rewinds the simulation to the given start time and re-derives
-// the DC operating point from the circuit's current loads and fixed
-// potentials, so a Circuit.FixNode retune takes effect here. Neither
-// nodal matrix is re-stamped or re-factored.
-func (t *Transient) Reset(start float64) error {
-	t.bt.seedFixed()
-	return t.bt.Reset(start)
-}
-
-// Step advances the simulation by one timestep. It allocates nothing.
-func (t *Transient) Step() error { return t.bt.Step() }
-
-// RunUntil advances the simulation until the given absolute time
-// without recording anything. Useful for warm-up.
-func (t *Transient) RunUntil(until float64) error { return t.bt.RunUntil(until) }
-
-// Time returns the current simulation time in seconds.
-func (t *Transient) Time() float64 { return t.bt.time }
-
-// Dt returns the fixed timestep.
-func (t *Transient) Dt() float64 { return t.bt.dt }
-
-// Voltage returns the potential of node n at the current time.
-func (t *Transient) Voltage(n NodeID) float64 { return t.bt.Voltage(0, n) }
-
-// BranchCurrent returns the current (a -> b) through element i in
-// insertion order (see BatchTransient.BranchCurrent).
-func (t *Transient) BranchCurrent(i int) float64 { return t.bt.BranchCurrent(0, i) }
-
-// Run advances the simulation for the given duration, recording the
-// potential of each probe node every step. The returned traces are
-// indexed like probes and start at the pre-run simulation time.
-func (t *Transient) Run(duration float64, probes []NodeID) ([]*signal.Trace, error) {
-	if duration < 0 {
-		return nil, fmt.Errorf("pdn: negative run duration %g", duration)
-	}
-	steps := int(math.Round(duration / t.Dt()))
-	traces := make([]*signal.Trace, len(probes))
-	for i, p := range probes {
-		tr := signal.NewTrace(t.Dt(), steps+1)
-		tr.Start = t.Time()
-		tr.Samples[0] = t.Voltage(p)
-		traces[i] = tr
-	}
-	for s := 1; s <= steps; s++ {
-		if err := t.Step(); err != nil {
-			return nil, err
-		}
-		for i, p := range probes {
-			traces[i].Samples[s] = t.Voltage(p)
-		}
-	}
-	return traces, nil
+// NewTransientAt is the width-1 engine with the circuit's own loads:
+// NewBatchTransientAt(c, dt, start, 1, nil). It is kept only for the
+// per-layer replays of bench/layers.go; library code builds its
+// engines with NewBatchTransientAt.
+func NewTransientAt(c *Circuit, dt, start float64) (*BatchTransient, error) {
+	return NewBatchTransientAt(c, dt, start, 1, nil)
 }
 
 // stampCompanion computes the trapezoidal companion conductance of

@@ -19,15 +19,15 @@ func rcCircuit(r, c float64) (*Circuit, NodeID) {
 
 func TestTransientValidation(t *testing.T) {
 	ckt, _ := rcCircuit(1, 1e-6)
-	if _, err := NewTransient(ckt, 0); err == nil {
+	if _, err := NewBatchTransientAt(ckt, 0, 0, 1, nil); err == nil {
 		t.Error("expected error for zero dt")
 	}
-	if _, err := NewTransient(ckt, -1e-9); err == nil {
+	if _, err := NewBatchTransientAt(ckt, -1e-9, 0, 1, nil); err == nil {
 		t.Error("expected error for negative dt")
 	}
 	// Circuit with no unknowns.
 	empty := NewCircuit()
-	if _, err := NewTransient(empty, 1e-9); err == nil {
+	if _, err := NewBatchTransientAt(empty, 1e-9, 0, 1, nil); err == nil {
 		t.Error("expected error for no unknowns")
 	}
 }
@@ -41,11 +41,11 @@ func TestDCOperatingPoint(t *testing.T) {
 	ckt.AddResistor("r1", src, out, 1)
 	ckt.AddResistor("r2", out, Ground, 1)
 	ckt.AddCapacitor("c", out, Ground, 1e-6, 0)
-	tr, err := NewTransient(ckt, 1e-9)
+	tr, err := NewBatchTransientAt(ckt, 1e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := tr.Voltage(out); math.Abs(v-0.5) > 1e-9 {
+	if v := tr.Voltage(0, out); math.Abs(v-0.5) > 1e-9 {
 		t.Errorf("DC voltage = %g, want 0.5", v)
 	}
 	// With no excitation the state must hold steady.
@@ -54,7 +54,7 @@ func TestDCOperatingPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v := tr.Voltage(out); math.Abs(v-0.5) > 1e-9 {
+	if v := tr.Voltage(0, out); math.Abs(v-0.5) > 1e-9 {
 		t.Errorf("steady state drifted to %g", v)
 	}
 }
@@ -67,11 +67,11 @@ func TestDCWithLoad(t *testing.T) {
 	ckt.AddResistor("r", src, out, 0.1)
 	ckt.AddCapacitor("c", out, Ground, 1e-6, 0)
 	ckt.AddLoad("load", out, func(float64) float64 { return 2 })
-	tr, err := NewTransient(ckt, 1e-9)
+	tr, err := NewBatchTransientAt(ckt, 1e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := tr.Voltage(out); math.Abs(v-0.8) > 1e-9 {
+	if v := tr.Voltage(0, out); math.Abs(v-0.8) > 1e-9 {
 		t.Errorf("DC with load = %g, want 0.8", v)
 	}
 }
@@ -87,11 +87,11 @@ func TestRCStepResponseTimeConstant(t *testing.T) {
 		}
 		return 0
 	})
-	tr, err := NewTransient(ckt, 5e-9)
+	tr, err := NewBatchTransientAt(ckt, 5e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v0 := tr.Voltage(out)
+	v0 := tr.Voltage(0, out)
 	if math.Abs(v0-0.5) > 1e-9 {
 		t.Fatalf("initial = %g, want 0.5", v0)
 	}
@@ -101,14 +101,14 @@ func TestRCStepResponseTimeConstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 1 - 0.5*math.Exp(-1)
-	if got := tr.Voltage(out); math.Abs(got-want) > 0.002 {
+	if got := tr.Voltage(0, out); math.Abs(got-want) > 0.002 {
 		t.Errorf("v(tau) = %g, want %g", got, want)
 	}
 	// After many tau it settles at 1V.
 	if err := tr.RunUntil(10 * tau); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Voltage(out); math.Abs(got-1) > 1e-3 {
+	if got := tr.Voltage(0, out); math.Abs(got-1) > 1e-3 {
 		t.Errorf("v(10tau) = %g, want 1", got)
 	}
 }
@@ -129,7 +129,7 @@ func TestTrapezoidalStability(t *testing.T) {
 		}
 		return 0
 	})
-	tr, err := NewTransient(ckt, 50e-9) // coarse step vs 0.2 us period
+	tr, err := NewBatchTransientAt(ckt, 50e-9, 0, 1, nil) // coarse step vs 0.2 us period
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,43 +137,15 @@ func TestTrapezoidalStability(t *testing.T) {
 		if err := tr.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if v := tr.Voltage(out); math.Abs(v) > 100 {
+		if v := tr.Voltage(0, out); math.Abs(v) > 100 {
 			t.Fatalf("unbounded response %g at step %d", v, i)
 		}
 	}
 }
 
-func TestRunRecordsProbes(t *testing.T) {
-	ckt, out := rcCircuit(1, 1e-6)
-	tr, err := NewTransient(ckt, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces, err := tr.Run(1e-6, []NodeID{out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 1 {
-		t.Fatalf("traces = %d", len(traces))
-	}
-	if traces[0].Len() != 101 {
-		t.Errorf("trace length = %d, want 101", traces[0].Len())
-	}
-	if traces[0].Dt != 1e-8 {
-		t.Errorf("trace dt = %g", traces[0].Dt)
-	}
-	if math.Abs(tr.Time()-1e-6) > 1e-12 {
-		t.Errorf("time after run = %g", tr.Time())
-	}
-	// Negative duration is an error.
-	if _, err := tr.Run(-1, nil); err == nil {
-		t.Error("expected error for negative duration")
-	}
-}
-
 func TestRunUntilAdvancesToTime(t *testing.T) {
 	ckt, _ := rcCircuit(1, 1e-6)
-	tr, err := NewTransient(ckt, 1e-8)
+	tr, err := NewBatchTransientAt(ckt, 1e-8, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +159,15 @@ func TestRunUntilAdvancesToTime(t *testing.T) {
 
 func TestVoltageOnFixedAndGround(t *testing.T) {
 	ckt, out := rcCircuit(1, 1e-6)
-	tr, err := NewTransient(ckt, 1e-8)
+	tr, err := NewBatchTransientAt(ckt, 1e-8, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := tr.Voltage(Ground); v != 0 {
+	if v := tr.Voltage(0, Ground); v != 0 {
 		t.Errorf("ground = %g", v)
 	}
 	src := ckt.Node("src")
-	if v := tr.Voltage(src); v != 1 {
+	if v := tr.Voltage(0, src); v != 1 {
 		t.Errorf("fixed source = %g", v)
 	}
 	_ = out
@@ -213,7 +185,7 @@ func TestResistiveNetworkExactness(t *testing.T) {
 	// A capacitor keeps the matrix non-singular goalwise but the node
 	// is already determined; add load for current check.
 	ckt.AddCapacitor("c", n1, Ground, 1e-9, 0)
-	tr, err := NewTransient(ckt, 1e-9)
+	tr, err := NewBatchTransientAt(ckt, 1e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +195,11 @@ func TestResistiveNetworkExactness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tr.Voltage(n1); math.Abs(got-want) > 1e-9 {
+	if got := tr.Voltage(0, n1); math.Abs(got-want) > 1e-9 {
 		t.Errorf("divider voltage = %g, want %g", got, want)
 	}
 	// Branch current through r1 = (2 - v)/3.
-	if got := tr.BranchCurrent(0); math.Abs(got-(2-want)/3) > 1e-9 {
+	if got := tr.BranchCurrent(0, 0); math.Abs(got-(2-want)/3) > 1e-9 {
 		t.Errorf("branch current = %g", got)
 	}
 }
@@ -243,21 +215,21 @@ func TestChargeConservationRCStep(t *testing.T) {
 		}
 		return 0
 	})
-	tr, err := NewTransient(ckt, 1e-8)
+	tr, err := NewBatchTransientAt(ckt, 1e-8, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v0 := tr.Voltage(out)
+	v0 := tr.Voltage(0, out)
 	charge := 0.0
 	// Element 1 is the capacitor (r added first).
 	for tr.Time() < 10*r*c {
-		prev := tr.BranchCurrent(1)
+		prev := tr.BranchCurrent(0, 1)
 		if err := tr.Step(); err != nil {
 			t.Fatal(err)
 		}
-		charge += 0.5 * (prev + tr.BranchCurrent(1)) * tr.Dt()
+		charge += 0.5 * (prev + tr.BranchCurrent(0, 1)) * tr.Dt()
 	}
-	dv := tr.Voltage(out) - v0
+	dv := tr.Voltage(0, out) - v0
 	if math.Abs(charge-c*dv) > 1e-3*math.Abs(c*dv) {
 		t.Errorf("accumulated charge %g, want %g", charge, c*dv)
 	}
@@ -273,7 +245,7 @@ func TestStepDetectsDivergence(t *testing.T) {
 		}
 		return 0
 	})
-	tr, err := NewTransient(ckt, 1e-8)
+	tr, err := NewBatchTransientAt(ckt, 1e-8, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,13 +258,14 @@ func TestStepDetectsDivergence(t *testing.T) {
 	}
 }
 
+// TestRunStopsAtDivergence: an infinite load fails the engine, at
+// its DC point or at the first step.
 func TestRunStopsAtDivergence(t *testing.T) {
 	ckt, out := rcCircuit(1, 1e-6)
 	ckt.AddLoad("poison", out, func(tm float64) float64 { return math.Inf(1) })
-	tr, err := NewTransient(ckt, 1e-8)
+	tr, err := NewBatchTransientAt(ckt, 1e-8, 0, 1, nil)
 	if err == nil {
-		// DC solve may already blow up; if not, the first step must.
-		if _, err := tr.Run(1e-6, []NodeID{out}); err == nil {
+		if err := tr.RunUntil(1e-6); err == nil {
 			t.Fatal("infinite load survived the run")
 		}
 	}

@@ -3,6 +3,8 @@ package pdn
 import (
 	"math"
 	"testing"
+
+	"voltnoise/internal/signal"
 )
 
 func TestDomainAndCluster(t *testing.T) {
@@ -111,18 +113,18 @@ func TestZEC12DCDistribution(t *testing.T) {
 		node := nodes.Core[i]
 		c.AddLoad("core", node, func(float64) float64 { return 10 })
 	}
-	tr, err := NewTransient(c, 2e-9)
+	tr, err := NewBatchTransientAt(c, 2e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Symmetric load: all core voltages equal, below Vnom by the IR
 	// drop, and all positive.
-	v0 := tr.Voltage(nodes.Core[0])
+	v0 := tr.Voltage(0, nodes.Core[0])
 	if v0 >= 1.05 || v0 < 0.9 {
 		t.Errorf("core0 DC = %g, expected (0.9, 1.05)", v0)
 	}
 	for i := 1; i < NumCores; i++ {
-		vi := tr.Voltage(nodes.Core[i])
+		vi := tr.Voltage(0, nodes.Core[i])
 		if math.Abs(vi-v0) > 1e-9 {
 			t.Errorf("core%d DC = %g, core0 = %g (should be symmetric)", i, vi, v0)
 		}
@@ -142,15 +144,12 @@ func TestZEC12ClusterCoupling(t *testing.T) {
 			return 5
 		})
 	}
-	tr, err := NewTransient(c, 2e-9)
+	tr, err := NewBatchTransientAt(c, 2e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probes := []NodeID{nodes.Core[0], nodes.Core[1], nodes.Core[2], nodes.Core[3], nodes.Core[4], nodes.Core[5]}
-	traces, err := tr.Run(5e-6, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := record(t, tr, 5e-6, probes...)
 	p2p := make([]float64, NumCores)
 	for i := range traces {
 		p2p[i] = traces[i].PeakToPeak()
@@ -180,14 +179,11 @@ func TestZEC12L3BridgeAblation(t *testing.T) {
 				return 5
 			})
 		}
-		tr, err := NewTransient(c, 2e-9)
+		tr, err := NewBatchTransientAt(c, 2e-9, 0, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces, err := tr.Run(5e-6, []NodeID{nodes.Core[2], nodes.Core[1]})
-		if err != nil {
-			t.Fatal(err)
-		}
+		traces := record(t, tr, 5e-6, nodes.Core[2], nodes.Core[1])
 		return traces[0].PeakToPeak(), traces[1].PeakToPeak()
 	}
 	sameB, oppB := run(true)
@@ -219,7 +215,7 @@ func TestZEC12TransientMatchesImpedanceAtResonance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTransient(c, 1e-9)
+	tr, err := NewBatchTransientAt(c, 1e-9, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,15 +223,34 @@ func TestZEC12TransientMatchesImpedanceAtResonance(t *testing.T) {
 	if err := tr.RunUntil(20 / f0); err != nil {
 		t.Fatal(err)
 	}
-	traces, err := tr.Run(5/f0, []NodeID{nodes.Core[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := record(t, tr, 5/f0, nodes.Core[0])
 	gotAmp := traces[0].PeakToPeak() / 2
 	wantAmp := mag(z) * amp / 2
 	if math.Abs(gotAmp-wantAmp)/wantAmp > 0.1 {
 		t.Errorf("steady-state amplitude %g, want %g (|Z|=%g)", gotAmp, wantAmp, mag(z))
 	}
+}
+
+// record steps the width-1 engine tr for duration and returns each
+// probe's potential before the first step and after every step.
+func record(t *testing.T, tr *BatchTransient, duration float64, probes ...NodeID) []*signal.Trace {
+	t.Helper()
+	steps := int(math.Round(duration / tr.Dt()))
+	traces := make([]*signal.Trace, len(probes))
+	for i := range traces {
+		traces[i] = signal.NewTrace(tr.Dt(), steps+1)
+	}
+	for s := 0; s <= steps; s++ {
+		if s > 0 {
+			if err := tr.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, p := range probes {
+			traces[i].Samples[s] = tr.Voltage(0, p)
+		}
+	}
+	return traces
 }
 
 func mag(z complex128) float64 { return math.Hypot(real(z), imag(z)) }

@@ -29,15 +29,9 @@ type Cache struct {
 	lastPutErr string
 }
 
-// NewCache builds a cache over the in-memory LRU backend holding up
-// to capacity results; capacity < 1 disables caching (every lookup
-// misses, Put is a no-op).
-func NewCache(capacity int) *Cache {
-	return NewCacheOn(store.NewMemory(capacity))
-}
-
-// NewCacheOn builds a cache over an arbitrary store backend.
-func NewCacheOn(backend store.Store) *Cache {
+// NewCache builds a cache over a store backend; over
+// store.NewMemory(0) every lookup misses and Put is a no-op.
+func NewCache(backend store.Store) *Cache {
 	return &Cache{backend: backend}
 }
 

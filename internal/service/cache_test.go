@@ -3,10 +3,12 @@ package service
 import (
 	"fmt"
 	"testing"
+
+	"voltnoise/internal/service/store"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache(store.NewMemory(2))
 	c.Put("a", []byte("A"))
 	c.Put("b", []byte("B"))
 	if _, ok := c.Get("a"); !ok { // refresh a: now b is the LRU entry
@@ -28,7 +30,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheCounters(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache(store.NewMemory(4))
 	c.Get("x")
 	c.Put("x", []byte("X"))
 	c.Get("x")
@@ -40,7 +42,7 @@ func TestCacheCounters(t *testing.T) {
 }
 
 func TestCacheUpdateExisting(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache(store.NewMemory(2))
 	c.Put("a", []byte("old"))
 	c.Put("a", []byte("new"))
 	if v, _ := c.Get("a"); string(v) != "new" {
@@ -52,7 +54,7 @@ func TestCacheUpdateExisting(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(-1)
+	c := NewCache(store.NewMemory(-1))
 	c.Put("a", []byte("A"))
 	if _, ok := c.Get("a"); ok {
 		t.Error("disabled cache stored a value")
@@ -60,7 +62,7 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheCapacityOne(t *testing.T) {
-	c := NewCache(1)
+	c := NewCache(store.NewMemory(1))
 	for i := 0; i < 5; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"voltnoise/internal/service"
+	"voltnoise/internal/service/store"
 )
 
 // TestServiceDeterminism is the service-level determinism guarantee:
@@ -37,7 +38,7 @@ func TestServiceDeterminism(t *testing.T) {
 	}
 
 	// Fresh computation on a brand-new server (cold cache) matches too.
-	_, c2 := startServer(t, service.Config{Runner: labRunner, CacheEntries: -1})
+	_, c2 := startServer(t, service.Config{Runner: labRunner, Store: store.NewMemory(0)})
 	cold, cached, err := c2.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestServiceDeterminism(t *testing.T) {
 // neither changes the canonical hash nor the result bytes.
 func TestWorkerCountInvariance(t *testing.T) {
 	ctx := testCtx(t)
-	_, c := startServer(t, service.Config{Runner: labRunner, CacheEntries: -1})
+	_, c := startServer(t, service.Config{Runner: labRunner, Store: store.NewMemory(0)})
 
 	serial := sweepReq(2)
 	serial.Workers = 1
@@ -117,7 +118,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 // the width-16 register-blocked kernel.
 func TestBatchWidthInvariance(t *testing.T) {
 	ctx := testCtx(t)
-	_, c := startServer(t, service.Config{Runner: labRunner, CacheEntries: -1})
+	_, c := startServer(t, service.Config{Runner: labRunner, Store: store.NewMemory(0)})
 
 	ref := sweepReq(3)
 	ref.Workers, ref.Batch = 1, 1
@@ -157,7 +158,7 @@ func TestBatchWidthInvariance(t *testing.T) {
 // batch {1,3,8,16} x workers {1,4,8} through the HTTP service.
 func TestPopulationBatchWidthInvariance(t *testing.T) {
 	ctx := testCtx(t)
-	_, c := startServer(t, service.Config{Runner: labRunner, CacheEntries: -1})
+	_, c := startServer(t, service.Config{Runner: labRunner, Store: store.NewMemory(0)})
 
 	ref := populationReq(13)
 	ref.Workers, ref.Batch = 1, 1

@@ -28,12 +28,10 @@ type Config struct {
 	// Each study additionally fans its own measurements out per the
 	// request's Workers knob.
 	PoolSize int
-	// CacheEntries caps the LRU result cache (default 256; 0 keeps the
-	// default, negative disables caching). Ignored when Store is set.
-	CacheEntries int
-	// Store overrides the result-store backend (default: the in-memory
-	// LRU capped at CacheEntries). Use store.NewTiered over
-	// store.NewDisk for results that survive restarts. Backend
+	// Store is the result-store backend (default: an in-memory LRU of
+	// 256 results; store.NewMemory(0) disables caching). Use
+	// store.NewTiered over store.NewDisk for results that survive
+	// restarts. Backend
 	// failures never fail a study — they degrade to recomputes and
 	// surface via /metrics and /readyz.
 	Store store.Store
@@ -60,8 +58,8 @@ func (c Config) withDefaults() Config {
 	if c.PoolSize <= 0 {
 		c.PoolSize = 2
 	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
+	if c.Store == nil {
+		c.Store = store.NewMemory(256)
 	}
 	if c.Runner == nil {
 		c.Runner = NewLabRunner()
@@ -110,10 +108,7 @@ type Server struct {
 // already durable, re-enqueued otherwise) before the pool starts.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	cache := NewCache(cfg.CacheEntries)
-	if cfg.Store != nil {
-		cache = NewCacheOn(cfg.Store)
-	}
+	cache := NewCache(cfg.Store)
 	var pending []journal.Pending
 	if cfg.Journal != nil {
 		pending = cfg.Journal.Pending()

@@ -26,6 +26,7 @@ package stressmark
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"voltnoise/internal/exec"
@@ -339,7 +340,7 @@ func SequenceWithPower(cfg SearchConfig, high *uarch.Program, target, tol float6
 			}
 			prog := &uarch.Program{Name: fmt.Sprintf("mix_%da_%db", a, b), Body: body}
 			p := cfg.Core.Power(prog)
-			if e := abs(p - target); e < bestErr {
+			if e := math.Abs(p - target); e < bestErr {
 				bestErr = e
 				best = prog
 			}
@@ -357,11 +358,4 @@ func pow(base, exp int) int {
 		out *= base
 	}
 	return out
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

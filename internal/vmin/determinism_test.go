@@ -38,7 +38,7 @@ func TestRunDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MinBias = 0.90
-			cfg.Windows = []Window{{Start: 0, Duration: 20e-6}}
+			cfg.Window = Window{Start: 0, Duration: 20e-6}
 			run := func(workers int) *Result {
 				c := cfg
 				c.Workers = workers
@@ -97,7 +97,7 @@ func TestRunBatchDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MinBias = 0.90
-			cfg.Windows = []Window{{Start: 0, Duration: 20e-6}}
+			cfg.Window = Window{Start: 0, Duration: 20e-6}
 			run := func(workers, batch int) *Result {
 				c := cfg
 				c.Workers = workers
@@ -140,7 +140,7 @@ func TestRunWarmPoolMatchesCold(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MinBias = 0.92
-	cfg.Windows = []Window{{Start: 0, Duration: 15e-6}}
+	cfg.Window = Window{Start: 0, Duration: 15e-6}
 	cfg.Workers = 4
 	p, err := core.New(core.DefaultConfig())
 	if err != nil {

@@ -24,8 +24,8 @@ import (
 // of nominal, unsynchronized ones leave 5-7%.
 const DefaultFailVoltage = 0.875
 
-// Window is one measurement window per bias step. Experiments choose
-// windows that cover the workload's noisiest episodes (e.g. a
+// Window is the measurement window of every bias step. Experiments
+// choose a window that covers the workload's noisiest episode (e.g. a
 // synchronized burst onset).
 type Window struct {
 	Start, Duration float64
@@ -39,8 +39,8 @@ type Config struct {
 	StartBias float64
 	// MinBias bounds the search from below.
 	MinBias float64
-	// Windows are the measurement windows checked at each step.
-	Windows []Window
+	// Window is the measurement window checked at each step.
+	Window Window
 	// Workers caps the concurrent bias-step workers. Zero selects one
 	// worker per CPU; one forces the serial walk. Each chunk of steps
 	// runs on its own pooled batch session, and the failure scan
@@ -73,8 +73,8 @@ type Config struct {
 type StepEvent struct {
 	// Bias is the quantized bias the step actually applied.
 	Bias float64
-	// MinV is the deepest supply excursion observed across the step's
-	// measurement windows.
+	// MinV is the deepest supply excursion observed in the step's
+	// measurement window.
 	MinV float64
 }
 
@@ -86,9 +86,7 @@ func DefaultConfig() Config {
 		FailVoltage: DefaultFailVoltage,
 		StartBias:   1.0,
 		MinBias:     0.80,
-		Windows: []Window{
-			{Start: -10e-6, Duration: 60e-6},
-		},
+		Window:      Window{Start: -10e-6, Duration: 60e-6},
 	}
 }
 
@@ -99,13 +97,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("vmin: non-positive fail voltage %g", c.FailVoltage)
 	case c.StartBias <= c.MinBias:
 		return fmt.Errorf("vmin: start bias %g must exceed min bias %g", c.StartBias, c.MinBias)
-	case len(c.Windows) == 0:
-		return fmt.Errorf("vmin: no measurement windows")
-	}
-	for _, w := range c.Windows {
-		if w.Duration <= 0 {
-			return fmt.Errorf("vmin: window with non-positive duration")
-		}
+	case c.Window.Duration <= 0:
+		return fmt.Errorf("vmin: window with non-positive duration")
 	}
 	return nil
 }
@@ -131,7 +124,7 @@ type Result struct {
 
 // Run performs the experiment: starting at StartBias, lower the bias
 // step by step ("0.5% every two minutes" on the real machine; the
-// simulator is faster) and measure each window until a core's supply
+// simulator is faster) and measure the window until a core's supply
 // crosses the failure threshold.
 //
 // The steps of the grid are independent measurements, so they fan out
@@ -175,27 +168,17 @@ func Run(ctx context.Context, p *core.Platform, workloads [core.NumCores]core.Wo
 					return nil, err
 				}
 			}
-			out := make([]StepEvent, lanes)
-			for l := range out {
-				out[l].MinV = 2.0
-			}
 			specs := make([]core.RunSpec, lanes)
-			for _, w := range cfg.Windows {
-				for l := range specs {
-					specs[l] = core.RunSpec{Workloads: workloads, Start: w.Start, Duration: w.Duration}
-				}
-				ms, err := bs.RunBatchContext(ctx, specs)
-				if err != nil {
-					return nil, err
-				}
-				for l, m := range ms {
-					if v := m.MinVoltage(); v < out[l].MinV {
-						out[l].MinV = v
-					}
-				}
+			for l := range specs {
+				specs[l] = core.RunSpec{Workloads: workloads, Start: cfg.Window.Start, Duration: cfg.Window.Duration}
 			}
-			for l := range out {
-				out[l].Bias = bs.LaneBias(l)
+			ms, err := bs.RunBatchContext(ctx, specs)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]StepEvent, lanes)
+			for l, m := range ms {
+				out[l] = StepEvent{Bias: bs.LaneBias(l), MinV: m.MinVoltage()}
 			}
 			return out, nil
 		},

@@ -13,10 +13,10 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string]func(Config) Config{
-		"zero fail V":  func(c Config) Config { c.FailVoltage = 0; return c },
-		"start <= min": func(c Config) Config { c.StartBias = c.MinBias; return c },
-		"no windows":   func(c Config) Config { c.Windows = nil; return c },
-		"empty window": func(c Config) Config { c.Windows = []Window{{Duration: 0}}; return c },
+		"zero fail V":     func(c Config) Config { c.FailVoltage = 0; return c },
+		"start <= min":    func(c Config) Config { c.StartBias = c.MinBias; return c },
+		"no window":       func(c Config) Config { c.Window = Window{}; return c },
+		"negative window": func(c Config) Config { c.Window = Window{Duration: -1e-6}; return c },
 	}
 	for name, mutate := range cases {
 		if err := mutate(DefaultConfig()).Validate(); err == nil {
@@ -28,7 +28,7 @@ func TestConfigValidation(t *testing.T) {
 func TestRunRejectsBadConfig(t *testing.T) {
 	p, _ := core.New(core.DefaultConfig())
 	bad := DefaultConfig()
-	bad.Windows = nil
+	bad.Window = Window{}
 	var wl [core.NumCores]core.Workload
 	if _, err := Run(context.Background(), p, wl, bad); err == nil {
 		t.Error("bad config accepted")
@@ -39,7 +39,7 @@ func TestIdleWorkloadHasLargeMargin(t *testing.T) {
 	p, _ := core.New(core.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.MinBias = 0.90
-	cfg.Windows = []Window{{Start: 0, Duration: 10e-6}}
+	cfg.Window = Window{Start: 0, Duration: 10e-6}
 	var wl [core.NumCores]core.Workload
 	res, err := Run(context.Background(), p, wl, cfg)
 	if err != nil {
@@ -67,7 +67,7 @@ func TestRunLeavesPlatformBias(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MinBias = 0.90
-	cfg.Windows = []Window{{Start: 0, Duration: 10e-6}}
+	cfg.Window = Window{Start: 0, Duration: 10e-6}
 	var wl [core.NumCores]core.Workload
 	if _, err := Run(context.Background(), p, wl, cfg); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestNoisyWorkloadFailsEarlier(t *testing.T) {
 	p, _ := core.New(core.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.MinBias = 0.80
-	cfg.Windows = []Window{{Start: 0, Duration: 30e-6}}
+	cfg.Window = Window{Start: 0, Duration: 30e-6}
 
 	// A violent aligned 2 MHz oscillation on all cores.
 	var noisy [core.NumCores]core.Workload
@@ -124,7 +124,7 @@ func TestMarginQuantizedToBiasSteps(t *testing.T) {
 	p, _ := core.New(core.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.MinBias = 0.92
-	cfg.Windows = []Window{{Start: 0, Duration: 5e-6}}
+	cfg.Window = Window{Start: 0, Duration: 5e-6}
 	var wl [core.NumCores]core.Workload
 	res, err := Run(context.Background(), p, wl, cfg)
 	if err != nil {

@@ -123,15 +123,6 @@ type LabOption = noise.Option
 // (default: DefaultSearchConfig, the paper-sized search).
 func WithSearch(scfg SearchConfig) LabOption { return noise.WithSearch(scfg) }
 
-// WithWorkers caps the concurrent measurement workers of the parallel
-// studies (zero: one worker per CPU, one: serial).
-func WithWorkers(n int) LabOption { return noise.WithWorkers(n) }
-
-// WithBatch sets the lockstep lane width of the batched studies (zero:
-// the auto width, 16 lanes on the AVX2 solve bodies and 8 on the
-// pure-Go ones; one: a width-1 session per run).
-func WithBatch(n int) LabOption { return noise.WithBatch(n) }
-
 // NewLab runs the maximum-power sequence search on the given platform
 // and returns the experiment harness. Options select the search size
 // and worker cap:
@@ -185,34 +176,14 @@ func DefaultSync() SyncCondition { return tod.DefaultSync() }
 // granularity of the misalignment study.
 const TODTickSeconds = tod.TickSeconds
 
-// EPIOption configures EPIProfile.
-type EPIOption func(*EPIConfig)
-
-// EPIWorkers caps the concurrent per-instruction measurement workers
-// (zero: one worker per CPU, one: serial).
-func EPIWorkers(n int) EPIOption { return func(c *EPIConfig) { c.Workers = n } }
-
-// EPIBatch sets the chunk granularity of the stolen-chunk EPI schedule
-// (zero: the default width, one: single instructions).
-func EPIBatch(n int) EPIOption { return func(c *EPIConfig) { c.Batch = n } }
-
-// EPIMeasureCycles sets the measured cycles per micro-benchmark.
-func EPIMeasureCycles(n int) EPIOption { return func(c *EPIConfig) { c.MeasureCycles = n } }
-
-// EPIWarmupCycles sets the warmup cycles per micro-benchmark.
-func EPIWarmupCycles(n int) EPIOption { return func(c *EPIConfig) { c.WarmupCycles = n } }
-
 // EPIProfile generates the energy-per-instruction profile of the full
 // ISA (the paper's Table I) by running one micro-benchmark per
-// instruction on the cycle-level executor. The per-instruction runs
-// execute in parallel (one worker per CPU unless EPIWorkers says
-// otherwise); the profile is bit-identical to a serial run. Canceling
-// ctx interrupts the profile between instruction runs.
-func EPIProfile(ctx context.Context, opts ...EPIOption) (*epi.Profile, error) {
-	cfg := epi.DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+// instruction on the cycle-level executor, configured by cfg (start
+// from DefaultEPIConfig). The per-instruction runs execute in parallel
+// (one worker per CPU unless cfg.Workers says otherwise); the profile
+// is bit-identical to a serial run. Canceling ctx interrupts the
+// profile between instruction runs.
+func EPIProfile(ctx context.Context, cfg EPIConfig) (*epi.Profile, error) {
 	return epi.Generate(ctx, cfg)
 }
 
@@ -231,40 +202,18 @@ func DefaultVminConfig() VminConfig { return vmin.DefaultConfig() }
 // VminResult reports a Vmin experiment.
 type VminResult = vmin.Result
 
-// VminWindow is one measurement window per bias step.
+// VminWindow is the measurement window of every bias step.
 type VminWindow = vmin.Window
 
-// VminOption configures Vmin.
-type VminOption func(*VminConfig)
-
-// VminFailVoltage sets the critical-path failure threshold in volts.
-func VminFailVoltage(v float64) VminOption { return func(c *VminConfig) { c.FailVoltage = v } }
-
-// VminStartBias sets the first (highest) bias probed.
-func VminStartBias(b float64) VminOption { return func(c *VminConfig) { c.StartBias = b } }
-
-// VminMinBias bounds the walk from below.
-func VminMinBias(b float64) VminOption { return func(c *VminConfig) { c.MinBias = b } }
-
-// VminWindows sets the measurement windows checked at each step.
-func VminWindows(ws ...VminWindow) VminOption { return func(c *VminConfig) { c.Windows = ws } }
-
-// VminWorkers caps the concurrent bias-step workers (zero: one worker
-// per CPU, one: serial).
-func VminWorkers(n int) VminOption { return func(c *VminConfig) { c.Workers = n } }
-
 // Vmin lowers the supply in 0.5% steps until first failure and
-// reports the available margin. The bias grid is probed in parallel
-// (VminWorkers; default one worker per CPU) with a deterministic
-// descending-bias reduction, so the result matches the serial walk
-// exactly; every bias step reuses a pooled measurement session, so
-// the circuit is built and factored once for the whole walk.
-// Canceling ctx interrupts the walk mid-window.
-func Vmin(ctx context.Context, p *Platform, workloads [NumCores]Workload, opts ...VminOption) (*VminResult, error) {
-	cfg := vmin.DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+// reports the available margin, configured by cfg (start from
+// DefaultVminConfig). The bias grid is probed in parallel (cfg.Workers;
+// zero: one worker per CPU) with a deterministic descending-bias
+// reduction, so the result matches the serial walk exactly; every bias
+// step reuses a pooled measurement session, so the circuit is built
+// and factored once for the whole walk. Canceling ctx interrupts the
+// walk mid-window.
+func Vmin(ctx context.Context, p *Platform, workloads [NumCores]Workload, cfg VminConfig) (*VminResult, error) {
 	return vmin.Run(ctx, p, workloads, cfg)
 }
 

@@ -86,7 +86,7 @@ func TestEPIProfileAPI(t *testing.T) {
 	// Default measurement windows: short ones bias the bottom ranks,
 	// where unpipelined ops need several initiation intervals to
 	// average out.
-	prof, err := voltnoise.EPIProfile(context.Background())
+	prof, err := voltnoise.EPIProfile(context.Background(), voltnoise.DefaultEPIConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,9 @@ func TestEPIProfileAPI(t *testing.T) {
 func TestVminAPI(t *testing.T) {
 	lab := apiSetup(t)
 	var wl [voltnoise.NumCores]voltnoise.Workload
-	res, err := voltnoise.Vmin(context.Background(), lab.Platform, wl, voltnoise.VminMinBias(0.95))
+	cfg := voltnoise.DefaultVminConfig()
+	cfg.MinBias = 0.95
+	res, err := voltnoise.Vmin(context.Background(), lab.Platform, wl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
