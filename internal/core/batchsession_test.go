@@ -23,12 +23,39 @@ func laneWorkload(lane int) Workload {
 	}}
 }
 
-// TestBatchSessionRaggedDurations is the batch engine's core contract:
-// every lane of a heterogeneous batch (different workloads and
-// Durations per lane, shared Start and Warmup, two lanes recording
-// traces) is bit-identical to running that lane's spec alone at width
-// 1. The engine steps to the longest lane's end while shorter lanes
-// stop observing at their own.
+// TestBatchSessionMatchesSessions is the batch engine's core contract:
+// every lane of a heterogeneous batch (different workloads per lane,
+// one lane recording traces) is bit-identical to running that lane's
+// spec alone at width 1.
+func TestBatchSessionMatchesSessions(t *testing.T) {
+	const lanes = 3
+	cfg := DefaultConfig()
+	bs, err := NewBatchSession(cfg, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]RunSpec, lanes)
+	for l := range specs {
+		var wl [NumCores]Workload
+		for i := 0; i <= l; i++ {
+			wl[i] = laneWorkload(l)
+		}
+		specs[l] = RunSpec{Workloads: wl, Start: 0, Duration: 20e-6, Record: l == 1}
+	}
+	got, err := bs.RunBatchContext(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := range specs {
+		identicalMeasurements(t, fmt.Sprintf("lane %d", l), got[l], runAlone(t, cfg, 1.0, cfg.CoreGain, specs[l]))
+	}
+}
+
+// TestBatchSessionRaggedDurations packs lanes with different Durations
+// (shared Start and Warmup, two lanes recording traces) into one batch:
+// the engine steps to the longest lane's end while shorter lanes stop
+// observing at their own, and every lane must stay bit-identical to a
+// lane-per-run width-1 session.
 func TestBatchSessionRaggedDurations(t *testing.T) {
 	const lanes = 3
 	cfg := DefaultConfig()
