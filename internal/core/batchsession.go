@@ -161,9 +161,9 @@ func (s *BatchSession) SetLaneBias(lane int, bias float64) error {
 	if err := s.checkLane(lane); err != nil {
 		return err
 	}
-	q := math.Round(bias/BiasStep) * BiasStep
-	if q < 0.70 || q > 1.10 {
-		return fmt.Errorf("core: voltage bias %g outside [0.70, 1.10]", q)
+	q, err := quantizeBias(bias)
+	if err != nil {
+		return err
 	}
 	c := &s.lanes[lane]
 	if q == c.bias {

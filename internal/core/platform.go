@@ -95,12 +95,22 @@ func (p *Platform) Config() Config { return p.cfg }
 // for concurrent use.
 func (p *Platform) Sessions() *SessionPool { return p.sessions }
 
+// quantizeBias rounds a supply scaling factor to the service element's
+// 0.5% steps and checks that it lands in [0.70, 1.10].
+func quantizeBias(bias float64) (float64, error) {
+	q := math.Round(bias/BiasStep) * BiasStep
+	if q < 0.70 || q > 1.10 {
+		return 0, fmt.Errorf("core: voltage bias %g outside [0.70, 1.10]", q)
+	}
+	return q, nil
+}
+
 // SetVoltageBias sets the supply scaling factor, quantized to the
 // service element's 0.5% steps. Bias must land in [0.70, 1.10].
 func (p *Platform) SetVoltageBias(bias float64) error {
-	q := math.Round(bias/BiasStep) * BiasStep
-	if q < 0.70 || q > 1.10 {
-		return fmt.Errorf("core: voltage bias %g outside [0.70, 1.10]", q)
+	q, err := quantizeBias(bias)
+	if err != nil {
+		return err
 	}
 	p.bias = q
 	return nil

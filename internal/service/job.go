@@ -18,7 +18,8 @@ const (
 	StateDone State = "done"
 	// StateFailed: the study returned an error.
 	StateFailed State = "failed"
-	// StateCanceled: canceled before a worker picked it up.
+	// StateCanceled: canceled by DELETE /v1/jobs/{id}, in the queue or
+	// while running.
 	StateCanceled State = "canceled"
 )
 
@@ -69,14 +70,14 @@ type job struct {
 	result []byte // marshaled study payload, set when state == StateDone
 	err    string
 
-	// hub is the job's event stream (always set by the server; nil only
-	// in tests that build bare jobs).
+	// hub is the job's event stream.
 	hub *eventHub
 	// progress counters mirrored into JobStatus; guarded by mu.
 	eventsEmitted           int64
 	chunksDone, chunksTotal int
 
-	// done closes when the job reaches a terminal state.
+	// done closes once the job's terminal state is fully recorded: its
+	// terminal event, journal record and metrics.
 	done chan struct{}
 	// cached marks a job satisfied from the cache at submission.
 	cached bool
@@ -84,7 +85,7 @@ type job struct {
 	recovered bool
 }
 
-func newJob(id, hash string, req *Request) *job {
+func newJob(id, hash string, req *Request, eventBuffer int) *job {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &job{
 		id:     id,
@@ -93,45 +94,38 @@ func newJob(id, hash string, req *Request) *job {
 		ctx:    ctx,
 		cancel: cancel,
 		state:  StateQueued,
+		hub:    newEventHub(eventBuffer),
 		done:   make(chan struct{}),
 	}
 }
 
-// newCachedJob builds an already-done job serving cached bytes.
-func newCachedJob(id, hash string, req *Request, result []byte) *job {
-	j := newJob(id, hash, req)
-	j.state = StateDone
-	j.result = result
-	j.cached = true
-	close(j.done)
-	return j
-}
-
-// finish moves the job to a terminal state exactly once.
-func (j *job) finish(state State, result []byte, err error) {
+// move changes the job's state from from to to, recording the result
+// and error text, and reports whether it did: a job that has already
+// left from is left alone.
+func (j *job) move(from, to State, result []byte, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
+	if j.state != from {
+		return false
 	}
-	j.state = state
+	j.state = to
 	j.result = result
 	if err != nil {
 		j.err = err.Error()
 	}
-	close(j.done)
+	return true
 }
 
-// setRunning marks the job running unless it was already canceled;
-// the return value reports whether the worker should proceed.
-func (j *job) setRunning() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
+// terminalEvent builds the event that ends the job's stream. Its type
+// is the terminal state's name; a done event fingerprints the result,
+// a failed or canceled one carries the error text.
+func (j *job) terminalEvent() *Event {
+	state, result, errText := j.snapshot()
+	e := &Event{Type: string(state), State: state, Error: errText}
+	if state == StateDone {
+		e.ResultHash, e.ResultBytes = resultSum(result), len(result)
 	}
-	j.state = StateRunning
-	return true
+	return e
 }
 
 // status snapshots the job for the wire.

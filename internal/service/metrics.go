@@ -77,16 +77,17 @@ type MetricsSnapshot struct {
 
 // metrics is the live counter set behind /metrics.
 type metrics struct {
-	mu        sync.Mutex
-	queued    int64
-	running   int64
-	done      int64
-	failed    int64
-	canceled  int64
+	mu sync.Mutex
+	// jobs counts jobs by state: a gauge for queued and running, a
+	// running total for each terminal state.
+	jobs      map[State]int64
 	deduped   int64
 	rejected  int64
 	recovered int64
 	journal   int64
+	// journalErr is the last journal append failure, cleared by the
+	// next successful append; /readyz reports it.
+	journalErr string
 
 	events         int64
 	eventsTrimmed  int64
@@ -105,7 +106,7 @@ type studyCounters struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{studies: make(map[Study]*studyCounters)}
+	return &metrics{jobs: make(map[State]int64), studies: make(map[Study]*studyCounters)}
 }
 
 func (m *metrics) study(s Study) *studyCounters {
@@ -117,12 +118,30 @@ func (m *metrics) study(s Study) *studyCounters {
 	return sc
 }
 
-func (m *metrics) jobQueued()    { m.mu.Lock(); m.queued++; m.mu.Unlock() }
 func (m *metrics) jobRejected()  { m.mu.Lock(); m.rejected++; m.mu.Unlock() }
 func (m *metrics) jobDeduped()   { m.mu.Lock(); m.deduped++; m.mu.Unlock() }
 func (m *metrics) jobRecovered() { m.mu.Lock(); m.recovered++; m.mu.Unlock() }
-func (m *metrics) journalError() { m.mu.Lock(); m.journal++; m.mu.Unlock() }
 func (m *metrics) streamGone()   { m.mu.Lock(); m.streamsGone++; m.mu.Unlock() }
+
+// journalAppended records the outcome of one journal append.
+func (m *metrics) journalAppended(err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err != nil {
+		m.journal++
+		m.journalErr = err.Error()
+		return
+	}
+	m.journalErr = ""
+}
+
+// lastJournalError returns the failure text of the last journal
+// append, or "" when it succeeded.
+func (m *metrics) lastJournalError() string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.journalErr
+}
 
 // eventPublished records one published stream event and how many
 // retained events its append trimmed from the ring.
@@ -142,44 +161,27 @@ func (m *metrics) streamOpened(resumed bool) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) jobStarted() {
-	m.mu.Lock()
-	m.queued--
-	m.running++
-	m.mu.Unlock()
-}
-
-// jobCanceled records a job that left the queue without running.
-func (m *metrics) jobCanceled() {
-	m.mu.Lock()
-	m.queued--
-	m.canceled++
-	m.mu.Unlock()
-}
-
-// runCanceled records a running job whose runner observed its
-// context's cancellation and bailed out.
-func (m *metrics) runCanceled() {
-	m.mu.Lock()
-	m.running--
-	m.canceled++
-	m.mu.Unlock()
-}
-
-// jobFinished records a run's outcome and latency.
-func (m *metrics) jobFinished(s Study, ok bool, elapsed time.Duration) {
-	ms := float64(elapsed) / float64(time.Millisecond)
+// transition records a job moving from state from to state to; from
+// is "" for a job entering the queue. Only runs feed the done and
+// failed counters and the study's latency histogram: a job leaves
+// StateRunning done or failed, and elapsed is its run time.
+func (m *metrics) transition(s Study, from, to State, elapsed time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.running--
+	if from != "" {
+		m.jobs[from]--
+	}
+	m.jobs[to]++
+	if to != StateDone && to != StateFailed {
+		return
+	}
 	sc := m.study(s)
-	if ok {
-		m.done++
+	if to == StateDone {
 		sc.done++
 	} else {
-		m.failed++
 		sc.failed++
 	}
+	ms := float64(elapsed) / float64(time.Millisecond)
 	i := sort.SearchFloat64s(latencyBucketsMS, ms)
 	sc.counts[i]++
 	sc.count++
@@ -192,11 +194,11 @@ func (m *metrics) snapshot(hits, misses, getErrs, putErrs int64, cacheEntries, q
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	snap := &MetricsSnapshot{
-		JobsQueued:     m.queued,
-		JobsRunning:    m.running,
-		JobsDone:       m.done,
-		JobsFailed:     m.failed,
-		JobsCanceled:   m.canceled,
+		JobsQueued:     m.jobs[StateQueued],
+		JobsRunning:    m.jobs[StateRunning],
+		JobsDone:       m.jobs[StateDone],
+		JobsFailed:     m.jobs[StateFailed],
+		JobsCanceled:   m.jobs[StateCanceled],
 		JobsDeduped:    m.deduped,
 		JobsRejected:   m.rejected,
 		JobsRecovered:  m.recovered,

@@ -29,36 +29,17 @@ func (s *Server) recover(pending []journal.Pending) {
 		s.met.jobRecovered()
 		req, err := decodeJournaledRequest(p.Req)
 		if err != nil {
-			j := newJob(p.ID, p.Hash, &Request{})
-			j.recovered = true
-			j.hub = newEventHub(s.cfg.EventBuffer)
-			j.finish(StateFailed, nil, err)
-			s.publishEvent(j, &Event{Type: EventHello, State: StateFailed, Request: j.req})
-			s.publishEvent(j, &Event{Type: EventFailed, State: StateFailed, Error: err.Error()})
-			s.journalFinish(p.ID, StateFailed)
-			s.jobs[p.ID] = j
-			continue
+			req = &Request{}
 		}
-		j := newJob(p.ID, p.Hash, req)
+		j := newJob(p.ID, p.Hash, req, s.cfg.EventBuffer)
 		j.recovered = true
-		j.hub = newEventHub(s.cfg.EventBuffer)
-		if bytes, ok := s.cache.Get(p.Hash); ok {
-			j.cached = true
-			j.finish(StateDone, bytes, nil)
-			s.publishEvent(j, &Event{Type: EventHello, State: StateDone, Request: j.req})
-			s.publishEvent(j, &Event{Type: EventDone, State: StateDone,
-				ResultHash: resultSum(bytes), ResultBytes: len(bytes)})
-			s.journalFinish(p.ID, StateDone)
-			s.jobs[p.ID] = j
-			continue
+		if err != nil {
+			s.arriveFinished(j, StateFailed, nil, err)
+		} else if bytes, ok := s.cache.Get(p.Hash); ok {
+			s.arriveFinished(j, StateDone, bytes, nil)
+		} else {
+			s.enqueue(j) // never full: the queue was sized to fit pending
 		}
-		s.publishEvent(j, &Event{Type: EventHello, State: StateQueued, Request: j.req})
-		s.jobs[p.ID] = j
-		if _, dup := s.inflight[p.Hash]; !dup {
-			s.inflight[p.Hash] = j
-		}
-		s.queue <- j // never blocks: the queue was sized to fit pending
-		s.met.jobQueued()
 	}
 }
 

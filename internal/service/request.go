@@ -1,9 +1,9 @@
 // Package service exposes the repository's characterization studies
 // as a long-running network daemon: clients submit study requests
 // (frequency sweeps, Vmin walks, EPI profiles, guard-band
-// evaluations) over a versioned HTTP/JSON API and the service runs
-// them on a bounded worker pool, deduplicating identical work through
-// a content-addressed result cache.
+// evaluations, population studies) over a versioned HTTP/JSON API and
+// the service runs them on a bounded worker pool, deduplicating
+// identical work through a content-addressed result cache.
 //
 // The cornerstone is determinism: every study in this repository is
 // bit-identical for any worker count (see internal/exec), so two
@@ -13,15 +13,17 @@
 // The canonical configuration hash (Request.Hash) is therefore a safe
 // content-addressed key.
 //
-// Cancellation is first-class: every job carries a context that
-// DELETE /v1/jobs/{id} cancels. The runner threads it through the
-// study harness, the pooled measurement sessions and down to the
-// transient integration loop, so canceling a RUNNING job interrupts
-// the sweep mid-measurement (within a few thousand integration steps)
-// instead of letting the study run to completion. Canceled jobs
-// finish in StateCanceled, never populate the cache, and are counted
-// by the jobs_canceled metric; the sessions they were using return to
-// the pool for the next job.
+// Every job state change goes through one server path per kind of
+// move, which keeps the job record, its event stream, the journal and
+// /metrics in step. A panic in a study fails its job, not the daemon.
+//
+// Cancellation is first-class: DELETE /v1/jobs/{id} ends a QUEUED job
+// at once, and cancels a RUNNING job's context, which the runner
+// threads through the study harness and the pooled sessions down to
+// the transient integration loop, so the study stops mid-measurement
+// (within a few thousand integration steps). Canceled jobs finish in
+// StateCanceled, never populate the cache, and are counted by the
+// jobs_canceled metric; their sessions return to the pool.
 package service
 
 import (
@@ -102,11 +104,15 @@ type Request struct {
 }
 
 // FreqSweepParams parameterizes a stimulus-frequency sweep:
-// logarithmically spaced points between LoHz and HiHz.
+// logarithmically spaced points from LoHz to HiHz, both ends included.
 type FreqSweepParams struct {
-	LoHz   float64 `json:"lo_hz"`
-	HiHz   float64 `json:"hi_hz"`
-	Points int     `json:"points"`
+	// LoHz and HiHz bound the sweep; both must be positive and HiHz
+	// must lie above LoHz.
+	LoHz float64 `json:"lo_hz"`
+	HiHz float64 `json:"hi_hz"`
+	// Points is the number of sweep frequencies, in [2, 4096]: a sweep
+	// has at least its two ends.
+	Points int `json:"points"`
 	// Sync runs TOD-synchronized bursts (Figure 9) instead of
 	// free-running copies (Figure 7a).
 	Sync bool `json:"sync,omitempty"`
@@ -119,11 +125,11 @@ func (p *FreqSweepParams) normalize() error {
 	if p.LoHz <= 0 || p.HiHz <= 0 {
 		return fmt.Errorf("freq_sweep: non-positive frequency bound")
 	}
-	if p.HiHz < p.LoHz {
-		return fmt.Errorf("freq_sweep: hi_hz %g below lo_hz %g", p.HiHz, p.LoHz)
+	if p.HiHz <= p.LoHz {
+		return fmt.Errorf("freq_sweep: hi_hz %g at or below lo_hz %g", p.HiHz, p.LoHz)
 	}
-	if p.Points < 1 || p.Points > 4096 {
-		return fmt.Errorf("freq_sweep: points %d outside [1, 4096]", p.Points)
+	if p.Points < 2 || p.Points > 4096 {
+		return fmt.Errorf("freq_sweep: points %d outside [2, 4096]", p.Points)
 	}
 	if !p.Sync {
 		p.Events = 0

@@ -168,6 +168,10 @@ func TestValidation(t *testing.T) {
 			FreqSweep: &FreqSweepParams{LoHz: 4e6, HiHz: 1e6, Points: 2}}, "below"},
 		{"zero points", &Request{Study: StudyFreqSweep,
 			FreqSweep: &FreqSweepParams{LoHz: 1e6, HiHz: 4e6}}, "points"},
+		{"one point", &Request{Study: StudyFreqSweep,
+			FreqSweep: &FreqSweepParams{LoHz: 1e6, HiHz: 4e6, Points: 1}}, "points 1 outside [2, 4096]"},
+		{"equal bounds", &Request{Study: StudyFreqSweep,
+			FreqSweep: &FreqSweepParams{LoHz: 2e6, HiHz: 2e6, Points: 3}}, "at or below"},
 		{"bad min bias", &Request{Study: StudyVminWalk,
 			VminWalk: &VminWalkParams{FreqHz: 2e6, MinBias: 1.5}}, "min_bias"},
 		{"short droops", &Request{Study: StudyGuardband,

@@ -4,7 +4,6 @@ import (
 	"voltnoise/internal/core"
 	"voltnoise/internal/epi"
 	"voltnoise/internal/noise"
-	"voltnoise/internal/population"
 )
 
 // The unexported converters in this file are the one path from a
@@ -85,12 +84,6 @@ func epiProfileResult(prof *epi.Profile, topN int) *EPIProfileResult {
 	}
 	return res
 }
-
-// PopulationResult is the population study payload: fleet-wide droop,
-// Vmin and guard-band distributions with a per-core-class breakdown.
-// Its BatchedChunks field carries a json:"-" tag, so payload bytes
-// stay independent of the workers/batch schedule.
-type PopulationResult = population.Result
 
 // GuardbandResult is the guardband study payload.
 type GuardbandResult struct {

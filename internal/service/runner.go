@@ -244,7 +244,11 @@ func runEPIProfile(ctx context.Context, req *Request) (any, error) {
 // stimulus is the C-state exit itself), so it runs straight against
 // the population engine. Every platform it builds is per-request and
 // dropped afterwards: fleets are parameterized too widely to share
-// lab-style state across jobs.
+// lab-style state across jobs. The payload is the library's
+// population.Result itself: fleet-wide droop, Vmin and guard-band
+// distributions with a per-core-class breakdown. Its BatchedChunks
+// field carries a json:"-" tag, so payload bytes stay independent of
+// the workers/batch schedule.
 func runPopulation(ctx context.Context, req *Request) (any, error) {
 	cfg := req.Population.config(req.Workers, req.Batch)
 	if sink := progress.FromContext(ctx); sink != nil {

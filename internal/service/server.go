@@ -90,12 +90,11 @@ type Server struct {
 	journal *journal.Journal
 	met     *metrics
 
-	mu             sync.Mutex
-	jobs           map[string]*job
-	inflight       map[string]*job // canonical hash -> queued/running job
-	seq            int64
-	draining       bool
-	lastJournalErr string
+	mu       sync.Mutex
+	jobs     map[string]*job
+	inflight map[string]*job // canonical hash -> queued/running job
+	seq      int64
+	draining bool
 
 	queue chan *job
 	wg    sync.WaitGroup
@@ -179,17 +178,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Submit accepts a request: it normalizes and validates, consults the
+// submit accepts a request: it normalizes and validates, consults the
 // result cache, collapses onto an identical in-flight job when one
 // exists (singleflight), or enqueues a new job. The returned status
 // reports which path was taken. Errors: validation errors,
 // ErrQueueFull, ErrDraining.
-func (s *Server) Submit(req *Request) (*JobStatus, error) {
-	j, st, err := s.submit(req)
-	_ = j
-	return st, err
-}
-
 func (s *Server) submit(req *Request) (*job, *JobStatus, error) {
 	n, err := req.Normalize()
 	if err != nil {
@@ -210,12 +203,8 @@ func (s *Server) submit(req *Request) (*job, *JobStatus, error) {
 	// byte-identical to the original computation.
 	if bytes, ok := s.cache.Get(hash); ok {
 		s.seq++
-		j := newCachedJob(jobID(s.seq), hash, n, bytes)
-		j.hub = newEventHub(s.cfg.EventBuffer)
-		s.publishEvent(j, &Event{Type: EventHello, State: StateDone, Request: j.req})
-		s.publishEvent(j, &Event{Type: EventDone, State: StateDone,
-			ResultHash: resultSum(bytes), ResultBytes: len(bytes)})
-		s.jobs[j.id] = j
+		j := newJob(jobID(s.seq), hash, n, s.cfg.EventBuffer)
+		s.arriveFinished(j, StateDone, bytes, nil)
 		return j, j.status(), nil
 	}
 	// Singleflight: an identical configuration already queued or
@@ -227,13 +216,10 @@ func (s *Server) submit(req *Request) (*job, *JobStatus, error) {
 		return ex, st, nil
 	}
 	s.seq++
-	j := newJob(jobID(s.seq), hash, n)
-	j.hub = newEventHub(s.cfg.EventBuffer)
-	select {
-	case s.queue <- j:
-	default:
+	j := newJob(jobID(s.seq), hash, n, s.cfg.EventBuffer)
+	if err := s.enqueue(j); err != nil {
 		s.met.jobRejected()
-		return nil, nil, ErrQueueFull
+		return nil, nil, err
 	}
 	// Write-ahead: the accepted job hits the journal before the caller
 	// hears "accepted", so a crash after this point re-enqueues it on
@@ -241,20 +227,79 @@ func (s *Server) submit(req *Request) (*job, *JobStatus, error) {
 	// durability: the job still runs, the degradation is visible in
 	// /metrics and /readyz.
 	s.journalAccept(j)
-	s.jobs[j.id] = j
-	s.inflight[hash] = j
-	s.met.jobQueued()
-	s.publishEvent(j, &Event{Type: EventHello, State: StateQueued, Request: j.req})
 	return j, j.status(), nil
+}
+
+// The job lifecycle: a job enters through enqueue or arriveFinished, a
+// worker moves it to running in runJob, and it reaches a terminal
+// state only through end. Each path keeps the job record, its event
+// stream, the journal and /metrics in step.
+
+// enqueue puts a new job (a submission, or a recovered job that still
+// has to run) on the queue, or returns ErrQueueFull, and registers it:
+// the job record, the in-flight entry (unless an identical job holds
+// it), the queued gauge and the hello. The caller holds s.mu or runs
+// before the pool starts; a worker takes s.mu (parkForRecovery) before
+// it runs a popped job, so it finds the job registered.
+func (s *Server) enqueue(j *job) error {
+	select {
+	case s.queue <- j:
+	default:
+		return ErrQueueFull
+	}
+	s.jobs[j.id] = j
+	if _, dup := s.inflight[j.hash]; !dup {
+		s.inflight[j.hash] = j
+	}
+	s.met.transition(j.req.Study, "", StateQueued, 0)
+	s.publishEvent(j, &Event{Type: EventHello, State: StateQueued, Request: j.req})
+	return nil
+}
+
+// arriveFinished registers a job that is finished on arrival: a store
+// hit at submit, or a recovered job whose result is already stored or
+// whose request can no longer be decoded. Its stream is the hello in
+// the final state, then the terminal event. Only a recovered job is
+// journaled, to close its acceptance record; a store hit at submit has
+// none, so this never appends to the journal under s.mu. Arrivals are
+// not runs, so /metrics counts none of them as done or failed.
+func (s *Server) arriveFinished(j *job, state State, result []byte, err error) {
+	j.cached = state == StateDone
+	j.move(StateQueued, state, result, err)
+	s.publishEvent(j, &Event{Type: EventHello, State: state, Request: j.req})
+	s.publishEvent(j, j.terminalEvent())
+	if j.recovered {
+		s.journalFinish(j.id, state)
+	}
+	close(j.done)
+	s.jobs[j.id] = j
+}
+
+// end moves a job from from (queued or running) to a terminal state:
+// it records the outcome on the job, publishes the terminal event,
+// journals the move, drops the in-flight entry and updates /metrics
+// (elapsed is the run time), and only then releases the waiters on
+// done. It does nothing if the job has already left from, so a job
+// ends exactly once whoever gets there first.
+func (s *Server) end(j *job, from, to State, result []byte, err error, elapsed time.Duration) {
+	if !j.move(from, to, result, err) {
+		return
+	}
+	s.publishEvent(j, j.terminalEvent())
+	s.journalFinish(j.id, to)
+	s.mu.Lock()
+	if s.inflight[j.hash] == j {
+		delete(s.inflight, j.hash)
+	}
+	s.mu.Unlock()
+	s.met.transition(j.req.Study, from, to, elapsed)
+	close(j.done)
 }
 
 // publishEvent stamps the event with the job's identity, publishes it
 // on the job's hub and maintains the job/metrics counters. Safe with
 // or without s.mu held (it takes only the hub's and job's own locks).
 func (s *Server) publishEvent(j *job, e *Event) {
-	if j.hub == nil {
-		return
-	}
 	e.Job = j.id
 	e.Study = j.req.Study
 	trimmed := j.hub.publish(e)
@@ -292,29 +337,16 @@ func (s *Server) journalAccept(j *job) {
 	if err == nil {
 		err = s.journal.Accept(j.id, j.hash, raw)
 	}
-	if err != nil {
-		s.met.journalError()
-		s.lastJournalErr = err.Error()
-		return
-	}
-	s.lastJournalErr = ""
+	s.met.journalAppended(err)
 }
 
-// journalFinish appends a terminal transition; called off the worker
-// path without s.mu held.
+// journalFinish appends a terminal transition. It takes no server
+// lock, so it is safe with or without s.mu held.
 func (s *Server) journalFinish(id string, state State) {
 	if s.journal == nil {
 		return
 	}
-	err := s.journal.Finish(id, string(state))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err != nil {
-		s.met.journalError()
-		s.lastJournalErr = err.Error()
-		return
-	}
-	s.lastJournalErr = ""
+	s.met.journalAppended(s.journal.Finish(id, string(state)))
 }
 
 func (s *Server) worker() {
@@ -338,63 +370,66 @@ func (s *Server) parkForRecovery() bool {
 	return s.draining && s.journal != nil
 }
 
+// runJob runs a job the worker popped. A job that DELETE already ended
+// in the queue is skipped. One canceled between its pop and its start
+// still moves to running and ends canceled through the running path.
 func (s *Server) runJob(j *job) {
-	defer s.removeInflight(j)
-	if j.ctx.Err() != nil || !j.setRunning() {
-		j.finish(StateCanceled, nil, context.Canceled)
-		s.publishEvent(j, &Event{Type: EventCanceled, State: StateCanceled, Error: context.Canceled.Error()})
-		s.journalFinish(j.id, StateCanceled)
-		s.met.jobCanceled()
+	if !j.move(StateQueued, StateRunning, nil, nil) {
 		return
 	}
-	s.met.jobStarted()
+	s.met.transition(j.req.Study, StateQueued, StateRunning, 0)
 	s.publishEvent(j, &Event{Type: EventStatus, State: StateRunning})
 	start := time.Now()
-	// The progress sink rides the job context so the Runner interface
-	// stays payload-agnostic; the lab runner converts study partials to
-	// wire payloads before they reach the sink.
-	payload, err := s.runner.Run(progress.NewContext(j.ctx, s.progressSink(j)), j.req)
-	var result []byte
-	if err == nil {
-		result, err = json.Marshal(payload)
-	}
+	result, err := s.run(j)
 	elapsed := time.Since(start)
+	to := StateDone
 	switch {
 	case err == nil:
 		// Persist before journaling "done": a crash between the two
 		// replays the job (wasted work, same bytes) instead of
 		// journaling a result that was never stored.
 		s.cache.Put(j.hash, result)
-		j.finish(StateDone, result, nil)
-		s.publishEvent(j, &Event{Type: EventDone, State: StateDone,
-			ResultHash: resultSum(result), ResultBytes: len(result)})
-		s.journalFinish(j.id, StateDone)
-		s.met.jobFinished(j.req.Study, true, elapsed)
 	case errors.Is(err, context.Canceled):
-		j.finish(StateCanceled, nil, err)
-		s.publishEvent(j, &Event{Type: EventCanceled, State: StateCanceled, Error: err.Error()})
-		s.journalFinish(j.id, StateCanceled)
-		s.met.runCanceled()
+		to = StateCanceled
 	default:
-		j.finish(StateFailed, nil, err)
-		s.publishEvent(j, &Event{Type: EventFailed, State: StateFailed, Error: err.Error()})
-		s.journalFinish(j.id, StateFailed)
-		s.met.jobFinished(j.req.Study, false, elapsed)
+		to = StateFailed
 	}
+	s.end(j, StateRunning, to, result, err, elapsed)
 }
 
-func (s *Server) removeInflight(j *job) {
-	s.mu.Lock()
-	if s.inflight[j.hash] == j {
-		delete(s.inflight, j.hash)
+// run executes the job's study and marshals its payload. A panic in
+// the runner becomes the job's error, carrying the panic value the way
+// exec.PanicError does for a chunk, so no accepted request can take a
+// worker, and with it the daemon, down.
+func (s *Server) run(j *job) (result []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			result, err = nil, fmt.Errorf("service: %s study panicked: %v", j.req.Study, v)
+		}
+	}()
+	if err := j.ctx.Err(); err != nil {
+		return nil, err // canceled before it started
 	}
+	// The progress sink rides the job context so the Runner interface
+	// stays payload-agnostic; the lab runner converts study partials to
+	// wire payloads before they reach the sink.
+	payload, err := s.runner.Run(progress.NewContext(j.ctx, s.progressSink(j)), j.req)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(payload)
+}
+
+// pathJob returns the job named by the request path's {id}, or nil
+// after answering 404 itself.
+func (s *Server) pathJob(w http.ResponseWriter, r *http.Request) *job {
+	s.mu.Lock()
+	j := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
-}
-
-func (s *Server) lookup(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
+	if j == nil {
+		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	}
+	return j
 }
 
 // --- HTTP layer -----------------------------------------------------
@@ -428,18 +463,6 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, bool) {
 	return &req, true
 }
 
-// submitCode maps a submit error to its HTTP status.
-func submitCode(err error) int {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
-}
-
 // acceptSubmission is the single entry of the job pipeline behind
 // both POST /v1/jobs and POST /v1/studies: decode, normalize, submit
 // (cache → singleflight → journal → queue). On failure it writes the
@@ -452,9 +475,13 @@ func (s *Server) acceptSubmission(w http.ResponseWriter, r *http.Request) (*job,
 	}
 	j, st, err := s.submit(req)
 	if err != nil {
-		code := submitCode(err)
-		if code == http.StatusTooManyRequests {
+		code := http.StatusBadRequest
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			code = http.StatusTooManyRequests
 			w.Header().Set("Retry-After", "1")
+		case errors.Is(err, ErrDraining):
+			code = http.StatusServiceUnavailable
 		}
 		writeError(w, code, "%v", err)
 		return nil, nil, false
@@ -490,33 +517,46 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j := s.pathJob(w, r)
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j := s.pathJob(w, r)
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
+	writeResult(w, j, false)
+}
+
+// writeResult answers with the job's outcome: the result bytes of a
+// done job under its X-Voltnoise-Cache header, 500 with the error of a
+// failed one, 410 for a canceled one, and 202 with the status body for
+// a job still in flight, so pollers can reuse the response. named adds
+// the job's ID to a done response as X-Voltnoise-Job, for callers that
+// never saw the ID.
+func writeResult(w http.ResponseWriter, j *job, named bool) {
 	state, result, errText := j.snapshot()
 	switch state {
 	case StateDone:
+		cache := "miss"
+		if j.cached {
+			cache = "hit"
+		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Voltnoise-Cache", cacheHeader(j.cached))
+		w.Header().Set("X-Voltnoise-Cache", cache)
+		if named {
+			w.Header().Set("X-Voltnoise-Job", j.id)
+		}
 		w.Write(result)
 	case StateFailed:
 		writeError(w, http.StatusInternalServerError, "job failed: %s", errText)
 	case StateCanceled:
 		writeError(w, http.StatusGone, "job canceled")
 	default:
-		// Not finished yet: 202 with the status body so pollers can
-		// reuse the response.
 		writeJSON(w, http.StatusAccepted, j.status())
 	}
 }
@@ -530,13 +570,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 // window is answered with 410 Gone and a body naming the full-result
 // fallback, GET /v1/jobs/{id}/result.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j := s.pathJob(w, r)
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if j.hub == nil {
-		writeError(w, http.StatusInternalServerError, "job %s has no event stream", j.id)
 		return
 	}
 	after := int64(0)
@@ -617,14 +652,15 @@ func writeSSE(w io.Writer, e *Event) error {
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j := s.pathJob(w, r)
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	// Cancel the job's context; a queued job is finished here, a
-	// running one stops when (and if) its runner observes the context.
+	// Cancel the job's context: a running job stops when (and if) its
+	// runner observes it. A queued job ends here, at once; the worker
+	// that later pops it skips it.
 	j.cancel()
+	s.end(j, StateQueued, StateCanceled, nil, context.Canceled, 0)
 	writeJSON(w, http.StatusOK, j.status())
 }
 
@@ -643,25 +679,7 @@ func (s *Server) handleSyncStudy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGatewayTimeout, "request context canceled while study in flight (job %s continues)", st.ID)
 		return
 	}
-	state, result, errText := j.snapshot()
-	switch state {
-	case StateDone:
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Voltnoise-Cache", cacheHeader(j.cached))
-		w.Header().Set("X-Voltnoise-Job", j.id)
-		w.Write(result)
-	case StateCanceled:
-		writeError(w, http.StatusGone, "job canceled")
-	default:
-		writeError(w, http.StatusInternalServerError, "job failed: %s", errText)
-	}
-}
-
-func cacheHeader(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
+	writeResult(w, j, true)
 }
 
 func (s *Server) handleListStudies(w http.ResponseWriter, r *http.Request) {
@@ -684,8 +702,8 @@ type Readiness struct {
 func (s *Server) readiness() (Readiness, int) {
 	s.mu.Lock()
 	draining := s.draining
-	journalErr := s.lastJournalErr
 	s.mu.Unlock()
+	journalErr := s.met.lastJournalError()
 	if draining {
 		return Readiness{Status: "draining"}, http.StatusServiceUnavailable
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -412,6 +413,173 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	if _, _, err := c.Result(ctx, stB.ID); err == nil {
 		t.Error("canceled job served a result")
+	}
+}
+
+// TestCancelQueuedJobEndsAtOnce: DELETE of a queued job ends it before
+// any worker reaches it. Its status reads canceled at once, its stream
+// closes with the canceled event, and it leaves the singleflight map,
+// so an identical submission afterwards runs fresh instead of joining
+// the canceled job.
+func TestCancelQueuedJobEndsAtOnce(t *testing.T) {
+	ctx := testCtx(t)
+	gate := newGateRunner()
+	_, c := startServer(t, service.Config{Runner: gate, QueueDepth: 2, PoolSize: 1})
+
+	stA, err := c.Submit(ctx, sweepReq(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.started // A holds the only worker; B stays queued
+	stB, err := c.Submit(ctx, sweepReq(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Cancel(ctx, stB.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Job(ctx, stB.ID); err != nil {
+		t.Fatal(err)
+	} else if got.Status != service.StateCanceled {
+		t.Fatalf("queued job reads %s right after DELETE, want canceled", got.Status)
+	}
+	events, err := watchAll(ctx, c, stB.ID)
+	if err != nil {
+		t.Fatalf("watch canceled job: %v", err)
+	}
+	checkStream(t, events)
+	if last := events[len(events)-1]; last.Type != service.EventCanceled || last.State != service.StateCanceled {
+		t.Fatalf("canceled job stream ended %s/%s, want canceled", last.Type, last.State)
+	}
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.JobsQueued != 0 || snap.JobsCanceled != 1 {
+		t.Errorf("after DELETE: jobs_queued %d, jobs_canceled %d; want 0 and 1", snap.JobsQueued, snap.JobsCanceled)
+	}
+
+	again, err := c.Submit(ctx, sweepReq(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Deduped || again.ID == stB.ID {
+		t.Fatalf("resubmission joined the canceled job: %+v", again)
+	}
+	close(gate.release)
+	for _, id := range []string{stA.ID, again.ID} {
+		fin, err := c.Wait(ctx, id, 10*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.Status != service.StateDone {
+			t.Errorf("job %s finished %s, want done", id, fin.Status)
+		}
+	}
+	if n := gate.calls.Load(); n != 2 {
+		t.Errorf("runner ran %d times, want 2 (the canceled job must not run)", n)
+	}
+}
+
+// TestCancelRacesStart: DELETEs racing the workers' starts end every
+// job exactly once. Each job finishes done or canceled, its stream
+// carries one terminal event that matches its status, and /metrics
+// balances: nothing left queued or running, and every job counted
+// once as done or canceled.
+func TestCancelRacesStart(t *testing.T) {
+	ctx := testCtx(t)
+	quick := service.RunnerFunc(func(ctx context.Context, req *service.Request) (any, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return map[string]int{"points": req.FreqSweep.Points}, nil
+	})
+	srv, c := startServer(t, service.Config{Runner: quick, QueueDepth: 32, PoolSize: 2})
+	const jobs = 16
+	ids := make([]string, jobs)
+	for i := range ids {
+		st, err := c.Submit(ctx, sweepReq(2+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			if err := c.Cancel(ctx, id); err != nil {
+				t.Error(err)
+			}
+		}(id)
+	}
+	wg.Wait()
+	for _, id := range ids {
+		fin, err := c.Wait(ctx, id, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := watchAll(ctx, c, id)
+		if err != nil {
+			t.Fatalf("watch %s: %v", id, err)
+		}
+		checkStream(t, events)
+		if last := events[len(events)-1]; last.State != fin.Status {
+			t.Errorf("job %s reads %s but its stream ended %s", id, fin.Status, last.State)
+		}
+		if fin.Status != service.StateDone && fin.Status != service.StateCanceled {
+			t.Errorf("job %s finished %s, want done or canceled", id, fin.Status)
+		}
+	}
+	// Shutdown returns once the workers are idle, so the metrics of the
+	// last job a worker ended are recorded.
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.JobsQueued != 0 || snap.JobsRunning != 0 || snap.JobsDone+snap.JobsCanceled != jobs {
+		t.Errorf("metrics queued %d, running %d, done %d, canceled %d; want 0, 0 and %d ended",
+			snap.JobsQueued, snap.JobsRunning, snap.JobsDone, snap.JobsCanceled, jobs)
+	}
+}
+
+// TestRunnerPanicFailsJob: a panic in the runner fails the job with
+// the panic value in its error, like any other failure, and the server
+// keeps answering.
+func TestRunnerPanicFailsJob(t *testing.T) {
+	ctx := testCtx(t)
+	boom := service.RunnerFunc(func(_ context.Context, req *service.Request) (any, error) {
+		if req.Study == service.StudyFreqSweep {
+			panic("sweep bounds collapsed")
+		}
+		return map[string]string{"study": string(req.Study)}, nil
+	})
+	_, c := startServer(t, service.Config{Runner: boom, PoolSize: 1})
+	st, err := c.Submit(ctx, sweepReq(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.Status != service.StateFailed || !contains(fin.Error, "sweep bounds collapsed") {
+		t.Fatalf("panicking job = %+v, want failed with the panic value", fin)
+	}
+	// The worker survived: the next job runs on it.
+	if _, _, err := c.Run(ctx, guardbandReq(1.0)); err != nil {
+		t.Fatalf("server stopped answering after a runner panic: %v", err)
+	}
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.JobsFailed != 1 || snap.JobsDone != 1 || snap.JobsRunning != 0 {
+		t.Errorf("jobs_failed %d, jobs_done %d, jobs_running %d; want 1, 1, 0", snap.JobsFailed, snap.JobsDone, snap.JobsRunning)
 	}
 }
 
